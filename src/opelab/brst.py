@@ -26,12 +26,13 @@ calibrated.
 from __future__ import annotations
 
 from fractions import Fraction
+import functools
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar, parse_scalar
 from .vla import (Gen, BrValue, VertexLieData, CheckReport, direct_sum,
                   heisenberg, weyl_pair, SL2_STRUCT)
 from .envelope import VertexAlgebra, build_envelope, add_states, scale_state
-from .linalg import Matrix, solve_and_rank, quotient_reps
+from .linalg import Matrix, graded_cohomology
 
 
 def build_ghosts(names, charges=None) -> VertexLieData:
@@ -284,18 +285,9 @@ class BRSTDatum:
         out = {}
         for w in range(W + 1):
             for q in self.charges():
-                if not self.V.basis(w, q):
-                    continue
-                for g in self.ghost_range(w, q):
-                    dg, src, _ = self.d_matrix(w, q, g)
-                    _, kern, _ = solve_and_rank(dg)
-                    kern_vecs = [{src[j]: v for j, v in vec.items()}
-                                 for vec in kern]
-                    dprev, _, ptgt = self.d_matrix(w, q, g - 1)
-                    _, _, img = solve_and_rank(dprev)
-                    img_vecs = [{ptgt[i]: v for i, v in col.items()}
-                                for col in img]
-                    reps = quotient_reps(kern_vecs, img_vecs)
+                H = graded_cohomology(self.ghost_range(w, q),
+                                      functools.partial(self.d_matrix, w, q))
+                for g, reps in H.items():
                     if reps:
                         out[(w, q, g)] = {
                             "dim": len(reps),
@@ -398,24 +390,6 @@ def _substitute_vla(L: VertexLieData, value) -> VertexLieData:
         brackets[key] = BrValue(terms, central)
     return VertexLieData(list(L.gens), brackets, ring=None,
                          central=L.central)
-
-
-# -- module-level verbs ---------------------------------------------------
-
-def brst_charge(D: BRSTDatum, cubic_coeff=Fraction(-1, 2)) -> dict:
-    return D.brst_charge(cubic_coeff)
-
-
-def brst_differential(D: BRSTDatum):
-    return D.differential()
-
-
-def check_d_squared(D: BRSTDatum, W, states=None):
-    return D.check_d_squared(W, states)
-
-
-def brst_cohomology(D: BRSTDatum, W):
-    return D.brst_cohomology(W)
 
 
 # -- stock data ------------------------------------------------------------

@@ -51,6 +51,8 @@ def _level(text):
         return None
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError("level %r has a zero denominator" % text)
     except ValueError:
         pass
     if not text.isidentifier():

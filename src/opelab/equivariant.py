@@ -26,8 +26,7 @@ from fractions import Fraction
 import itertools
 
 from .scalars import Scalar, ZERO, ONE, sc, sc_gcd, format_scalar
-from .linalg import (Matrix, BasisToken, FiniteComplex, CohomologyClass,
-                     smith, smith_solve)
+from .linalg import Matrix, BasisToken, FiniteComplex, smith, presentation
 
 
 def _compose(f, g):
@@ -240,14 +239,14 @@ class UComplex:
 def _module_invariants(D: Matrix):
     """H = ker D / im D of a square-zero matrix over Q[u], as free rank
     plus torsion invariant factors."""
-    S = smith(D)
-    kern = S.kernel_basis()
-    img = []
-    for j in range(S.rank):
-        col = {i: S.V[i][j] for i in range(S.ncols)
-               if not S.V[i][j].is_zero()}
-        img.append(D.apply(col))
-    return quotient_invariants(D.nrows, kern, img)
+    _, X = presentation(D)
+    return _cokernel_invariants(smith(X))
+
+
+def _cokernel_invariants(S):
+    """(free rank, torsion invariant factors) of the cokernel of the
+    matrix whose Smith form is S."""
+    return S.nrows - S.rank, [f for f in S.factors if f.degree() > 0]
 
 
 def quotient_invariants(ambient, gens, rels):
@@ -263,10 +262,7 @@ def quotient_invariants(ambient, gens, rels):
         c = {i: v for i, v in kcol.items() if i < g}
         if c:
             pres.append(c)
-    P = Matrix.from_columns(g, pres)
-    SP = smith(P)
-    torsion = [f for f in SP.factors if f.degree() > 0]
-    return g - SP.rank, torsion
+    return _cokernel_invariants(smith(Matrix.from_columns(g, pres)))
 
 
 # -- duality functors ------------------------------------------------------
@@ -421,26 +417,6 @@ def check_mixed_map(NZ: MixedComplex, NX: MixedComplex, iota):
     return iota
 
 
-def _presentation(C: FiniteComplex):
-    """Kernel basis of D and the coordinates of im D inside it, so that
-    H = Q[u]^r / im(X)."""
-    S = smith(C.D)
-    kern = S.kernel_basis()
-    r = len(kern)
-    K = Matrix.from_columns(len(C.tokens), kern)
-    SK = smith(K)
-    X_cols = []
-    for j in range(S.rank):
-        col = {i: S.V[i][j] for i in range(S.ncols)
-               if not S.V[i][j].is_zero()}
-        b = C.D.apply(col)
-        x = smith_solve(SK, K, b)
-        if x is None:
-            raise AssertionError("image vector escapes the kernel")
-        X_cols.append(x)
-    return K, SK, X_cols, r
-
-
 def divides_power(factor: Scalar, f: Scalar) -> bool:
     """Does the invariant factor divide some power of f?"""
     if factor.is_zero():
@@ -459,38 +435,37 @@ def localize_check(NZ: MixedComplex, NX: MixedComplex, iota,
     """Verdict on whether t(iota) becomes an isomorphism on cohomology
     after inverting the given polynomials in Q[u]."""
     iota = check_mixed_map(NZ, NX, iota)
-    CZ = koszul_t(NZ).complex()
-    CX = koszul_t(NX).complex()
-    KZ, SKZ, XZ, rZ = _presentation(CZ)
-    KX, SKX, XX, rX = _presentation(CX)
+    SZ, XZ = presentation(koszul_t(NZ).complex().D)
+    SX, XX = presentation(koszul_t(NX).complex().D)
+    rZ, rX = XZ.nrows, XX.nrows
 
     # the induced map in kernel coordinates
     F_cols = []
-    for j in range(rZ):
-        kz = {i: KZ.get(i, j) for i in range(len(NZ.tokens))
-              if not KZ.get(i, j).is_zero()}
+    for kz in SZ.kernel_basis():
         v = {}
         for i, c in kz.items():
             for i2, w in iota.get(i, {}).items():
                 v[i2] = v.get(i2, ZERO) + c * w
         v = {i2: c for i2, c in v.items() if not c.is_zero()}
-        x = smith_solve(SKX, KX, v)
+        x = SX.kernel_coordinates(v)
         if x is None:
             raise AssertionError("chain map image escapes the kernel")
         F_cols.append(x)
 
-    # cokernel: Q^rX / (im F + im XX)
-    identity = [{i: ONE} for i in range(rX)]
-    cfree, ctors = quotient_invariants(rX, identity, F_cols + XX)
+    # cokernel: Q[u]^rX / im[F | XX]
+    B = Matrix.from_columns(
+        rX, F_cols + [XX.column(j) for j in range(XX.ncols)])
+    SB = smith(B)
+    cfree, ctors = _cokernel_invariants(SB)
     # kernel: {x : F x in im XX} / im XZ
     if rZ:
         gens = []
-        B = Matrix.from_columns(rX, F_cols + XX)
-        for kcol in smith(B).kernel_basis():
+        for kcol in SB.kernel_basis():
             c = {i: v for i, v in kcol.items() if i < rZ}
             if c:
                 gens.append(c)
-        kfree, ktors = quotient_invariants(rZ, gens, XZ)
+        kfree, ktors = quotient_invariants(
+            rZ, gens, [XZ.column(j) for j in range(XZ.ncols)])
     else:
         kfree, ktors = 0, []
 

@@ -1,11 +1,21 @@
 """Exact linear algebra over Q and Q[var].
 
 Vectors are dicts mapping basis keys to nonzero ``Scalar`` values; matrices
-are sparse dicts keyed by (row, col).  Over Q the workhorse is Gaussian
-elimination; over a polynomial ring Q[var] it is the Smith normal form with
-unimodular transforms tracked on both sides, which is what cohomology of
-complexes of free Q[u]-modules needs (free part, torsion annihilators, and
-representative cocycles).
+are sparse dicts keyed by (row, col).
+
+- Over Q, ``rref`` does the elimination; ``solve_and_rank`` gives the
+  kernel and image of a matrix from one reduction, and
+  ``graded_cohomology`` computes the cohomology of a complex given block
+  by block, reducing each block once and reusing it for the kernel in its
+  source degree and the image in its target degree;
+- Over Q[var], ``smith`` does the elimination: U M V diagonal, with the
+  unimodular transforms tracked on both sides.  ``presentation`` reads
+  H = ker D / im D of a differential D off one Smith form: the columns
+  of V past the rank are a free basis of ker D, and the coordinates of a
+  kernel vector v in that basis are the entries of V^-1 v past the rank
+  (the entries before it vanish exactly when v is in the kernel).  Free
+  rank, torsion annihilators and representative cocycles follow from
+  one more Smith form of the coordinate matrix of the image.
 
 Differentials that are homogeneous for a grading in which the variable
 carries even degree have monomial entries c*u^k, and for those the Smith
@@ -299,6 +309,27 @@ def quotient_reps(kernel_vecs, image_vecs):
     return reps
 
 
+def graded_cohomology(degrees, block):
+    """Cohomology over Q of a complex given block by block.
+
+    ``degrees`` lists, in increasing order, every degree that carries
+    basis vectors; ``block(g)`` returns (matrix of d from degree g to g + 1,
+    source keys, target keys).  Each block is built and reduced once: its
+    kernel gives the cocycles at g and its image the coboundaries at
+    g + 1.  Returns {g: representatives of ker / im, as dict vectors}.
+    """
+    out = {}
+    image = []
+    for g in degrees:
+        dg, src, tgt = block(g)
+        _, kern, img = solve_and_rank(dg)
+        kern_vecs = [{src[j]: v for j, v in vec.items()} for vec in kern]
+        out[g] = quotient_reps(kern_vecs, image)
+        # empty unless g + 1 is the next listed degree
+        image = [{tgt[i]: v for i, v in col.items()} for col in img]
+    return out
+
+
 # -- Smith normal form over Q[var] -------------------------------------
 
 
@@ -320,6 +351,24 @@ class SmithResult:
             col = {i: self.V[i][j] for i in range(self.ncols)
                    if not self.V[i][j].is_zero()}
             out.append(col)
+        return out
+
+    def kernel_coordinates(self, v: dict):
+        """Coordinates of v in ``kernel_basis()``: the entries of V^-1 v
+        past the rank.  None when v is not in the kernel, which is when
+        one of the entries before the rank is nonzero."""
+        out = {}
+        for i in range(self.ncols):
+            row = self.Vinv[i]
+            acc = ZERO
+            for k, c in v.items():
+                if not row[k].is_zero():
+                    acc = acc + row[k] * c
+            if acc.is_zero():
+                continue
+            if i < self.rank:
+                return None
+            out[i - self.rank] = acc
         return out
 
 
@@ -446,10 +495,29 @@ def smith(M: Matrix) -> SmithResult:
     return SmithResult(U, Uinv, V, Vinv, A, t, n, m)
 
 
+def presentation(D: Matrix):
+    """H = ker D / im D over Q[var] for a square-zero D, as (S, X): S is
+    the Smith form of D, whose ``kernel_basis()`` is a free basis of
+    ker D, and X holds in column j the coordinates of D V e_j (j below the
+    rank) in that basis, so that H = Q[var]^r / im X."""
+    S = smith(D)
+    cols = []
+    for j in range(S.rank):
+        vj = {i: S.V[i][j] for i in range(S.ncols)
+              if not S.V[i][j].is_zero()}
+        x = S.kernel_coordinates(D.apply(vj))
+        if x is None:
+            raise AssertionError("image vector outside the kernel")
+        cols.append(x)
+    return S, Matrix.from_columns(S.ncols - S.rank, cols)
+
+
 def smith_solve(S: SmithResult, M: Matrix, b: dict):
     """Solve M x = b over the polynomial ring using a precomputed Smith
     form of M.  Returns x as a column dict, or None when no polynomial
-    solution exists."""
+    solution exists.  The library reads kernel coordinates off V^-1
+    instead; this general solver is the reference the tests compare
+    against."""
     ub = [ZERO] * S.nrows
     for i in range(S.nrows):
         acc = ZERO
@@ -583,72 +651,30 @@ class FiniteComplex:
         return self._cohomology_pid()
 
     def _cohomology_q(self):
-        out = {}
-        degs = self.degrees()
-        for k in degs:
-            dk, src, _ = self.component_matrix(k)
-            _, kern, _ = solve_and_rank(dk)
-            kern_vecs = [{src[j]: v for j, v in vec.items()} for vec in kern]
-            img_vecs = self._image_in_degree(k)
-            reps = quotient_reps(kern_vecs, img_vecs)
-            classes = [CohomologyClass(
-                k, None, {self.tokens[i]: v for i, v in r.items()})
-                for r in reps]
-            out[k] = classes
-        return out
-
-    def _image_in_degree(self, k):
-        if k - 1 not in set(self.degrees()):
-            return []
-        dprev, src, tgt = self.component_matrix(k - 1)
-        _, _, img = solve_and_rank(dprev)
-        return [{tgt[i]: v for i, v in col.items()} for col in img]
+        return {k: [CohomologyClass(
+                    k, None, {self.tokens[i]: v for i, v in r.items()})
+                    for r in reps]
+                for k, reps in graded_cohomology(
+                    self.degrees(), self.component_matrix).items()}
 
     def _cohomology_pid(self):
-        S = smith(self.D)
+        S, X = presentation(self.D)
         kern = S.kernel_basis()          # homogeneous free basis of ker D
-        r = len(kern)
-        n = len(self.tokens)
-        if r == 0:
+        if not kern:
             return []
-        K = Matrix.from_columns(n, kern)
-        SK = smith(K)
-        for f in SK.factors:
-            if f.degree() != 0:
-                raise AssertionError(
-                    "kernel basis is not a direct summand; saturation "
-                    "argument violated")
-        img_cols = []
-        for j in range(S.rank):
-            col = {i: S.V[i][j] for i in range(S.ncols)
-                   if not S.V[i][j].is_zero()}
-            img_cols.append(self.D.apply(col))
-        # coordinates of the image inside the kernel basis
-        X_entries = {}
-        for cj, b in enumerate(img_cols):
-            x = smith_solve(SK, K, b)
-            if x is None:
-                raise AssertionError("image vector outside the kernel")
-            for i, v in x.items():
-                X_entries[(i, cj)] = v
-        X = Matrix(r, len(img_cols), X_entries)
         SX = smith(X)
         # new kernel basis adapted to the image: columns of K * Uinv
         classes = []
-        for j in range(r):
+        for j in range(len(kern)):
             col = {}
-            for i in range(n):
-                acc = ZERO
-                for k2 in range(r):
-                    u = SX.Uinv[k2][j]
-                    if not u.is_zero():
-                        acc = acc + K.get(i, k2) * u
-                if not acc.is_zero():
-                    col[i] = acc
+            for k2, kvec in enumerate(kern):
+                u = SX.Uinv[k2][j]
+                if not u.is_zero():
+                    col = vec_add(col, vec_scale(kvec, u))
             ann = SX.D[j][j] if j < SX.rank else None
             if ann is not None and ann.degree() == 0:
                 continue  # unit annihilator: trivial class
-            rep = {self.tokens[i]: v for i, v in col.items()}
+            rep = {self.tokens[i]: col[i] for i in sorted(col)}
             classes.append(CohomologyClass(self._vec_degree(rep), ann, rep))
         classes.sort(key=lambda c: (c.degree if c.degree is not None else 0,
                                     c.annihilator is not None))

@@ -27,6 +27,7 @@ from fractions import Fraction
 import itertools
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar, parse_scalar
+from .linalg import span_rank
 
 HBAR = Scalar.variable("hbar")
 
@@ -802,36 +803,9 @@ def homology_p_d_bridge(n, d):
                           and conf_degrees == [0, d - 1]
                           and swap == int(_sign(d)))}
     ring = conf_ring(3, d)
-    words = _free_p3_words(d)
-    keys = sorted({k for w in words for k in w})
-    rows = []
-    for w in words:
-        rows.append([Fraction(w.get(k, 0)) for k in keys])
-    rank = _q_rank(rows)
+    rank = span_rank(_free_p3_words(d))
     return {"n": 3, "d": d,
             "conf_dims": ring.total,
             "operad_rank": rank,
             "match": ring.total == rank == 6}
 
-
-def _q_rank(rows):
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    lead = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / prow[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-    return rank

@@ -7,24 +7,18 @@ from importlib import resources
 from . import brst, equivariant, operads, vla
 
 
-def _lvl(builder):
-    def build(level):
-        return builder(level)
-    return build
-
-
 VLA_PRESETS = {
     "kacmoody-sl2": {
-        "build": _lvl(vla.kac_moody_sl2), "level": "c",
+        "build": vla.kac_moody_sl2, "level": "c",
         "describe": "sl2 currents at a generic level, invariant pairing "
                     "normalized so kappa(h,h) = 2",
     },
     "heisenberg": {
-        "build": _lvl(vla.heisenberg), "level": "c",
+        "build": vla.heisenberg, "level": "c",
         "describe": "one self-paired weight-1 current (free boson)",
     },
     "virasoro": {
-        "build": _lvl(vla.virasoro), "level": "c",
+        "build": vla.virasoro, "level": "c",
         "describe": "one weight-2 generator with the central quartic "
                     "pole c/2",
     },

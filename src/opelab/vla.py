@@ -170,18 +170,38 @@ class VertexLieData:
 
     @staticmethod
     def from_dict(data) -> "VertexLieData":
-        gens = [Gen(g["name"], _parse_frac(g["weight"]),
-                    g.get("parity", 0), g.get("charge", 0), g.get("ghost", 0))
-                for g in data["generators"]]
+        # imported here: loading jsonschema before the other opelab
+        # modules raises the peak RSS of a command-line run by ~2 MiB
+        from .schemas import SchemaViolation
+        gens = []
+        for k, g in enumerate(data["generators"]):
+            try:
+                weight = Fraction(g["weight"])
+            except (ValueError, ZeroDivisionError):
+                raise SchemaViolation("vla.v1", "/generators/%d/weight" % k,
+                                      "weight %r is not a rational number"
+                                      % g["weight"])
+            gens.append(Gen(g["name"], weight, g.get("parity", 0),
+                            g.get("charge", 0), g.get("ghost", 0)))
         index = {g.name: i for i, g in enumerate(gens)}
+
+        def gen_index(name, pointer):
+            # a cross-reference the schema cannot see
+            if name not in index:
+                raise SchemaViolation("vla.v1", pointer,
+                                      "undeclared generator %r" % name)
+            return index[name]
+
         brackets = {}
-        for b in data.get("brackets", []):
+        for r, b in enumerate(data.get("brackets", [])):
+            at = "/brackets/%d/" % r
+            key = (gen_index(b["a"], at + "a"), gen_index(b["b"], at + "b"),
+                   b["n"])
             terms = {}
-            for t in b.get("value", []):
-                terms[(index[t["gen"]], t.get("dpow", 0))] = \
-                    parse_scalar(str(t["coeff"]))
+            for k, t in enumerate(b.get("value", [])):
+                g = gen_index(t["gen"], at + "value/%d/gen" % k)
+                terms[(g, t.get("dpow", 0))] = parse_scalar(str(t["coeff"]))
             central = parse_scalar(str(b.get("central_coeff", "0")))
-            key = (index[b["a"]], index[b["b"]], b["n"])
             brackets[key] = BrValue(terms, central)
         return VertexLieData(gens, brackets, ring=data.get("ring"),
                              central=data.get("central", False))
@@ -190,12 +210,6 @@ class VertexLieData:
 def _frac_str(w: Fraction):
     return int(w) if w.denominator == 1 else "%d/%d" % (w.numerator,
                                                         w.denominator)
-
-
-def _parse_frac(w):
-    if isinstance(w, str):
-        return Fraction(w)
-    return Fraction(w)
 
 
 # -- checkers ----------------------------------------------------------

@@ -20,8 +20,7 @@ from opelab.vla import (Gen, BrValue, VertexLieData, current_algebra,
                         check_jacobi, check_sesquilinearity,
                         check_skew_symmetry, SL2_KAPPA)
 from opelab.envelope import build_envelope, scale_state
-from opelab.brst import (abelian_datum, pure_ghost_datum, wakimoto_datum,
-                         brst_charge, brst_cohomology, check_d_squared)
+from opelab.brst import abelian_datum, pure_ghost_datum, wakimoto_datum
 from opelab.linalg import BasisToken, FiniteComplex
 from opelab.equivariant import (MixedComplex, koszul_t, koszul_h,
                                 ucomplex_from_finite, cartan_model,
@@ -219,20 +218,20 @@ def unique_root(entries):
 
 def test_rank_one_datum_level_condition():
     D = abelian_datum("t", cutoff=4)
-    rep, entries = check_d_squared(D, 4)
+    rep, entries = D.check_d_squared(4)
     assert not rep.ok and entries
     # the only level with a square-zero differential is the one where
     # the matter level cancels the (here vanishing) ghost level
     root = unique_root(entries)
     assert root == 0
     assert D.kappa_ghost() == {("b", "b"): ZERO}
-    rep, _ = check_d_squared(D.specialize(root), 4)
+    rep, _ = D.specialize(root).check_d_squared(4)
     assert rep.ok
 
 
 def test_ghost_only_datum_has_zero_differential():
     D = pure_ghost_datum(cutoff=4)
-    assert brst_charge(D) == {}
+    assert D.brst_charge() == {}
     for g in (-1, 0, 1):
         m, _, _ = D.d_matrix(3, None, g)
         assert m.is_zero()
@@ -241,7 +240,7 @@ def test_ghost_only_datum_has_zero_differential():
 
 def test_free_field_datum_critical_level():
     D = wakimoto_datum("t", cutoff=3)
-    rep, entries = check_d_squared(D, 2)
+    rep, entries = D.check_d_squared(2)
     assert not rep.ok and entries
     root = unique_root(entries)
     # the matter level must cancel the ghost level at exactly this root
@@ -249,9 +248,9 @@ def test_free_field_datum_critical_level():
     assert defect and all(v.evaluate(root) == 0 for v in defect)
 
     Dc = wakimoto_datum(root, cutoff=3)
-    rep, _ = check_d_squared(Dc, 3)
+    rep, _ = Dc.check_d_squared(3)
     assert rep.ok
-    H = brst_cohomology(Dc, 2)
+    H = Dc.brst_cohomology(2)
     assert H[(0, 0, 0)]["dim"] == 1
     chi_h, chi_c = Dc.euler_characteristics(2)
     for w in range(3):

@@ -16,10 +16,9 @@ from opelab.scalars import Scalar, ZERO, ONE, sc, sc_gcd, format_scalar
 from opelab.vla import direct_sum, heisenberg, weyl_pair, SL2_STRUCT
 from opelab.envelope import build_envelope, add_states, scale_state
 from opelab.brst import (build_ghosts, ghost_current_words, word_state,
-                         BRSTDatum, brst_charge, brst_differential,
-                         check_d_squared, brst_cohomology, abelian_datum,
-                         pure_ghost_datum, bg_gl1_datum,
-                         bg_fundamental_sl2_datum, wakimoto_datum, SL2_FUND)
+                         BRSTDatum, abelian_datum, pure_ghost_datum,
+                         bg_gl1_datum, bg_fundamental_sl2_datum,
+                         wakimoto_datum, SL2_FUND)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -123,7 +122,7 @@ def test_abelian_generic_level():
     assert D.kappa_matter() == {("b", "b"): t}
     assert D.kappa_ghost() == {("b", "b"): ZERO}
     assert D.level_defect() == {("b", "b"): t}
-    d = brst_differential(D)
+    d = D.differential()
     assert d(D.V.gen_state("psi_b")) == D.V.gen_state("b")
     assert d(D.V.gen_state("b")) == scale_state(
         D.V.translate(D.V.gen_state("psi*_b")), t)
@@ -132,7 +131,7 @@ def test_abelian_generic_level():
 
 def test_abelian_obstruction_is_exactly_the_level():
     D = abelian_datum("t", cutoff=4)
-    report, entries = check_d_squared(D, 3)
+    report, entries = D.check_d_squared(3)
     assert not report.ok
     assert report.violations[0]["witness"] == "psi_b"
     assert entries
@@ -145,7 +144,7 @@ def test_abelian_obstruction_is_exactly_the_level():
 
 def test_abelian_critical_level_closes():
     D = abelian_datum("t", cutoff=4).specialize(0)
-    report, _ = check_d_squared(D, 4)
+    report, _ = D.check_d_squared(4)
     assert report.ok
     assert D.check_grading(3).ok
 
@@ -162,7 +161,7 @@ def test_abelian_cohomology_is_koszul():
 
 def test_pure_ghost_trivial_differential():
     D = pure_ghost_datum(cutoff=4)
-    assert brst_charge(D) == {}
+    assert D.brst_charge() == {}
     for g in (-1, 0, 1):
         m, _, _ = D.d_matrix(2, None, g)
         assert m.is_zero()
@@ -176,7 +175,7 @@ def test_bg_gl1_levels_and_action():
     assert D.validate_currents().ok
     assert D.kappa_matter() == {("x", "x"): sc(-1)}
     assert D.kappa_ghost() == {("x", "x"): ZERO}
-    d = brst_differential(D)
+    d = D.differential()
     for m in (1, 2, 3):
         st = word_state(D.V, [(ONE, [("phi_star", 0)] * m)])
         want = word_state(D.V, [(sc(m),
@@ -188,9 +187,9 @@ def test_bg_gl1_weight_zero_cohomology():
     """The weight-0 towers are phi*^m and psi* phi*^m with d acting by m,
     so only the vacuum line survives at ghost 0 (and psi* at ghost 1)."""
     D = bg_gl1_datum(cutoff=2, charge_window=(-4, 4))
-    report, _ = check_d_squared(D, 0)
+    report, _ = D.check_d_squared(0)
     assert report.ok
-    H = brst_cohomology(D, 0)
+    H = D.brst_cohomology(0)
     assert {k: v["dim"] for k, v in H.items()} == {
         (0, 0, 0): 1, (0, 0, 1): 1}
     assert H[(0, 0, 0)]["reps"] == ["Ω"]
@@ -198,10 +197,10 @@ def test_bg_gl1_weight_zero_cohomology():
 
 def test_bg_gl1_anomaly_appears_at_weight_one():
     D = bg_gl1_datum(cutoff=2, charge_window=(-4, 4))
-    report, _ = check_d_squared(D, 1)
+    report, _ = D.check_d_squared(1)
     assert not report.ok
     with pytest.raises(ValueError, match="d\\^2"):
-        brst_cohomology(D, 1)
+        D.brst_cohomology(1)
 
 
 # -- copies of the sl2 fundamental ----------------------------------------
@@ -219,7 +218,7 @@ def test_fundamental_copy_scan_has_unique_zero():
             assert D.kappa_ghost()[(a, b)] == sc(kf[(a, b)])
         states = [("psi_%s" % a, D.V.gen_state("psi_%s" % a))
                   for a in D.names]
-        report, _ = check_d_squared(D, None, states=states)
+        report, _ = D.check_d_squared(None, states=states)
         if report.ok:
             closing.append(k)
     assert closing == [4]
@@ -231,7 +230,7 @@ def test_fundamental_copies_validate_and_refuse_full_enumeration():
     with pytest.raises(ValueError, match="mixed or zero charges"):
         D.V.basis(0, 0)
     with pytest.raises(ValueError, match="mixed or zero charges"):
-        check_d_squared(D, 0)
+        D.check_d_squared(0)
 
 
 # -- free-field sl2 --------------------------------------------------------
@@ -313,7 +312,7 @@ def test_wakimoto_critical_level_is_forced(wak_generic):
     D = wak_generic
     defect = [v for v in D.level_defect().values() if not v.is_zero()]
     assert entry_gcd(defect) == Scalar.variable("t") + sc(4)
-    report, entries = check_d_squared(D, 2)
+    report, entries = D.check_d_squared(2)
     assert not report.ok
     # all obstructions share the single root t = -4
     assert entry_gcd(entries) == Scalar.variable("t") + sc(4)
@@ -321,7 +320,7 @@ def test_wakimoto_critical_level_is_forced(wak_generic):
 
 def test_wakimoto_closes_at_critical_level(wak_critical):
     D = wak_critical
-    report, _ = check_d_squared(D, 2)
+    report, _ = D.check_d_squared(2)
     assert report.ok
     assert D.check_grading(2).ok
 
@@ -332,14 +331,14 @@ def test_wakimoto_weight_zero_cohomology(wak_critical):
     which d has rank exactly 1; the kernel is the combination
     :phi* psi*_f: + psi*_h."""
     D = wak_critical
-    d = brst_differential(D)
+    d = D.differential()
     assert [D.V.format_mono(m) for m in D.block(0, 0, 0)] == ["Ω"]
     assert len(D.block(0, 0, 1)) == 2
     r = word_state(D.V, [(ONE, [("phi_star", 0), ("psi*_f", 0)]),
                          (ONE, [("psi*_h", 0)])])
     assert d(r) == {}
     assert d(D.V.gen_state("psi*_h")) != {}
-    H = brst_cohomology(D, 2)
+    H = D.brst_cohomology(2)
     assert {k: v["dim"] for k, v in H.items()} == {
         (0, 0, 0): 1, (0, 0, 1): 1}
     assert H[(0, 0, 0)]["reps"] == ["Ω"]
@@ -366,7 +365,7 @@ def test_wakimoto_cubic_coefficient_forced(wak_critical):
 def test_wakimoto_differential_is_odd_derivation(wak_critical):
     D = wak_critical
     V = D.V
-    d = brst_differential(D)
+    d = D.differential()
     e = D.currents["e"]
     psie = V.gen_state("psi_e")
     psish = V.gen_state("psi*_h")

@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from opelab.cli import main
 from opelab.equivariant import p1_fixed_points, p1_rotation
+from opelab.vla import virasoro
 
 
 def run(capsys, *argv):
@@ -86,6 +89,49 @@ def test_vla_check_broken_input(capsys, tmp_path):
     assert not rep["ok"]
     assert not rep["checks"]["skew_symmetry"]["ok"]
     assert rep["checks"]["skew_symmetry"]["violations"]
+
+
+def _bad_virasoro(field):
+    """A Virasoro table whose bracket names a generator it never
+    declares (in a's or b's slot of bracket 1, or in bracket 0's value),
+    or whose generator weight is not a rational number."""
+    data = dict(virasoro(2).to_dict(), format="vla.v1")
+    if field == "value":
+        data["brackets"][0]["value"][0]["gen"] = "x"
+    elif field == "weight":
+        data["generators"][0]["weight"] = "1/0"
+    else:
+        data["brackets"][1][field] = "x"
+    return data
+
+
+# argv, vla.v1 file to pass as --input (or None), text stderr must show
+HOSTILE = [
+    (["ope", "--preset", "virasoro", "--level=3/0"], None,
+     "zero denominator"),
+    (["brst", "--preset", "abelian", "--level=1/0"], None,
+     "zero denominator"),
+    (["vla-check"], "a", "/brackets/1/a"),
+    (["ope"], "b", "/brackets/1/b"),
+    (["envelope-dims"], "value", "/brackets/0/value/0/gen"),
+    (["vla-check"], "weight", "/generators/0/weight"),
+]
+
+
+@pytest.mark.parametrize("argv, field, needle", HOSTILE, ids=[
+    "ope-level-over-zero", "brst-level-over-zero", "undeclared-a",
+    "undeclared-b", "undeclared-value-gen", "weight-over-zero"])
+def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
+                                                  field, needle):
+    if field is not None:
+        p = tmp_path / "bad-vla.json"
+        p.write_text(json.dumps(_bad_virasoro(field)))
+        argv = argv + ["--input", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err
 
 
 def test_brst_critical_level_clean(capsys):

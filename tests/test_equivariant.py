@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,8 +8,8 @@ from opelab.linalg import BasisToken, FiniteComplex, smith
 from opelab.equivariant import (
     MixedComplex, UComplex, koszul_t, koszul_h, ucomplex_from_finite,
     cartan_model, localize_check, check_mixed_map, quotient_invariants,
-    divides_power, regular_lambda, sphere_pair, zero_mixed, p1_rotation,
-    p1_fixed_points, p1_inclusion)
+    _module_invariants, divides_power, regular_lambda, sphere_pair,
+    zero_mixed, p1_rotation, p1_fixed_points, p1_inclusion)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -48,8 +49,18 @@ def mapping_cone(NZ, NX, iota):
 
 
 def cone_invariants(NZ, NX, iota):
-    from opelab.equivariant import _module_invariants
     return _module_invariants(mapping_cone(NZ, NX, iota).D)
+
+
+def quotient_route(D):
+    """Module invariants of ker D / im D from the [kernel | image]
+    presentation, the route the library took before it read coordinates
+    off V^-1."""
+    S = smith(D)
+    img = [D.apply({i: S.V[i][j] for i in range(S.ncols)
+                    if not S.V[i][j].is_zero()})
+           for j in range(S.rank)]
+    return quotient_invariants(D.nrows, S.kernel_basis(), img)
 
 
 def random_strict(rng, nfactors=1):
@@ -314,6 +325,24 @@ def test_cone_agrees_with_the_verdict():
             divides_power(f, Scalar.variable("u")) for f in tors)
         assert res["iso_after_localization"] is expect
         assert cone_ok is expect
+
+
+def test_module_invariants_match_the_quotient_route():
+    rng = random.Random(5)
+    models = [cartan_model([(1, 0), (0, 1), (-1, -1)], 6)]
+    models += [koszul_t(random_strict(rng, nfactors=2)) for _ in range(10)]
+    mats = [M._specialized_matrix(i, Fraction(val))
+            for M in models for i in range(2) for val in (0, 1)]
+    NX, NZ = p1_rotation(), p1_fixed_points()
+    for iota in (p1_inclusion(), {0: {0: 1}}, {}):
+        mats.append(mapping_cone(NZ, NX, iota).D)
+    mats.append(mapping_cone(NX, NX, {i: {i: 1} for i in range(4)}).D)
+    torsion_seen = False
+    for D in mats:
+        free, tors = _module_invariants(D)
+        assert (free, tors) == quotient_route(D)
+        torsion_seen = torsion_seen or bool(tors)
+    assert torsion_seen
 
 
 def test_quotient_invariants_helper():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opelab.scalars import Scalar, ZERO, ONE, sc
 from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
@@ -162,6 +163,56 @@ def test_smith_solve():
     assert M.apply(x) == {0: u * u, 1: sc(3)}
     # u x = 1 has no polynomial solution
     assert smith_solve(S, M, {0: ONE}) is None
+
+
+# -- properties of the Smith form on small random matrices over Q[u] -------
+
+polys = st.lists(st.integers(-3, 3), max_size=3).map(
+    lambda cs: Scalar("u", tuple(Fraction(c) for c in cs)))
+
+
+@st.composite
+def poly_matrices(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return Matrix(n, m, {(i, j): draw(polys)
+                         for i in range(n) for j in range(m)})
+
+
+def poly_vector(draw, n):
+    vec = {i: draw(polys) for i in range(n)}
+    return {i: v for i, v in vec.items() if not v.is_zero()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrices())
+def test_smith_transforms_on_random_matrices(M):
+    _check_smith(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrices())
+def test_kernel_basis_is_a_direct_summand(M):
+    # the saturation that makes V^-1 coordinates polynomial
+    kern = smith(M).kernel_basis()
+    SK = smith(Matrix.from_columns(M.ncols, kern))
+    assert SK.rank == len(kern)
+    assert all(f.degree() == 0 for f in SK.factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrices(), st.data())
+def test_kernel_coordinates_against_smith_solve(M, data):
+    S = smith(M)
+    kern = S.kernel_basis()
+    K = Matrix.from_columns(M.ncols, kern)
+    SK = smith(K)
+    c = poly_vector(data.draw, len(kern))
+    v = K.apply(c)
+    assert S.kernel_coordinates(v) == smith_solve(SK, K, v) == c
+    b = poly_vector(data.draw, M.ncols)
+    x = S.kernel_coordinates(b)
+    assert x == smith_solve(SK, K, b)
+    assert (x is None) == bool(M.apply(b))
 
 
 def test_quotient_reps():
