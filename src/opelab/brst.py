@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 import functools
 
-from .scalars import Scalar, ZERO, ONE, sc, format_scalar, parse_scalar
+from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 from .vla import (Gen, BrValue, VertexLieData, CheckReport, direct_sum,
                   heisenberg, weyl_pair, SL2_STRUCT)
 from .envelope import VertexAlgebra, build_envelope, add_states, scale_state
@@ -360,20 +360,46 @@ class BRSTDatum:
 
     @classmethod
     def from_dict(cls, data) -> "BRSTDatum":
+        # imported here for the reason given in VertexLieData.from_dict
+        from .schemas import SchemaViolation, scalar_at
+        try:
+            matter = VertexLieData.from_dict(data["matter"])
+        except SchemaViolation as e:
+            raise SchemaViolation("brst.v1", "/matter" + e.pointer,
+                                  e.message)
         names = list(data["basis"])
         pos = {n: i for i, n in enumerate(names)}
+
+        # cross-references the schema cannot see
+        def declared(name, table, what, pointer):
+            if name not in table:
+                raise SchemaViolation("brst.v1", pointer,
+                                      "undeclared %s %r" % (what, name))
+            return name
+
+        def basis_index(name, pointer):
+            return pos[declared(name, pos, "basis element", pointer)]
+
         struct = {}
-        for row in data.get("structure", []):
-            key = (pos[row["a"]], pos[row["b"]])
-            struct[key] = [(pos[t["gen"]], parse_scalar(t["coeff"]))
-                           for t in row["terms"]]
-        matter = VertexLieData.from_dict(data["matter"])
+        for r, row in enumerate(data.get("structure", [])):
+            at = "/structure/%d/" % r
+            key = (basis_index(row["a"], at + "a"),
+                   basis_index(row["b"], at + "b"))
+            struct[key] = [
+                (basis_index(t["gen"], at + "terms/%d/gen" % k),
+                 scalar_at(t["coeff"], "brst.v1", at + "terms/%d/coeff" % k))
+                for k, t in enumerate(row["terms"])]
         words = {}
-        for row in data.get("currents", []):
-            words[row["gen"]] = [
-                (parse_scalar(t["coeff"]),
-                 [(f["gen"], f.get("dpow", 0)) for f in t["factors"]])
-                for t in row["terms"]]
+        for r, row in enumerate(data.get("currents", [])):
+            at = "/currents/%d/" % r
+            gen = declared(row["gen"], pos, "basis element", at + "gen")
+            words[gen] = [
+                (scalar_at(t["coeff"], "brst.v1",
+                           at + "terms/%d/coeff" % k),
+                 [(declared(f["gen"], matter.index, "matter generator",
+                            at + "terms/%d/factors/%d/gen" % (k, i)),
+                   f.get("dpow", 0)) for i, f in enumerate(t["factors"])])
+                for k, t in enumerate(row["terms"])]
         cw = data.get("charge_window")
         return cls(names, struct, matter, words, data["cutoff"],
                    tuple(cw) if cw is not None else None,

@@ -152,6 +152,11 @@ def do_ope(args):
 
 def do_envelope_dims(args):
     L, name, level = _vla_source(args)
+    zero_even = [g.name for g in L.gens if g.weight == 0 and g.parity == 0]
+    if args.charge is None and zero_even:
+        raise InputError("weight blocks are infinite-dimensional (weight-0 "
+                         "even generators: %s); pass --charge"
+                         % ", ".join(zero_even))
     V = build_envelope(L, cutoff=args.cutoff)
     dims = V.graded_dimensions(args.charge)
     report = {"format": "voa.v1", "verb": "envelope-dims", "source": name,

@@ -28,6 +28,7 @@ specialization.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import Scalar, ZERO, ONE, sc, binom, falling, format_scalar
 from .vla import VertexLieData, CheckReport
@@ -75,6 +76,15 @@ class VertexAlgebra:
                            if g.weight == 0 and g.parity == 0]
         self._zero_odd = [i for i, g in enumerate(L.gens)
                           if g.weight == 0 and g.parity == 1]
+        # the recursions run on integer weights: every weight is scaled by
+        # D, the lcm of the generator-weight denominators, so half-integer
+        # weights stay exact; weight(mono) * D is memoized per monomial
+        self._D = D = lcm(*(g.weight.denominator for g in L.gens))
+        self._gen_weight = [int(g.weight * D) for g in L.gens]
+        self._weight_cache = {}
+        # L.pole_bound(a, b): floor(wt a + wt b) - 1, weights being >= 0
+        self._pole_bound = [[(wa + wb) // D - 1 for wb in self._gen_weight]
+                            for wa in self._gen_weight]
 
     # -- gradings --------------------------------------------------------
 
@@ -82,7 +92,16 @@ class VertexAlgebra:
         return self.L.gens[g].weight - k - 1
 
     def weight(self, mono) -> Fraction:
-        return sum((self.mode_weight(k, g) for k, g in mono), Fraction(0))
+        return Fraction(self._scaled_weight(mono), self._D)
+
+    def _scaled_weight(self, mono) -> int:
+        """D * weight(mono), an integer."""
+        w = self._weight_cache.get(mono)
+        if w is None:
+            gw, D = self._gen_weight, self._D
+            w = sum(gw[g] - D * (k + 1) for k, g in mono)
+            self._weight_cache[mono] = w
+        return w
 
     def parity(self, mono) -> int:
         return sum(self.L.gens[g].parity for _, g in mono) % 2
@@ -134,12 +153,12 @@ class VertexAlgebra:
                     res = {((k, g),) + mono: ONE}
             else:
                 rest = mono[1:]
-                sign = sc((-1) ** (L.gens[g].parity * L.gens[g1].parity))
+                sign = -1 if L.gens[g].parity * L.gens[g1].parity else 1
                 res = {}
                 for m2, c2 in self._apply_mode_mono(g, k, rest).items():
                     for m3, c3 in self._apply_mode_mono(g1, k1, m2).items():
-                        _acc(res, m3, sign * c2 * c3)
-                bound = L.pole_bound(g, g1)
+                        _acc(res, m3, c2 * c3 if sign == 1 else -(c2 * c3))
+                bound = self._pole_bound[g][g1]
                 for l in range(max(bound, 0) + 1):
                     br = L.stored(g, g1, l)
                     if br.is_zero():
@@ -203,19 +222,14 @@ class VertexAlgebra:
         else:
             m, g = ma[0]
             rest = ma[1:]
-            wt_rest = self.weight(rest)
-            wt_b = self.weight(mb)
-            dg = self.L.gens[g].weight
             p_g = self.L.gens[g].parity
             p_rest = self.parity(rest)
             front_sign = -((-1) ** m) * ((-1) ** (p_g * p_rest))
+            jf, js = self._alive_bounds(g, rest, n, mb)
             res = {}
-            j = 0
-            while True:
-                first_alive = wt_rest + wt_b - n - j - 1 >= 0
-                second_alive = dg + wt_b - j - 1 >= 0
-                if not first_alive and not second_alive:
-                    break
+            for j in range(max(jf, js) + 1):
+                first_alive = j <= jf
+                second_alive = j <= js
                 cb = binom(m, j) * ((-1) ** j)
                 if cb != 0:
                     if first_alive:
@@ -231,9 +245,17 @@ class VertexAlgebra:
                             for m3, c3 in inner.items():
                                 _acc(res, m3,
                                      c3 * c2.scale(cb * front_sign))
-                j += 1
         self._prod_cache[key] = res
         return res
+
+    def _alive_bounds(self, g, rest, n, mb):
+        """Last j at which each term of the iterate identity for
+        (g_(m) rest)_(n) mb can be nonzero: rest_(n+j) mb needs
+        wt rest + wt mb - n - j - 1 >= 0, and g_(j) mb needs
+        wt g + wt mb - j - 1 >= 0."""
+        D, w_b = self._D, self._scaled_weight(mb)
+        return ((self._scaled_weight(rest) + w_b) // D - n - 1,
+                (self._gen_weight[g] + w_b) // D - 1)
 
     def singular_ope(self, a: dict, b: dict) -> dict:
         """All nonnegative products {n: a_(n) b} that are nonzero."""

@@ -14,6 +14,7 @@ zeros.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 
 class Scalar:
@@ -24,11 +25,12 @@ class Scalar:
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:
             n -= 1
-        coeffs = tuple(Fraction(c) for c in coeffs[:n])
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c)
+                       for c in coeffs[:n])
         if len(coeffs) <= 1:
             var = None
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_var(self, var)
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -90,9 +92,17 @@ class Scalar:
             "cannot mix variables %r and %r" % (self.var, other.var))
 
     def __add__(self, other):
-        other = sc(other)
-        var = self._joinvar(other)
+        if type(other) is not Scalar:
+            other = sc(other)
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        if self.var is None and other.var is None:
+            s = a[0] + b[0]
+            return _raw(None, (s,)) if s else ZERO
+        var = self._joinvar(other)
         n = max(len(a), len(b))
         return Scalar(var, tuple(
             (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
@@ -101,7 +111,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.var, tuple(-c for c in self.coeffs))
+        return _raw(self.var, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-sc(other))
@@ -110,11 +120,16 @@ class Scalar:
         return sc(other) + (-self)
 
     def __mul__(self, other):
-        other = sc(other)
-        var = self._joinvar(other)
+        if type(other) is not Scalar:
+            other = sc(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
+        if self.var is None:
+            return other._times(a[0])
+        if other.var is None:
+            return self._times(b[0])
+        var = self._joinvar(other)
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -133,8 +148,18 @@ class Scalar:
         return out
 
     def scale(self, q) -> "Scalar":
-        q = Fraction(q)
-        return Scalar(self.var, tuple(c * q for c in self.coeffs))
+        if type(q) is not int and type(q) is not Fraction:
+            q = Fraction(q)
+        if not q:
+            return ZERO
+        return self._times(q)
+
+    def _times(self, q) -> "Scalar":
+        """Multiply by a nonzero int or Fraction; the degree is kept, and
+        a Fraction times an int is a Fraction."""
+        if len(self.coeffs) == 1:
+            return _raw(None, (self.coeffs[0] * q,))
+        return _raw(self.var, tuple(c * q for c in self.coeffs))
 
     # -- Euclidean structure --------------------------------------------
 
@@ -183,6 +208,19 @@ class Scalar:
         return Scalar.const(self.evaluate(value))
 
 
+_set_var = Scalar.var.__set__
+_set_coeffs = Scalar.coeffs.__set__
+
+
+def _raw(var, coeffs) -> Scalar:
+    """A Scalar from coefficients already in normal form: Fractions with
+    a nonzero last entry, and var None unless there are two or more."""
+    s = object.__new__(Scalar)
+    _set_var(s, var)
+    _set_coeffs(s, coeffs)
+    return s
+
+
 ZERO = Scalar(None, ())
 ONE = Scalar(None, (Fraction(1),))
 
@@ -202,15 +240,16 @@ def sc_gcd(a: Scalar, b: Scalar) -> Scalar:
     return a.monic()
 
 
-def binom(m: int, k: int) -> Fraction:
-    """Generalized binomial coefficient C(m, k); m may be negative."""
-    if k < 0:
-        return Fraction(0)
-    num, den = 1, 1
-    for i in range(k):
-        num *= m - i
-        den *= i + 1
-    return Fraction(num, den)
+def binom(m: int, k: int) -> int:
+    """Generalized binomial coefficient C(m, k); m may be negative.
+
+    For m < 0, C(m, k) = (-1)^k C(k - m - 1, k), so it is an integer for
+    every integer m."""
+    if k < 0 or 0 <= m < k:
+        return 0
+    if m >= 0:
+        return comb(m, k)
+    return -comb(k - m - 1, k) if k & 1 else comb(k - m - 1, k)
 
 
 def falling(p: int, e: int) -> int:
@@ -271,6 +310,11 @@ class _Tok:
         return t
 
 
+# largest exponent ``parse_scalar`` accepts: the power is taken by repeated
+# multiplication, so a file must not be able to ask for c^99999999
+MAX_EXPONENT = 64
+
+
 def parse_scalar(text: str) -> Scalar:
     """Inverse of ``format_scalar`` (also accepts e.g. ``1/2*c``)."""
     tk = _Tok(text)
@@ -327,5 +371,8 @@ def _parse_atom(tk):
         e = tk.take()
         if e is None or not e.isdigit():
             raise ValueError("exponent must be a nonnegative integer")
+        if int(e) > MAX_EXPONENT:
+            raise ValueError("exponent %s is above the bound %d"
+                             % (e, MAX_EXPONENT))
         base = base ** int(e)
     return base

@@ -7,6 +7,8 @@ bare integers); table objects map basis-element names to sparse columns.
 
 import jsonschema
 
+from .scalars import parse_scalar
+
 _SCALAR = {"type": ["string", "integer"]}
 
 _SPARSE_MAP = {
@@ -257,7 +259,17 @@ class SchemaViolation(ValueError):
     def __init__(self, schema_name, pointer, message):
         self.schema_name = schema_name
         self.pointer = pointer
+        self.message = message
         super().__init__("%s: %s at %s" % (schema_name, message, pointer))
+
+
+def scalar_at(value, schema_name, pointer):
+    """``parse_scalar`` of a file entry; an entry that does not parse is
+    refused with its JSON pointer."""
+    try:
+        return parse_scalar(str(value))
+    except ValueError as e:
+        raise SchemaViolation(schema_name, pointer, str(e))
 
 
 def validate(data, schema_name):

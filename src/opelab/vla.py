@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE, sc, format_scalar, parse_scalar
+from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 
 
 class Gen:
@@ -172,7 +172,7 @@ class VertexLieData:
     def from_dict(data) -> "VertexLieData":
         # imported here: loading jsonschema before the other opelab
         # modules raises the peak RSS of a command-line run by ~2 MiB
-        from .schemas import SchemaViolation
+        from .schemas import SchemaViolation, scalar_at
         gens = []
         for k, g in enumerate(data["generators"]):
             try:
@@ -199,9 +199,12 @@ class VertexLieData:
                    b["n"])
             terms = {}
             for k, t in enumerate(b.get("value", [])):
-                g = gen_index(t["gen"], at + "value/%d/gen" % k)
-                terms[(g, t.get("dpow", 0))] = parse_scalar(str(t["coeff"]))
-            central = parse_scalar(str(b.get("central_coeff", "0")))
+                vt = at + "value/%d/" % k
+                g = gen_index(t["gen"], vt + "gen")
+                terms[(g, t.get("dpow", 0))] = scalar_at(t["coeff"], "vla.v1",
+                                                         vt + "coeff")
+            central = scalar_at(b.get("central_coeff", "0"), "vla.v1",
+                                at + "central_coeff")
             brackets[key] = BrValue(terms, central)
         return VertexLieData(gens, brackets, ring=data.get("ring"),
                              central=data.get("central", False))

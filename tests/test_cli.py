@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from opelab.brst import bg_gl1_datum
 from opelab.cli import main
 from opelab.equivariant import p1_fixed_points, p1_rotation
+from opelab.scalars import MAX_EXPONENT
 from opelab.vla import virasoro
 
 
@@ -71,6 +74,43 @@ def test_envelope_dims_virasoro(capsys):
                            "5": 2, "6": 4}
 
 
+FREE_FERMION = {"format": "vla.v1", "central": True,
+                "generators": [{"name": "psi", "weight": "1/2",
+                                "parity": 1}],
+                "brackets": [{"a": "psi", "b": "psi", "n": 0, "value": [],
+                              "central_coeff": "1"}]}
+
+
+def fermion_dims(W):
+    """Coefficients of prod_{n>=1} (1 + q^(n - 1/2)), indexed by twice
+    the weight, through weight W."""
+    coeffs = [1] + [0] * (2 * W)
+    for part in range(1, 2 * W + 1, 2):
+        for i in range(2 * W, part - 1, -1):
+            coeffs[i] += coeffs[i - part]
+    return coeffs
+
+
+def test_envelope_dims_half_integer_weight(capsys, tmp_path):
+    p = tmp_path / "fermion.json"
+    p.write_text(json.dumps(FREE_FERMION))
+    code, rep, _ = run_json(capsys, "envelope-dims", "--input", str(p),
+                            "--cutoff", "6")
+    assert code == 0
+    want = fermion_dims(6)
+    assert len(rep["dims"]) == 7
+    for w, n in rep["dims"].items():
+        assert n == want[int(2 * Fraction(w))], w
+
+
+def test_ope_half_integer_weight(capsys, tmp_path):
+    p = tmp_path / "fermion.json"
+    p.write_text(json.dumps(FREE_FERMION))
+    code, rep, _ = run_json(capsys, "ope", "--input", str(p))
+    assert code == 0
+    assert set(rep["poles"]) == {"1"}
+
+
 def test_vla_check_stock_preset(capsys):
     code, rep, _ = run_json(capsys, "vla-check", "--preset",
                             "kacmoody-sl2")
@@ -91,41 +131,86 @@ def test_vla_check_broken_input(capsys, tmp_path):
     assert rep["checks"]["skew_symmetry"]["violations"]
 
 
+# one past the largest exponent a file coefficient may carry
+TOO_HIGH = "c^%d" % (MAX_EXPONENT + 1)
+
+
 def _bad_virasoro(field):
     """A Virasoro table whose bracket names a generator it never
     declares (in a's or b's slot of bracket 1, or in bracket 0's value),
-    or whose generator weight is not a rational number."""
+    whose generator weight is not a rational number, or whose central
+    coefficient has too high a power."""
     data = dict(virasoro(2).to_dict(), format="vla.v1")
     if field == "value":
         data["brackets"][0]["value"][0]["gen"] = "x"
     elif field == "weight":
         data["generators"][0]["weight"] = "1/0"
+    elif field == "central_coeff":
+        data["brackets"][2]["central_coeff"] = TOO_HIGH
     else:
         data["brackets"][1][field] = "x"
     return data
 
 
-# argv, vla.v1 file to pass as --input (or None), text stderr must show
+def _bad_gl1(field):
+    """The beta-gamma gl_1 datum with one bad entry: a structure row or
+    a current naming something its tables never declare, a matter
+    bracket naming an undeclared generator, or a current coefficient
+    with too high a power."""
+    data = bg_gl1_datum().to_dict()
+    current = data["currents"][0]
+    if field in ("a", "b", "gen"):
+        row = {"a": "x", "b": "x", "terms": [{"gen": "x", "coeff": "1"}]}
+        if field == "gen":
+            row["terms"][0]["gen"] = "zz"
+        else:
+            row[field] = "zz"
+        data["structure"] = [row]
+    elif field == "factor":
+        current["terms"][0]["factors"][0]["gen"] = "zz"
+    elif field == "current":
+        current["gen"] = "zz"
+    elif field == "matter":
+        data["matter"]["brackets"][0]["a"] = "zz"
+    elif field == "coeff":
+        current["terms"][0]["coeff"] = TOO_HIGH
+    return data
+
+
+# argv, file to pass as --input (or None), text stderr must show
 HOSTILE = [
     (["ope", "--preset", "virasoro", "--level=3/0"], None,
      "zero denominator"),
     (["brst", "--preset", "abelian", "--level=1/0"], None,
      "zero denominator"),
-    (["vla-check"], "a", "/brackets/1/a"),
-    (["ope"], "b", "/brackets/1/b"),
-    (["envelope-dims"], "value", "/brackets/0/value/0/gen"),
-    (["vla-check"], "weight", "/generators/0/weight"),
+    (["vla-check"], _bad_virasoro("a"), "/brackets/1/a"),
+    (["ope"], _bad_virasoro("b"), "/brackets/1/b"),
+    (["envelope-dims"], _bad_virasoro("value"), "/brackets/0/value/0/gen"),
+    (["vla-check"], _bad_virasoro("weight"), "/generators/0/weight"),
+    (["ope"], _bad_virasoro("central_coeff"), "/brackets/2/central_coeff"),
+    (["brst"], _bad_gl1("a"), "/structure/0/a"),
+    (["brst"], _bad_gl1("b"), "/structure/0/b"),
+    (["brst"], _bad_gl1("gen"), "/structure/0/terms/0/gen"),
+    (["brst"], _bad_gl1("factor"), "/currents/0/terms/0/factors/0/gen"),
+    (["brst"], _bad_gl1("current"), "/currents/0/gen"),
+    (["brst"], _bad_gl1("matter"), "/matter/brackets/0/a"),
+    (["brst"], _bad_gl1("coeff"), "/currents/0/terms/0/coeff"),
+    (["envelope-dims", "--preset", "betagamma"], None, "phi_star"),
 ]
 
 
-@pytest.mark.parametrize("argv, field, needle", HOSTILE, ids=[
+@pytest.mark.parametrize("argv, document, needle", HOSTILE, ids=[
     "ope-level-over-zero", "brst-level-over-zero", "undeclared-a",
-    "undeclared-b", "undeclared-value-gen", "weight-over-zero"])
+    "undeclared-b", "undeclared-value-gen", "weight-over-zero",
+    "central-coeff-exponent", "brst-structure-a", "brst-structure-b",
+    "brst-structure-gen", "brst-current-factor", "brst-current-gen",
+    "brst-matter-pointer", "brst-coeff-exponent",
+    "betagamma-dims-without-charge"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
-                                                  field, needle):
-    if field is not None:
-        p = tmp_path / "bad-vla.json"
-        p.write_text(json.dumps(_bad_virasoro(field)))
+                                                  document, needle):
+    if document is not None:
+        p = tmp_path / "bad-input.json"
+        p.write_text(json.dumps(document))
         argv = argv + ["--input", str(p)]
     code, out, err = run(capsys, *argv)
     assert code == 2

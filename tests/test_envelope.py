@@ -262,3 +262,67 @@ def test_format_state():
         == "(c/2)Ω"
     two = V.nth_product(l, -1, l)
     assert ":" in V.format_state(two) or "T" in V.format_state(two)
+
+
+# -- integer weights against the Fraction recursion ---------------------
+
+
+def _fraction_weight(V, mono):
+    return sum((V.L.gens[g].weight - k - 1 for k, g in mono), Fraction(0))
+
+
+def _fraction_alive(V, ma, n, mb):
+    """The j at which each term of the iterate identity is alive, from the
+    Fraction loop the product recursion ran before it used integers."""
+    m, g = ma[0]
+    wt_rest = _fraction_weight(V, ma[1:])
+    wt_b = _fraction_weight(V, mb)
+    dg = V.L.gens[g].weight
+    first, second = [], []
+    j = 0
+    while True:
+        first_alive = wt_rest + wt_b - n - j - 1 >= 0
+        second_alive = dg + wt_b - j - 1 >= 0
+        if not first_alive and not second_alive:
+            break
+        if first_alive:
+            first.append(j)
+        if second_alive:
+            second.append(j)
+        j += 1
+    return first, second
+
+
+def _free_fermion():
+    return VertexLieData([Gen("psi", Fraction(1, 2), 1)],
+                         {(0, 0, 0): BrValue({}, ONE)}, central=True)
+
+
+@pytest.mark.parametrize("V, weights, charges", [
+    (build_envelope(virasoro(Scalar.variable("c")), cutoff=4),
+     range(5), [None]),
+    (build_envelope(kac_moody_sl2(Scalar.variable("k")), cutoff=2),
+     range(3), [None]),
+    (build_envelope(weyl_pair(odd=True, names=("b", "c")), cutoff=2),
+     range(3), [None]),
+    (build_envelope(weyl_pair(odd=False), cutoff=2, charge_window=(-2, 2)),
+     range(3), range(-2, 3)),
+    (build_envelope(_free_fermion(), cutoff=3),
+     [Fraction(i, 2) for i in range(7)], [None]),
+], ids=["virasoro", "sl2", "bc", "betagamma", "free-fermion"])
+def test_integer_weights_match_the_fraction_recursion(V, weights, charges):
+    basis = [m for w in weights for q in charges for m in V.basis(w, q)]
+    for m in basis:
+        assert V.weight(m) == _fraction_weight(V, m)
+        assert type(V.weight(m)) is Fraction
+    states = [{m: ONE} for m in basis]
+    for a in states:
+        for b in states:
+            for n in range(-2, 3):
+                V.nth_product(a, n, b)
+    keys = [k for k in V._prod_cache if k[0]]
+    assert keys
+    for ma, n, mb in keys:
+        jf, js = V._alive_bounds(ma[0][1], ma[1:], n, mb)
+        assert _fraction_alive(V, ma, n, mb) == (list(range(jf + 1)),
+                                                 list(range(js + 1)))

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opelab.scalars import (Scalar, ZERO, ONE, sc, sc_gcd, binom, falling,
-                            format_scalar, parse_scalar)
+                            format_scalar, parse_scalar, MAX_EXPONENT)
 
 
 def test_normalization():
@@ -67,6 +69,83 @@ def test_binomials():
     assert falling(-1, 2) == 2
     assert falling(4, 2) == 12
     assert falling(7, 0) == 1
+
+
+def test_binom_matches_the_fraction_product():
+    # the rational product formula binom used to evaluate
+    for m in range(-8, 9):
+        for k in range(-1, 9):
+            want = Fraction(0) if k < 0 else prod(
+                (Fraction(m - i, i + 1) for i in range(k)), start=Fraction(1))
+            got = binom(m, k)
+            assert type(got) is int and got == want, (m, k)
+
+
+# -- the arithmetic against coefficient lists ----------------------------
+
+
+def _ref(coeffs):
+    """Reference normal form: Fractions with no trailing zeros."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                 for i in range(n)])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+rationals = st.one_of(st.integers(-6, 6),
+                      st.fractions(min_value=-6, max_value=6,
+                                   max_denominator=6))
+# coefficient lists of constants (length <= 1) and of Q[x] polynomials,
+# with zeros and trailing zeros among them
+coefficient_lists = st.one_of(st.lists(rationals, max_size=1),
+                              st.lists(rationals, max_size=4),
+                              st.lists(st.sampled_from([0, 1, -1]),
+                                       max_size=3))
+
+
+def _agrees(s, ref):
+    assert s.coeffs == tuple(ref)
+    assert s.var == ("x" if len(ref) > 1 else None)
+    assert all(type(c) is Fraction for c in s.coeffs)
+    # equal values hash equal, however they were computed
+    fresh = Scalar("x", tuple(ref))
+    assert s == fresh and hash(s) == hash(fresh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, coefficient_lists, rationals)
+def test_arithmetic_matches_coefficient_lists(a, b, q):
+    A, B = Scalar("x", tuple(a)), Scalar("x", tuple(b))
+    ra, rb = _ref(a), _ref(b)
+    _agrees(A, ra)
+    _agrees(A + B, _ref_add(ra, rb))
+    _agrees(A - B, _ref_add(ra, [-c for c in rb]))
+    _agrees(-A, [-c for c in ra])
+    _agrees(A * B, _ref_mul(ra, rb))
+    _agrees(A.scale(q), _ref([c * q for c in ra]))
+    _agrees(A + q, _ref_add(ra, _ref([q])))
+    _agrees(q * A, _ref_mul(_ref([q]), ra))
+    _agrees(q - A, _ref_add(_ref([q]), [-c for c in ra]))
+    assert hash(A + B) == hash(B + A) and hash(A * B) == hash(B * A)
+
+
+def test_exponent_bound():
+    with pytest.raises(ValueError, match="bound"):
+        parse_scalar("c^%d" % (MAX_EXPONENT + 1))
 
 
 def test_format():
