@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 import functools
+import math
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 from .vla import (Gen, BrValue, VertexLieData, CheckReport, direct_sum,
                   heisenberg, weyl_pair, SL2_STRUCT)
-from .envelope import VertexAlgebra, build_envelope, add_states, scale_state
+from .envelope import (VertexAlgebra, build_envelope, add_states,
+                       scale_state, _acc)
 from .linalg import Matrix, graded_cohomology
 
 
@@ -110,6 +112,10 @@ class BRSTDatum:
         self.ghost_currents = {n: word_state(self.V, gw[n])
                                for n in self.names}
         self._Q = None
+        self._dgen_cache = {}
+        self._d_cache = {(): {}}
+        # W -> report of the whole-basis d^2 pass
+        self._d_squared_reports = {}
 
     # -- levels ----------------------------------------------------------
 
@@ -188,12 +194,52 @@ class BRSTDatum:
         return self._Q
 
     def differential(self):
-        Q = self.Q
-        return lambda s: self.V.nth_product(Q, 0, s)
+        """d = Q_(0) as a linear map on states, memoized per monomial."""
+        def d(state):
+            out = {}
+            for mono, c in state.items():
+                for m2, c2 in self._d_mono(mono).items():
+                    _acc(out, m2, c * c2)
+            return out
+        return d
 
-    def charge_square(self) -> dict:
-        """Q_(0) Q; since Q is odd, d^2 = (1/2) (Q_(0)Q)_(0)."""
-        return self.V.nth_product(self.Q, 0, self.Q)
+    def _d_mono(self, mono) -> dict:
+        """d on the PBW monomial g_(k) R by the derivation rule
+
+            d(g_(k) R) = (Q_(0) g)_(k) R + (-1)^{p(g)} g_(k) d(R),
+
+        which holds because Q is odd and [Q_(0), g_(k)] = (Q_(0) g)_(k).
+        Every suffix R is memoized along the way."""
+        hit = self._d_cache.get(mono)
+        if hit is not None:
+            return hit
+        V = self.V
+        (k, g), rest = mono[0], mono[1:]
+        res = V.nth_product(self._dgen(g), k, {rest: ONE})
+        odd = self.L.gens[g].parity
+        for m2, c2 in V.apply_mode(g, k, self._d_mono(rest)).items():
+            _acc(res, m2, -c2 if odd else c2)
+        self._d_cache[mono] = res
+        return res
+
+    def _dgen(self, g) -> dict:
+        """Q_(0) g for the generator g, by skew-symmetry from its modes on
+        Q (Q is odd):  Q_(0) g = sum_j (-1)^{p(g)+j+1} T^j (g_(j) Q) / j!."""
+        hit = self._dgen_cache.get(g)
+        if hit is not None:
+            return hit
+        V = self.V
+        top = int(V.state_weight(self.Q) + self.L.gens[g].weight)
+        out = {}
+        for j in range(top + 1):
+            term = V.apply_mode(g, j, self.Q)
+            for _ in range(j):
+                term = V.translate(term)
+            sign = (-1) ** (self.L.gens[g].parity + j + 1)
+            out = add_states(out, scale_state(
+                term, Fraction(sign, math.factorial(j))))
+        self._dgen_cache[g] = out
+        return out
 
     # -- block structure --------------------------------------------------
 
@@ -254,11 +300,14 @@ class BRSTDatum:
         """Apply d twice to every basis state through weight W, or to the
         given (label, state) pairs.  Returns (report, entries): the report
         lists failures in enumeration order, so its first violation is the
-        first bad basis state; entries collects every scalar d^2 produced,
-        which is the raw material for solving for a critical level."""
+        first bad basis state; entries collects every scalar d^2 produced
+        (per state in monomial order), which is the raw material for
+        solving for a critical level.  The whole-basis report is kept for
+        ``brst_cohomology``."""
         d = self.differential()
         bad, entries = [], []
-        if states is None:
+        whole = states is None
+        if whole:
             states = [(self.V.format_mono(m), {m: ONE})
                       for w in range(W + 1)
                       for q in self.charges()
@@ -269,8 +318,11 @@ class BRSTDatum:
                 bad.append({"witness": label,
                             "message": "d^2 != 0 on %s: equals %s"
                             % (label, self.V.format_state(dd))})
-                entries.extend(dd.values())
-        return CheckReport(bad), entries
+                entries.extend(dd[m] for m in sorted(dd))
+        report = CheckReport(bad)
+        if whole:
+            self._d_squared_reports[W] = report
+        return report, entries
 
     # -- cohomology --------------------------------------------------------
 
@@ -278,7 +330,9 @@ class BRSTDatum:
         """{(weight, charge, ghost): {dim, reps}} for the blocks with
         nonzero cohomology through weight W.  Refuses, naming the first
         witness, when d^2 != 0 somewhere in range."""
-        rep, _ = self.check_d_squared(W)
+        rep = self._d_squared_reports.get(W)
+        if rep is None:
+            rep, _ = self.check_d_squared(W)
         if not rep.ok:
             raise ValueError("cohomology refused: %s"
                              % rep.violations[0]["message"])
@@ -361,7 +415,7 @@ class BRSTDatum:
     @classmethod
     def from_dict(cls, data) -> "BRSTDatum":
         # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import SchemaViolation, scalar_at
+        from .schemas import SchemaViolation, escape, scalar_at
         try:
             matter = VertexLieData.from_dict(data["matter"])
         except SchemaViolation as e:
@@ -400,10 +454,13 @@ class BRSTDatum:
                             at + "terms/%d/factors/%d/gen" % (k, i)),
                    f.get("dpow", 0)) for i, f in enumerate(t["factors"])])
                 for k, t in enumerate(row["terms"])]
+        ghost_charges = data.get("ghost_charges")
+        for name in ghost_charges or ():
+            declared(name, pos, "basis element",
+                     "/ghost_charges/" + escape(name))
         cw = data.get("charge_window")
         return cls(names, struct, matter, words, data["cutoff"],
-                   tuple(cw) if cw is not None else None,
-                   data.get("ghost_charges"))
+                   tuple(cw) if cw is not None else None, ghost_charges)
 
 
 def _substitute_vla(L: VertexLieData, value) -> VertexLieData:

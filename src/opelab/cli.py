@@ -20,7 +20,7 @@ from .equivariant import (MixedComplex, cartan_model, koszul_t,
 from .operads import AlgebraInstance, check_relations, conf_ring, \
     homology_p_d_bridge
 from .scalars import Scalar
-from .schemas import SchemaViolation, validate
+from .schemas import SchemaViolation, escape, scalar_at, validate
 from .vla import (VertexLieData, check_jacobi, check_sesquilinearity,
                   check_skew_symmetry)
 
@@ -289,12 +289,20 @@ def do_localize(args):
         name = args.preset
     else:
         data = _load_json(args.input)
-        for part in ("fixed", "total"):
-            if part not in data:
-                raise InputError("localize input needs %r" % part)
-            validate(data[part], "mixed.v1")
-        NZ = MixedComplex.from_dict(data["fixed"])
-        NX = MixedComplex.from_dict(data["total"])
+
+        def part(name, step):
+            # errors inside a part carry its prefix, e.g. /fixed/d/e1
+            try:
+                return step(data[name])
+            except SchemaViolation as e:
+                raise SchemaViolation("mixed.v1", "/" + name + e.pointer,
+                                      e.message)
+        for name in ("fixed", "total"):
+            if name not in data:
+                raise InputError("localize input needs %r" % name)
+            part(name, lambda d: validate(d, "mixed.v1"))
+        NZ = part("fixed", MixedComplex.from_dict)
+        NX = part("total", MixedComplex.from_dict)
         zpos = {t.name: i for i, t in enumerate(NZ.tokens)}
         xpos = {t.name: i for i, t in enumerate(NX.tokens)}
         iota = {}
@@ -306,7 +314,8 @@ def do_localize(args):
                 if xn not in xpos:
                     raise InputError("map target %r is not a total token"
                                      % xn)
-                out[xpos[xn]] = c
+                out[xpos[xn]] = scalar_at(
+                    c, "localize", "/map/%s/%s" % (escape(zn), escape(xn)))
             iota[zpos[zn]] = out
         invert = data.get("invert", ["u"])
         name = args.input

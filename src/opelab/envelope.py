@@ -392,12 +392,13 @@ class VertexAlgebra:
         yield from rec(0, target, [])
 
     def graded_dimensions(self, q=None):
-        """dim of each weight block up to the cutoff."""
+        """dim of each weight block up to the cutoff, in steps of 1/D:
+        every weight is a multiple of 1/D."""
         out = {}
-        w = Fraction(0)
+        w, step = Fraction(0), Fraction(1, self._D)
         while w <= self.cutoff:
             out[w] = len(self.basis(w, q))
-            w += 1
+            w += step
         return out
 
     # -- axiom checks ----------------------------------------------------

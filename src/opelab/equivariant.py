@@ -130,17 +130,31 @@ class MixedComplex:
 
     @staticmethod
     def from_dict(data) -> "MixedComplex":
-        from .scalars import parse_scalar
+        # imported here for the reason given in VertexLieData.from_dict
+        from .schemas import SchemaViolation, escape, scalar_at
         tokens = [BasisToken(t["name"], t["degree"])
                   for t in data["tokens"]]
         pos = {t.name: i for i, t in enumerate(tokens)}
 
-        def rd(op):
-            return {pos[j]: {pos[i]: parse_scalar(str(v))
-                             for i, v in col.items()}
-                    for j, col in op.items()}
-        return MixedComplex(tokens, rd(data.get("d", {})),
-                            [rd(h) for h in data.get("h", [])])
+        def token_index(name, pointer):
+            # a cross-reference the schema cannot see
+            if name not in pos:
+                raise SchemaViolation("mixed.v1", pointer,
+                                      "undeclared token %r" % name)
+            return pos[name]
+
+        def rd(op, at):
+            out = {}
+            for j, col in op.items():
+                at_j = at + "/" + escape(j)
+                out[token_index(j, at_j)] = {
+                    token_index(i, at_j + "/" + escape(i)):
+                    scalar_at(v, "mixed.v1", at_j + "/" + escape(i))
+                    for i, v in col.items()}
+            return out
+        return MixedComplex(tokens, rd(data.get("d", {}), "/d"),
+                            [rd(h, "/h/%d" % a)
+                             for a, h in enumerate(data.get("h", []))])
 
 
 class UComplex:

@@ -52,10 +52,6 @@ def vec_scale(a: dict, s) -> dict:
     return {k: v * s for k, v in a.items()}
 
 
-def vec_sub(a: dict, b: dict) -> dict:
-    return vec_add(a, vec_scale(b, -1))
-
-
 class BasisToken:
     """Opaque basis label carrying its gradings."""
 

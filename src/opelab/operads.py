@@ -716,9 +716,6 @@ def _free_p3_words(d):
     def k_lone(i):
         return ("lone", i)
 
-    def k_nest(a):
-        return ("nest", a)
-
     def add(dst, key, c):
         dst[key] = dst.get(key, Fraction(0)) + c
         if dst[key] == 0:

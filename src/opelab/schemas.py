@@ -263,6 +263,11 @@ class SchemaViolation(ValueError):
         super().__init__("%s: %s at %s" % (schema_name, message, pointer))
 
 
+def escape(name):
+    """A name as one reference token of a JSON pointer (RFC 6901)."""
+    return name.replace("~", "~0").replace("/", "~1")
+
+
 def scalar_at(value, schema_name, pointer):
     """``parse_scalar`` of a file entry; an entry that does not parse is
     refused with its JSON pointer."""

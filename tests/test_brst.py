@@ -199,8 +199,15 @@ def test_bg_gl1_anomaly_appears_at_weight_one():
     D = bg_gl1_datum(cutoff=2, charge_window=(-4, 4))
     report, _ = D.check_d_squared(1)
     assert not report.ok
-    with pytest.raises(ValueError, match="d\\^2"):
+    with pytest.raises(ValueError, match="d\\^2") as err:
         D.brst_cohomology(1)
+    # the refusal names the first witness, with or without a prior check
+    assert str(err.value) == ("cohomology refused: %s"
+                              % report.violations[0]["message"])
+    fresh = bg_gl1_datum(cutoff=2, charge_window=(-4, 4))
+    with pytest.raises(ValueError) as again:
+        fresh.brst_cohomology(1)
+    assert str(again.value) == str(err.value)
 
 
 # -- copies of the sl2 fundamental ----------------------------------------
@@ -401,3 +408,122 @@ def test_datum_roundtrip():
     W = wakimoto_datum(-4, cutoff=2)
     W2 = BRSTDatum.from_dict(json.loads(json.dumps(W.to_dict())))
     assert W2.Q == W.Q
+
+
+# -- the memoized differential against d = Q_(0) ---------------------------
+
+def oracle_d(D, s):
+    """d straight from its definition, the iterate identity for Q_(0)."""
+    return D.V.nth_product(D.Q, 0, s)
+
+
+def basis_states(D, W):
+    return [(D.V.format_mono(m), {m: ONE})
+            for w in range(W + 1) for q in D.charges()
+            for m in D.V.basis(w, q)]
+
+
+def low_monomials(D, length):
+    """Every canonical monomial of weight <= 1 with at most `length`
+    modes, for data whose charge blocks cannot be enumerated."""
+    V = D.V
+    modes = sorted((k, g) for g, gen in enumerate(V.L.gens)
+                   for k in (-1, -2) if 0 <= V.mode_weight(k, g) <= 1)
+    monos = {()}
+    for _ in range(length):
+        monos |= {tuple(sorted(m + (x,))) for m in monos for x in modes}
+    return sorted(m for m in monos
+                  if V.weight(m) <= 1
+                  and all(m[i] != m[i + 1] or not V.L.gens[m[i][1]].parity
+                          for i in range(len(m) - 1)))
+
+
+# (id, datum, weight checked or None for sampled states, d^2 = 0 there)
+ORACLE_DATA = [
+    ("abelian-0", lambda: abelian_datum(0, cutoff=4), 3, True),
+    ("abelian-t", lambda: abelian_datum("t", cutoff=4), 3, False),
+    ("abelian-rational", lambda: abelian_datum(Fraction(-3, 7), cutoff=4),
+     3, False),
+    ("pure-ghost", lambda: pure_ghost_datum(cutoff=4), 3, True),
+    ("wakimoto-t", lambda: wakimoto_datum("t", cutoff=2), 2, False),
+    ("wakimoto-critical", lambda: wakimoto_datum(-4, cutoff=2), 2, True),
+    ("wakimoto-rational", lambda: wakimoto_datum(Fraction(5, 3), cutoff=2),
+     1, False),
+    ("bg-gl1", lambda: bg_gl1_datum(), 2, False),
+    ("bg-fundamental-sl2", lambda: bg_fundamental_sl2_datum(1), None,
+     False),
+]
+
+
+@pytest.mark.parametrize("build, W, closes",
+                         [row[1:] for row in ORACLE_DATA],
+                         ids=[row[0] for row in ORACLE_DATA])
+def test_differential_matches_the_charge_product(build, W, closes):
+    """On every state checked, the derivation-rule d equals Q_(0), and
+    check_d_squared reports the same violations, in the same order and
+    with the same entries, as a loop squaring Q_(0) itself."""
+    D = build()
+    if W is None:
+        states = [(D.V.format_mono(m), {m: ONE})
+                  for m in low_monomials(D, 3)]
+    else:
+        states = basis_states(D, W)
+    assert len(states) > 10
+    d = D.differential()
+    for label, s in states:
+        assert d(s) == oracle_d(D, s), label
+    bad, entries = [], []
+    for label, s in states:
+        dd = oracle_d(D, oracle_d(D, s))
+        if dd:
+            bad.append({"witness": label,
+                        "message": "d^2 != 0 on %s: equals %s"
+                        % (label, D.V.format_state(dd))})
+            entries.extend(dd[m] for m in sorted(dd))
+    assert (not bad) == closes
+    fresh = build()
+    report, got = (fresh.check_d_squared(None, states=states) if W is None
+                   else fresh.check_d_squared(W))
+    assert report.violations == bad
+    assert got == entries
+
+
+@pytest.fixture
+def d_squared_calls(monkeypatch):
+    """The (W, states) arguments of every check_d_squared call."""
+    calls = []
+    check = BRSTDatum.check_d_squared
+
+    def counting(self, W, states=None):
+        calls.append((W, states))
+        return check(self, W, states)
+
+    monkeypatch.setattr(BRSTDatum, "check_d_squared", counting)
+    return calls
+
+
+def test_cohomology_squares_d_once(d_squared_calls, monkeypatch):
+    """After the whole-basis d^2 check, cohomology neither re-runs it nor
+    computes d again: the d_matrix columns come out of the same memo."""
+    D = wakimoto_datum(-4, cutoff=2)
+    assert D.check_d_squared(1)[0].ok
+    products = []
+    product = D.V.nth_product
+    monkeypatch.setattr(D.V, "nth_product",
+                        lambda *a: products.append(a) or product(*a))
+    H = D.brst_cohomology(1)
+    assert d_squared_calls == [(1, None)]
+    assert products == []
+    assert {k: v["dim"] for k, v in H.items()} == {
+        (0, 0, 0): 1, (0, 0, 1): 1}
+    # without a prior check, cohomology runs the whole-basis pass itself
+    wakimoto_datum(-4, cutoff=2).brst_cohomology(1)
+    assert d_squared_calls == [(1, None), (1, None)]
+
+
+def test_cli_cohomology_runs_one_d_squared_pass(d_squared_calls, capsys):
+    from opelab.cli import main
+    assert main(["brst", "--preset", "wakimoto", "--level", "-4",
+                 "--cutoff", "1", "--cohomology"]) == 0
+    assert json.loads(capsys.readouterr().out)["cohomology_dims"]
+    assert d_squared_calls == [(1, None)]

@@ -98,9 +98,12 @@ def test_envelope_dims_half_integer_weight(capsys, tmp_path):
                             "--cutoff", "6")
     assert code == 0
     want = fermion_dims(6)
-    assert len(rep["dims"]) == 7
+    # every block through the cutoff, the half-integer ones included
+    assert sorted(Fraction(w) for w in rep["dims"]) == [
+        Fraction(k, 2) for k in range(13)]
     for w, n in rep["dims"].items():
         assert n == want[int(2 * Fraction(w))], w
+    assert rep["dims"]["1/2"] == 1 and rep["dims"]["11/2"] == 2
 
 
 def test_ope_half_integer_weight(capsys, tmp_path):
@@ -174,6 +177,36 @@ def _bad_gl1(field):
         data["matter"]["brackets"][0]["a"] = "zz"
     elif field == "coeff":
         current["terms"][0]["coeff"] = TOO_HIGH
+    elif field == "ghost_charges":
+        data["ghost_charges"] = {"zz": 3}
+    return data
+
+
+def _bad_mixed(field):
+    """The P^1 rotation complex with one bad entry: an h or d entry
+    naming an undeclared token, or a coefficient that is not a number."""
+    data = p1_rotation().to_dict()
+    if field == "h-row":
+        data["h"][0]["e"]["zz"] = "1"
+    elif field == "d-column":
+        data["d"]["zz"] = {"x": "1"}
+    elif field == "coeff":
+        data["d"]["e"]["y"] = "1/0"
+    return data
+
+
+def _bad_localize(part, field):
+    """The P^1 localization file with one bad entry in its fixed or
+    total complex, or in the map."""
+    data = {"fixed": p1_fixed_points().to_dict(),
+            "total": p1_rotation().to_dict(),
+            "map": {"p": {"x": "1"}, "q": {"y": "1"}}}
+    if part == "map":
+        data["map"]["q"]["y"] = "1/0"
+    elif field == "h-row":
+        data[part]["h"][0] = {"p": {"zz": "1"}}
+    else:
+        data[part] = _bad_mixed(field)
     return data
 
 
@@ -196,6 +229,13 @@ HOSTILE = [
     (["brst"], _bad_gl1("matter"), "/matter/brackets/0/a"),
     (["brst"], _bad_gl1("coeff"), "/currents/0/terms/0/coeff"),
     (["envelope-dims", "--preset", "betagamma"], None, "phi_star"),
+    (["brst"], _bad_gl1("ghost_charges"), "/ghost_charges/zz"),
+    (["koszul"], _bad_mixed("h-row"), "/h/0/e/zz"),
+    (["koszul"], _bad_mixed("d-column"), "/d/zz"),
+    (["koszul"], _bad_mixed("coeff"), "/d/e/y"),
+    (["localize"], _bad_localize("fixed", "h-row"), "/fixed/h/0/p/zz"),
+    (["localize"], _bad_localize("total", "coeff"), "/total/d/e/y"),
+    (["localize"], _bad_localize("map", None), "/map/q/y"),
 ]
 
 
@@ -205,7 +245,10 @@ HOSTILE = [
     "central-coeff-exponent", "brst-structure-a", "brst-structure-b",
     "brst-structure-gen", "brst-current-factor", "brst-current-gen",
     "brst-matter-pointer", "brst-coeff-exponent",
-    "betagamma-dims-without-charge"])
+    "betagamma-dims-without-charge", "brst-ghost-charge",
+    "mixed-h-row", "mixed-d-column", "mixed-coeff-over-zero",
+    "localize-fixed-pointer", "localize-total-pointer",
+    "localize-map-coeff"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
