@@ -32,9 +32,8 @@ import math
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 from .vla import (Gen, BrValue, VertexLieData, CheckReport, direct_sum,
                   heisenberg, weyl_pair, SL2_STRUCT)
-from .envelope import (VertexAlgebra, build_envelope, add_states,
-                       scale_state, _acc)
-from .linalg import Matrix, graded_cohomology
+from .envelope import VertexAlgebra, build_envelope, _acc
+from .linalg import Matrix, graded_cohomology, vec_add, vec_scale
 
 
 def build_ghosts(names, charges=None) -> VertexLieData:
@@ -80,8 +79,8 @@ def word_state(V: VertexAlgebra, word) -> dict:
             for _ in range(dpow):
                 s = V.translate(s)
             states.append(s)
-        term = scale_state(V.normal_order(*states), coeff)
-        out = add_states(out, term)
+        term = vec_scale(V.normal_order(*states), coeff)
+        out = vec_add(out, term)
     return out
 
 
@@ -161,7 +160,7 @@ class BRSTDatum:
                     got = self.V.nth_product(cur[a], 0, cur[b])
                     want = {}
                     for cn, c in self.bracket_terms(a, b):
-                        want = add_states(want, scale_state(cur[cn], c))
+                        want = vec_add(want, vec_scale(cur[cn], c))
                     if got != want:
                         bad.append({
                             "which": which, "pair": (a, b),
@@ -175,16 +174,16 @@ class BRSTDatum:
         Q = {}
         for a in self.names:
             psistar = self.V.gen_state("psi*_%s" % a)
-            Q = add_states(Q, self.V.nth_product(self.currents[a], -1,
-                                                 psistar))
+            Q = vec_add(Q, self.V.nth_product(self.currents[a], -1,
+                                              psistar))
         q3 = sc(cubic_coeff)
         for (i, j), terms in sorted(self.struct.items()):
             for k, c in terms:
                 seq = ((-1, self.L.gen("psi*_%s" % self.names[i])),
                        (-1, self.L.gen("psi*_%s" % self.names[j])),
                        (-1, self.L.gen("psi_%s" % self.names[k])))
-                Q = add_states(Q, scale_state(self.V.eval_sequence(seq),
-                                              c * q3))
+                Q = vec_add(Q, vec_scale(self.V.eval_sequence(seq),
+                                         c * q3))
         return Q
 
     @property
@@ -236,7 +235,7 @@ class BRSTDatum:
             for _ in range(j):
                 term = V.translate(term)
             sign = (-1) ** (self.L.gens[g].parity + j + 1)
-            out = add_states(out, scale_state(
+            out = vec_add(out, vec_scale(
                 term, Fraction(sign, math.factorial(j))))
         self._dgen_cache[g] = out
         return out

@@ -288,7 +288,7 @@ def do_localize(args):
             args.preset]["build"]()
         name = args.preset
     else:
-        data = _load_json(args.input)
+        data = validate(_load_json(args.input), "localize")
 
         def part(name, step):
             # errors inside a part carry its prefix, e.g. /fixed/d/e1
@@ -298,8 +298,6 @@ def do_localize(args):
                 raise SchemaViolation("mixed.v1", "/" + name + e.pointer,
                                       e.message)
         for name in ("fixed", "total"):
-            if name not in data:
-                raise InputError("localize input needs %r" % name)
             part(name, lambda d: validate(d, "mixed.v1"))
         NZ = part("fixed", MixedComplex.from_dict)
         NX = part("total", MixedComplex.from_dict)
@@ -317,7 +315,8 @@ def do_localize(args):
                 out[xpos[xn]] = scalar_at(
                     c, "localize", "/map/%s/%s" % (escape(zn), escape(xn)))
             iota[zpos[zn]] = out
-        invert = data.get("invert", ["u"])
+        invert = [scalar_at(f, "localize", "/invert/%d" % k)
+                  for k, f in enumerate(data.get("invert", ["u"]))]
         name = args.input
     verdict = localize_check(NZ, NX, iota, invert)
     report = {"format": "mixed.v1", "verb": "localize", "source": name,

@@ -32,6 +32,7 @@ from math import lcm
 
 from .scalars import Scalar, ZERO, ONE, sc, binom, falling, format_scalar
 from .vla import VertexLieData, CheckReport
+from .linalg import vec_add, vec_scale
 
 
 def _acc(out: dict, key, val: Scalar):
@@ -40,20 +41,6 @@ def _acc(out: dict, key, val: Scalar):
         out.pop(key, None)
     else:
         out[key] = cur
-
-
-def add_states(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        _acc(out, k, v)
-    return out
-
-
-def scale_state(a: dict, s) -> dict:
-    s = sc(s)
-    if s.is_zero():
-        return {}
-    return {k: v * s for k, v in a.items()}
 
 
 class VertexAlgebra:
@@ -429,15 +416,15 @@ class VertexAlgebra:
             for lbl, b in states:
                 for n in range(-2, cutoff + 1):
                     lhs = self.nth_product(ta, n, b)
-                    rhs = scale_state(self.nth_product(a, n - 1, b), -n)
+                    rhs = vec_scale(self.nth_product(a, n - 1, b), -n)
                     if lhs != rhs:
                         bad.append({"witness": (name, n, lbl), "message":
                                     "(T%s)_(%d) deviates from -n %s_(n-1) "
                                     "on %s" % (name, n, name, lbl)})
                     lhs2 = self.translate(self.nth_product(a, n, b))
-                    rhs2 = add_states(self.nth_product(ta, n, b),
-                                      self.nth_product(a, n,
-                                                       self.translate(b)))
+                    rhs2 = vec_add(self.nth_product(ta, n, b),
+                                   self.nth_product(a, n,
+                                                    self.translate(b)))
                     if lhs2 != rhs2:
                         bad.append({"witness": (name, n, lbl), "message":
                                     "T fails the Leibniz rule on "
@@ -462,7 +449,7 @@ class VertexAlgebra:
                         for _ in range(j):
                             term = self.translate(term)
                         coeff = Fraction(sign * (-1) ** (n + j + 1), fact)
-                        rhs = add_states(rhs, scale_state(term, coeff))
+                        rhs = vec_add(rhs, vec_scale(term, coeff))
                         j += 1
                         fact *= j
                     if lhs != rhs:
@@ -480,10 +467,10 @@ class VertexAlgebra:
                 for lbl, s in states:
                     for m in range(-1, 3):
                         for k in range(-1, 3):
-                            lhs = add_states(
+                            lhs = vec_add(
                                 self.nth_product(
                                     a, m, self.nth_product(b, k, s)),
-                                scale_state(self.nth_product(
+                                vec_scale(self.nth_product(
                                     b, k, self.nth_product(a, m, s)),
                                     -sign))
                             rhs = {}
@@ -496,7 +483,7 @@ class VertexAlgebra:
                                 if c:
                                     ab = self.nth_product(a, l, b)
                                     if ab:
-                                        rhs = add_states(rhs, scale_state(
+                                        rhs = vec_add(rhs, vec_scale(
                                             self.nth_product(
                                                 ab, m + k - l, s), c))
                             if lhs != rhs:
@@ -605,26 +592,26 @@ class VertexAlgebra:
         states = self._sample_states(cutoff)
 
         for lbl, s in states:
-            lhs = add_states(d(gm(s)), gm(d(s)))
+            lhs = vec_add(d(gm(s)), gm(d(s)))
             if lhs != self.translate(s):
                 bad.append({"witness": lbl, "message":
                             "[d, g_{-1}] != T on %s" % lbl})
-            lhs = add_states(self.translate(gm(s)),
-                             scale_state(gm(self.translate(s)), -1))
+            lhs = vec_add(self.translate(gm(s)),
+                          vec_scale(gm(self.translate(s)), -1))
             if lhs:
                 bad.append({"witness": lbl, "message":
                             "[T, g_{-1}] != 0 on %s" % lbl})
             if g0 is not None:
-                lhs = add_states(d(g0(s)), g0(d(s)))
+                lhs = vec_add(d(g0(s)), g0(d(s)))
                 want = {}
                 for mono, c in s.items():
                     _acc(want, mono, c.scale(self.weight(mono)))
                 if lhs != want:
                     bad.append({"witness": lbl, "message":
                                 "[d, g_0] != L_0 on %s" % lbl})
-                lhs = add_states(self.translate(g0(s)),
-                                 scale_state(g0(self.translate(s)), -1))
-                if lhs != scale_state(gm(s), -1):
+                lhs = vec_add(self.translate(g0(s)),
+                              vec_scale(g0(self.translate(s)), -1))
+                if lhs != vec_scale(gm(s), -1):
                     bad.append({"witness": lbl, "message":
                                 "[T, g_0] != -g_{-1} on %s" % lbl})
 
@@ -636,10 +623,10 @@ class VertexAlgebra:
             for lb, b in states:
                 for n in range(-2, cutoff + 1):
                     lhs = gm(self.nth_product(a, n, b))
-                    rhs = add_states(
+                    rhs = vec_add(
                         self.nth_product(gm(a), n, b),
-                        scale_state(self.nth_product(a, n, gm(b)),
-                                    (-1) ** pa))
+                        vec_scale(self.nth_product(a, n, gm(b)),
+                                  (-1) ** pa))
                     if lhs != rhs:
                         bad.append({"witness": (la, n, lb), "message":
                                     "g_{-1} fails the derivation rule on "

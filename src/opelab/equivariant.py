@@ -25,49 +25,28 @@ from __future__ import annotations
 from fractions import Fraction
 import itertools
 
-from .scalars import Scalar, ZERO, ONE, sc, sc_gcd, format_scalar
+from .scalars import Scalar, ONE, sc, sc_gcd, format_scalar
 from .linalg import Matrix, BasisToken, FiniteComplex, smith, presentation
 
 
-def _compose(f, g):
-    """Column-dict composition f o g (apply g, then f)."""
-    out = {}
-    for j, col in g.items():
-        acc = {}
-        for i, v in col.items():
-            for i2, w in f.get(i, {}).items():
-                acc[i2] = acc.get(i2, ZERO) + v * w
-        acc = {i2: v for i2, v in acc.items() if not v.is_zero()}
-        if acc:
-            out[j] = acc
-    return out
-
-
-def _add_maps(f, g):
-    out = {}
-    for src in (f, g):
-        for j, col in src.items():
-            tgt = out.setdefault(j, {})
-            for i, v in col.items():
-                tgt[i] = tgt.get(i, ZERO) + v
-    return {j: {i: v for i, v in col.items() if not v.is_zero()}
-            for j, col in out.items() if any(not v.is_zero()
-                                            for v in col.values())}
-
-
-def _coerce_map(raw):
-    return {j: {i: sc(v) for i, v in col.items()}
-            for j, col in raw.items()}
+def _check_zero(M: Matrix, what, src, tgt):
+    """Refuse a nonzero M, naming its entry with the lowest column, then
+    the lowest row, by the source and target tokens."""
+    if not M.is_zero():
+        j, i = min((j, i) for i, j in M.data)
+        raise ValueError("%s: component %r -> %r" % (what, src[j], tgt[i]))
 
 
 class MixedComplex:
-    """tokens: ordered BasisTokens; d and each h are column dicts over
-    token indices with rational entries."""
+    """tokens: ordered BasisTokens; d and each h are Matrices over token
+    indices with rational entries (column dicts {j: {i: entry}} are
+    accepted too)."""
 
     def __init__(self, tokens, d, hs):
         self.tokens = list(tokens)
-        self.d = _coerce_map(d)
-        self.hs = [_coerce_map(h) for h in hs]
+        n = len(self.tokens)
+        self.d = Matrix.of_columns(n, n, d)
+        self.hs = [Matrix.of_columns(n, n, h) for h in hs]
         self.validate()
 
     @property
@@ -75,53 +54,40 @@ class MixedComplex:
         return len(self.hs)
 
     def _check_degree(self, op, shift, name):
-        for j, col in op.items():
-            for i, v in col.items():
-                if not v.is_const():
-                    raise ValueError("%s has a polynomial entry" % name)
-                if self.tokens[i].degree != self.tokens[j].degree + shift:
-                    raise ValueError(
-                        "%s is not of degree %+d: %r -> %r"
-                        % (name, shift, self.tokens[j], self.tokens[i]))
+        # the first bad entry in the order the map was given
+        for (i, j), v in op.data.items():
+            if not v.is_const():
+                raise ValueError("%s has a polynomial entry" % name)
+            if self.tokens[i].degree != self.tokens[j].degree + shift:
+                raise ValueError(
+                    "%s is not of degree %+d: %r -> %r"
+                    % (name, shift, self.tokens[j], self.tokens[i]))
 
     def validate(self):
         self._check_degree(self.d, 1, "d")
         for a, h in enumerate(self.hs):
             self._check_degree(h, -1, "h_%d" % (a + 1))
-        sq = _compose(self.d, self.d)
-        if sq:
-            j, col = sorted(sq.items())[0]
-            i = sorted(col)[0]
-            raise ValueError("d o d != 0: component %r -> %r"
-                             % (self.tokens[j], self.tokens[i]))
+        toks, d = self.tokens, self.d
+        _check_zero(d.mul(d), "d o d != 0", toks, toks)
         for a, h in enumerate(self.hs):
-            anti = _add_maps(_compose(self.d, h), _compose(h, self.d))
-            if anti:
-                j = sorted(anti)[0]
-                i = sorted(anti[j])[0]
-                raise ValueError(
-                    "d h_%d + h_%d d != 0: component %r -> %r"
-                    % (a + 1, a + 1, self.tokens[j], self.tokens[i]))
+            _check_zero(d.mul(h).add(h.mul(d)),
+                        "d h_%d + h_%d d != 0" % (a + 1, a + 1), toks, toks)
             for b in range(a, len(self.hs)):
                 g = self.hs[b]
-                anti = _add_maps(_compose(h, g), _compose(g, h))
-                if anti:
-                    j = sorted(anti)[0]
-                    i = sorted(anti[j])[0]
-                    raise ValueError(
-                        "h_%d h_%d + h_%d h_%d != 0: component %r -> %r"
-                        % (a + 1, b + 1, b + 1, a + 1,
-                           self.tokens[j], self.tokens[i]))
+                _check_zero(h.mul(g).add(g.mul(h)),
+                            "h_%d h_%d + h_%d h_%d != 0"
+                            % (a + 1, b + 1, b + 1, a + 1), toks, toks)
 
     def q_complex(self) -> FiniteComplex:
         return FiniteComplex(self.tokens, self.d, var=None)
 
     def to_dict(self):
         def ser(op):
-            return {self.tokens[j].name:
-                    {self.tokens[i].name: format_scalar(v)
-                     for i, v in col.items()}
-                    for j, col in op.items()}
+            out = {}
+            for (i, j), v in op.data.items():
+                out.setdefault(self.tokens[j].name, {})[
+                    self.tokens[i].name] = format_scalar(v)
+            return out
         return {"format": "mixed.v1",
                 "tokens": [{"name": t.name, "degree": t.degree}
                            for t in self.tokens],
@@ -143,13 +109,20 @@ class MixedComplex:
                                       "undeclared token %r" % name)
             return pos[name]
 
+        def entry(v, at):
+            s = scalar_at(v, "mixed.v1", at)
+            if not s.is_const():
+                raise SchemaViolation("mixed.v1", at,
+                                      "entry %r is not a rational number" % v)
+            return s
+
         def rd(op, at):
             out = {}
             for j, col in op.items():
                 at_j = at + "/" + escape(j)
                 out[token_index(j, at_j)] = {
                     token_index(i, at_j + "/" + escape(i)):
-                    scalar_at(v, "mixed.v1", at_j + "/" + escape(i))
+                    entry(v, at_j + "/" + escape(i))
                     for i, v in col.items()}
             return out
         return MixedComplex(tokens, rd(data.get("d", {}), "/d"),
@@ -164,17 +137,15 @@ class UComplex:
     follow the one-variable-at-a-time policy in ``cohomology``."""
 
     def __init__(self, tokens, d0, u_parts, labels=None, truncation=None):
-        self.tokens = list(tokens)
-        self.d0 = _coerce_map(d0)
-        self.u_parts = [_coerce_map(h) for h in u_parts]
+        # same strictness data as a mixed complex, so reuse its checks
+        N = MixedComplex(tokens, d0, u_parts)
+        self.tokens, self.d0, self.u_parts = N.tokens, N.d, N.hs
         n = len(self.u_parts)
         if labels is None:
             labels = ("u",) if n == 1 else tuple(
                 "u%d" % (i + 1) for i in range(n))
         self.labels = tuple(labels)
         self.truncation = truncation
-        # same strictness data as a mixed complex, so reuse its checks
-        MixedComplex(self.tokens, self.d0, self.u_parts)
 
     @property
     def nfactors(self):
@@ -184,18 +155,9 @@ class UComplex:
         if self.nfactors != 1:
             raise ValueError("single-variable view needs exactly one u")
         u = Scalar.variable(self.labels[0])
-        diff = {}
-        for j in range(len(self.tokens)):
-            col = {}
-            for i, v in self.d0.get(j, {}).items():
-                col[i] = col.get(i, ZERO) + v
-            for i, v in self.u_parts[0].get(j, {}).items():
-                col[i] = col.get(i, ZERO) + u * v
-            col = {i: v for i, v in col.items() if not v.is_zero()}
-            if col:
-                diff[j] = col
-        return FiniteComplex(self.tokens, diff, var=self.labels[0],
-                             var_degree=2)
+        return FiniteComplex(self.tokens,
+                             self.d0.add(self.u_parts[0].scale(u)),
+                             var=self.labels[0], var_degree=2)
 
     def at_zero(self) -> FiniteComplex:
         """Specialize every u_i to 0: the underlying Q complex."""
@@ -203,23 +165,13 @@ class UComplex:
 
     def _specialized_matrix(self, keep, others):
         u = Scalar.variable(self.labels[keep])
-        total = dict()
-        parts = [self.d0]
+        total = self.d0
         for i, h in enumerate(self.u_parts):
             if i == keep:
-                parts.append({j: {r: u * v for r, v in col.items()}
-                              for j, col in h.items()})
+                total = total.add(h.scale(u))
             elif others:
-                parts.append({j: {r: v.scale(others) for r, v in col.items()}
-                              for j, col in h.items()})
-        for p in parts:
-            total = _add_maps(total, p)
-        n = len(self.tokens)
-        entries = {}
-        for j, col in total.items():
-            for i, v in col.items():
-                entries[(i, j)] = v
-        return Matrix(n, n, entries)
+                total = total.add(h.scale(others))
+        return total
 
     def cohomology(self):
         """One factor: graded classes over Q[u].  Several: for each u_i,
@@ -301,16 +253,17 @@ def ucomplex_from_finite(C: FiniteComplex) -> UComplex:
         raise ValueError("expected a complex over a polynomial ring")
     d0, d1 = {}, {}
     for (i, j), v in C.D.data.items():
-        coeffs = list(v.coeffs)
+        coeffs = v.coeffs
         if any(c != 0 for c in coeffs[2:]):
             raise ValueError(
                 "entry %r -> %r has %s-degree >= 2; not in the image of "
                 "the duality" % (C.tokens[j], C.tokens[i], C.var))
-        if coeffs and coeffs[0] != 0:
-            d0.setdefault(j, {})[i] = sc(coeffs[0])
-        if len(coeffs) > 1 and coeffs[1] != 0:
-            d1.setdefault(j, {})[i] = sc(coeffs[1])
-    return UComplex(C.tokens, d0, [d1], labels=(C.var,))
+        d0[(i, j)] = coeffs[0]
+        if len(coeffs) > 1:
+            d1[(i, j)] = coeffs[1]
+    n = len(C.tokens)
+    return UComplex(C.tokens, Matrix(n, n, d0), [Matrix(n, n, d1)],
+                    labels=(C.var,))
 
 
 # -- Cartan models ---------------------------------------------------------
@@ -364,10 +317,11 @@ def cartan_model(weights, D) -> UComplex:
               for a, b in forms]
     pos = {ab: i for i, ab in enumerate(forms)}
 
+    # each (k, form) pair hits a different target form, so no entry is
+    # written twice; zero weights give zero entries, which Matrix drops
     d0 = {}
     u_parts = [dict() for _ in range(n)]
     for j, (alpha, beta) in enumerate(forms):
-        col = {}
         for k in range(m):
             if alpha[k] == 0 or k in beta:
                 continue
@@ -377,57 +331,41 @@ def cartan_model(weights, D) -> UComplex:
             sign = (-1) ** sum(1 for b in beta if b < k)
             key = (tuple(na), nb)
             if key in pos:
-                col[pos[key]] = col.get(pos[key], ZERO) + sc(
-                    sign * alpha[k])
-        col = {i: v for i, v in col.items() if not v.is_zero()}
-        if col:
-            d0[j] = col
+                d0[(pos[key], j)] = sign * alpha[k]
         for f in range(n):
-            colf = {}
             for r, k in enumerate(beta):
-                w = ws[k][f]
-                if w == 0:
-                    continue
                 na = list(alpha)
                 na[k] += 1
                 nb = tuple(b for b in beta if b != k)
                 key = (tuple(na), nb)
                 if key in pos:
-                    colf[pos[key]] = colf.get(pos[key], ZERO) + sc(
-                        ((-1) ** r) * w)
-            colf = {i: v for i, v in colf.items() if not v.is_zero()}
-            if colf:
-                u_parts[f][j] = colf
-    return UComplex(tokens, d0, u_parts, truncation=D)
+                    u_parts[f][(pos[key], j)] = ((-1) ** r) * ws[k][f]
+    N = len(forms)
+    return UComplex(tokens, Matrix(N, N, d0),
+                    [Matrix(N, N, h) for h in u_parts], truncation=D)
 
 
 # -- localization ----------------------------------------------------------
 
 def check_mixed_map(NZ: MixedComplex, NX: MixedComplex, iota):
-    """iota maps source token index to a column over target indices; it
-    must have degree 0 and commute with d and with every h_i."""
+    """iota is the map from source to target tokens, as a Matrix or a
+    column dict; it must have degree 0 and commute with d and with every
+    h_i.  Returns it as a Matrix."""
     if NZ.nfactors != NX.nfactors:
         raise ValueError("mixed complexes have different torus ranks")
-    iota = _coerce_map(iota)
-    for j, col in iota.items():
-        for i, v in col.items():
-            if NX.tokens[i].degree != NZ.tokens[j].degree:
-                raise ValueError(
-                    "map is not of degree 0: %r -> %r"
-                    % (NZ.tokens[j], NX.tokens[i]))
+    iota = Matrix.of_columns(len(NX.tokens), len(NZ.tokens), iota)
+    for (i, j), v in iota.data.items():
+        if NX.tokens[i].degree != NZ.tokens[j].degree:
+            raise ValueError(
+                "map is not of degree 0: %r -> %r"
+                % (NZ.tokens[j], NX.tokens[i]))
     pairs = [("d", NZ.d, NX.d)]
     pairs += [("h_%d" % (a + 1), NZ.hs[a], NX.hs[a])
               for a in range(NZ.nfactors)]
     for name, opz, opx in pairs:
-        diff = _add_maps(_compose(iota, opz),
-                         {j: {i: v.scale(-1) for i, v in col.items()}
-                          for j, col in _compose(opx, iota).items()})
-        if diff:
-            j = sorted(diff)[0]
-            i = sorted(diff[j])[0]
-            raise ValueError(
-                "map fails to commute with %s: component %r -> %r"
-                % (name, NZ.tokens[j], NX.tokens[i]))
+        _check_zero(iota.mul(opz).add(opx.mul(iota).scale(-1)),
+                    "map fails to commute with %s" % name,
+                    NZ.tokens, NX.tokens)
     return iota
 
 
@@ -456,12 +394,7 @@ def localize_check(NZ: MixedComplex, NX: MixedComplex, iota,
     # the induced map in kernel coordinates
     F_cols = []
     for kz in SZ.kernel_basis():
-        v = {}
-        for i, c in kz.items():
-            for i2, w in iota.get(i, {}).items():
-                v[i2] = v.get(i2, ZERO) + c * w
-        v = {i2: c for i2, c in v.items() if not c.is_zero()}
-        x = SX.kernel_coordinates(v)
+        x = SX.kernel_coordinates(iota.apply(kz))
         if x is None:
             raise AssertionError("chain map image escapes the kernel")
         F_cols.append(x)

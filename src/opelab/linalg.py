@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and Q[var].
 
-Vectors are dicts mapping basis keys to nonzero ``Scalar`` values; matrices
-are sparse dicts keyed by (row, col).
+Vectors are dicts mapping basis keys to nonzero ``Scalar`` values; a
+``Matrix`` is a sparse dict keyed by (row, col), and it is the one map type:
+complexes, mixed-complex operators and chain maps all store one.
 
 - Over Q, ``rref`` does the elimination; ``solve_and_rank`` gives the
   kernel and image of a matrix from one reduction, and
@@ -50,6 +51,10 @@ def vec_scale(a: dict, s) -> dict:
     if s.is_zero():
         return {}
     return {k: v * s for k, v in a.items()}
+
+
+def vec_sub(a: dict, b: dict) -> dict:
+    return vec_add(a, vec_scale(b, -1))
 
 
 class BasisToken:
@@ -120,6 +125,14 @@ class Matrix:
                 out[(i, j)] = cur
         return Matrix(self.nrows, other.ncols, out)
 
+    def add(self, other: "Matrix") -> "Matrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix sum")
+        return Matrix(self.nrows, self.ncols, vec_add(self.data, other.data))
+
+    def scale(self, s) -> "Matrix":
+        return Matrix(self.nrows, self.ncols, vec_scale(self.data, s))
+
     def apply(self, vec: dict) -> dict:
         """Matrix times a column vector keyed by column index."""
         out = {}
@@ -145,12 +158,21 @@ class Matrix:
         return Matrix(n, n, {(i, i): ONE for i in range(n)})
 
     @staticmethod
+    def of_columns(nrows, ncols, cols) -> "Matrix":
+        """``cols`` as a matrix: a column dict {j: {i: entry}}, read in
+        its own order, or a Matrix of this shape, returned unchanged."""
+        if isinstance(cols, Matrix):
+            if (cols.nrows, cols.ncols) != (nrows, ncols):
+                raise ValueError("shape mismatch: %dx%d matrix where %dx%d "
+                                 "is expected" % (cols.nrows, cols.ncols,
+                                                  nrows, ncols))
+            return cols
+        return Matrix(nrows, ncols, {(i, j): v for j, col in cols.items()
+                                     for i, v in col.items()})
+
+    @staticmethod
     def from_columns(nrows, cols) -> "Matrix":
-        entries = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                entries[(i, j)] = v
-        return Matrix(nrows, len(cols), entries)
+        return Matrix.of_columns(nrows, len(cols), dict(enumerate(cols)))
 
 
 # -- Gaussian elimination over Q ---------------------------------------
@@ -561,9 +583,10 @@ class FiniteComplex:
     """Finitely generated graded free module with a square-zero
     endomorphism of degree +1.
 
-    ``tokens`` is an ordered list of BasisTokens; ``diff`` maps token index
-    to a column dict (the differential of that basis vector).  Over Q the
-    grading splits the differential into per-degree matrices; over Q[var]
+    ``tokens`` is an ordered list of BasisTokens; ``diff`` is the
+    differential as a Matrix, or as a column dict mapping token index to
+    the differential of that basis vector.  Over Q the grading splits
+    the differential into per-degree matrices; over Q[var]
     the variable carries degree ``var_degree`` (2 for equivariant
     parameters) and the single endomorphism is the honest representation,
     since multiplication by the variable moves between generator degrees.
@@ -577,11 +600,7 @@ class FiniteComplex:
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate basis tokens")
         n = len(self.tokens)
-        entries = {}
-        for j, col in diff.items():
-            for i, v in col.items():
-                entries[(i, j)] = v
-        self.D = Matrix(n, n, entries)
+        self.D = Matrix.of_columns(n, n, diff)
         self._check_homogeneous()
         self._check_square_zero()
 

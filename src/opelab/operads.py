@@ -26,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 import itertools
 
-from .scalars import Scalar, ZERO, ONE, sc, format_scalar, parse_scalar
-from .linalg import span_rank
+from .scalars import Scalar, ZERO, ONE, sc, format_scalar
+from .linalg import span_rank, vec_scale, vec_sub
 
 HBAR = Scalar.variable("hbar")
 
@@ -184,14 +184,25 @@ class AlgebraInstance:
 
     @staticmethod
     def from_dict(data):
+        # imported here for the reason given in VertexLieData.from_dict
+        from .schemas import SchemaViolation, escape, scalar_at
         names = [b["name"] for b in data["basis"]]
         pos = {n: i for i, n in enumerate(names)}
+
+        def index(name, pointer):
+            # a cross-reference the schema cannot see
+            if name not in pos:
+                raise SchemaViolation("alg.v1", pointer,
+                                      "undeclared basis element %r" % name)
+            return pos[name]
         tables = {}
         for op, t in data.get("tables", {}).items():
             out = {}
             for key, col in t.items():
-                idx = tuple(pos[n] for n in key.split(","))
-                out[idx] = {pos[k]: parse_scalar(str(v))
+                at = "/tables/%s/%s" % (escape(op), escape(key))
+                idx = tuple(index(n, at) for n in key.split(","))
+                out[idx] = {index(k, at + "/" + escape(k)):
+                            scalar_at(v, "alg.v1", at + "/" + escape(k))
                             for k, v in col.items()}
             tables[op] = out
         ring = data.get("ring") or {}
@@ -208,17 +219,6 @@ class AlgebraInstance:
 
 
 # -- relation primitives ---------------------------------------------------
-
-def _diff(va, vb):
-    out = dict(va)
-    for k, v in vb.items():
-        out[k] = out.get(k, ZERO) - v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _scale(v, c):
-    return {k: x.scale(c) for k, x in v.items()}
-
 
 def _sign(exp):
     return Fraction(1) if exp % 2 == 0 else Fraction(-1)
@@ -248,9 +248,9 @@ def rel_graded_comm(A, chk):
     n = len(A.names)
     for i, j in itertools.product(range(n), repeat=2):
         lhs = A.ev2("m", A.basis_vec(i), A.basis_vec(j))
-        rhs = _scale(A.ev2("m", A.basis_vec(j), A.basis_vec(i)),
-                     _sign(A.parities[i] * A.parities[j]))
-        chk.record("commutativity", (i, j), _diff(lhs, rhs))
+        rhs = vec_scale(A.ev2("m", A.basis_vec(j), A.basis_vec(i)),
+                        _sign(A.parities[i] * A.parities[j]))
+        chk.record("commutativity", (i, j), vec_sub(lhs, rhs))
 
 
 def rel_assoc(A, chk):
@@ -259,22 +259,22 @@ def rel_assoc(A, chk):
         vi, vj, vk = map(A.basis_vec, (i, j, k))
         lhs = A.ev2("m", A.ev2("m", vi, vj), vk)
         rhs = A.ev2("m", vi, A.ev2("m", vj, vk))
-        chk.record("associativity", (i, j, k), _diff(lhs, rhs))
+        chk.record("associativity", (i, j, k), vec_sub(lhs, rhs))
 
 
 def rel_pi_symmetry(A, chk, d):
     n = len(A.names)
     for i, j in itertools.product(range(n), repeat=2):
         lhs = A.ev2("pi", A.basis_vec(i), A.basis_vec(j))
-        rhs = _scale(A.ev2("pi", A.basis_vec(j), A.basis_vec(i)),
-                     _sign(d + A.parities[i] * A.parities[j]))
-        chk.record("bracket symmetry", (i, j), _diff(lhs, rhs))
+        rhs = vec_scale(A.ev2("pi", A.basis_vec(j), A.basis_vec(i)),
+                        _sign(d + A.parities[i] * A.parities[j]))
+        chk.record("bracket symmetry", (i, j), vec_sub(lhs, rhs))
 
 
 def _twisted(A, d, va_idx, vb):
     """t(a, -) on a basis element a: the (d-1)-twist of pi."""
     t = A.ev2("pi", A.basis_vec(va_idx), vb)
-    return _scale(t, _sign((d - 1) * A.parities[va_idx]))
+    return vec_scale(t, _sign((d - 1) * A.parities[va_idx]))
 
 
 def rel_jacobi(A, chk, d):
@@ -283,17 +283,17 @@ def rel_jacobi(A, chk, d):
     for a, b, c in itertools.product(range(n), repeat=3):
         lhs = _twisted(A, d, a, _twisted(A, d, b, A.basis_vec(c)))
         inner = A.ev2("pi", A.basis_vec(a), A.basis_vec(b))
-        inner = _scale(inner, _sign((d - 1) * A.parities[a]))
+        inner = vec_scale(inner, _sign((d - 1) * A.parities[a]))
         # t(t(a,b), c) expands over the basis support of t(a,b)
         t1 = {}
         for i, ci in inner.items():
             for k, v in _twisted(A, d, i, A.basis_vec(c)).items():
                 t1[k] = t1.get(k, ZERO) + ci * v
-        t2 = _scale(_twisted(A, d, b, _twisted(A, d, a, A.basis_vec(c))),
-                    _sign(e[a] * e[b]))
+        t2 = vec_scale(_twisted(A, d, b, _twisted(A, d, a, A.basis_vec(c))),
+                       _sign(e[a] * e[b]))
         rhs = {k: t1.get(k, ZERO) + t2.get(k, ZERO)
                for k in set(t1) | set(t2)}
-        chk.record("Jacobi", (a, b, c), _diff(lhs, rhs))
+        chk.record("Jacobi", (a, b, c), vec_sub(lhs, rhs))
 
 
 def rel_leibniz(A, chk, d):
@@ -302,11 +302,11 @@ def rel_leibniz(A, chk, d):
         va, vb, vc = map(A.basis_vec, (a, b, c))
         lhs = A.ev2("pi", va, A.ev2("m", vb, vc))
         r1 = A.ev2("m", A.ev2("pi", va, vb), vc)
-        r2 = _scale(A.ev2("m", vb, A.ev2("pi", va, vc)),
-                    _sign((A.parities[a] + d - 1) * A.parities[b]))
+        r2 = vec_scale(A.ev2("m", vb, A.ev2("pi", va, vc)),
+                       _sign((A.parities[a] + d - 1) * A.parities[b]))
         rhs = {k: r1.get(k, ZERO) + r2.get(k, ZERO)
                for k in set(r1) | set(r2)}
-        chk.record("biderivation", (a, b, c), _diff(lhs, rhs))
+        chk.record("biderivation", (a, b, c), vec_sub(lhs, rhs))
 
 
 def rel_unary_square(A, chk, op, name):
@@ -322,14 +322,14 @@ def rel_deformed_leibniz(A, chk, param):
         vi, vj = A.basis_vec(i), A.basis_vec(j)
         lhs = A.ev1("d", A.ev2("m", vi, vj))
         r1 = A.ev2("m", A.ev1("d", vi), vj)
-        r2 = _scale(A.ev2("m", vi, A.ev1("d", vj)),
-                    _sign(A.parities[i]))
+        r2 = vec_scale(A.ev2("m", vi, A.ev1("d", vj)),
+                       _sign(A.parities[i]))
         r3 = {k: param * v for k, v in A.ev2("pi", vi, vj).items()}
         rhs = {}
         for part in (r1, r2, r3):
             for k, v in part.items():
                 rhs[k] = rhs.get(k, ZERO) + v
-        chk.record("deformed Leibniz", (i, j), _diff(lhs, rhs))
+        chk.record("deformed Leibniz", (i, j), vec_sub(lhs, rhs))
 
 
 def rel_deformed_commutator(A, chk, param):
@@ -337,11 +337,11 @@ def rel_deformed_commutator(A, chk, param):
     n = len(A.names)
     for i, j in itertools.product(range(n), repeat=2):
         vi, vj = A.basis_vec(i), A.basis_vec(j)
-        lhs = _diff(A.ev2("m", vi, vj),
-                    _scale(A.ev2("m", vj, vi),
-                           _sign(A.parities[i] * A.parities[j])))
+        lhs = vec_sub(A.ev2("m", vi, vj),
+                      vec_scale(A.ev2("m", vj, vi),
+                                _sign(A.parities[i] * A.parities[j])))
         rhs = {k: param * v for k, v in A.ev2("pi", vi, vj).items()}
-        chk.record("deformed commutator", (i, j), _diff(lhs, rhs))
+        chk.record("deformed commutator", (i, j), vec_sub(lhs, rhs))
 
 
 def rel_bv_deviation(A, chk):
@@ -352,13 +352,13 @@ def rel_bv_deviation(A, chk):
         vi, vj = A.basis_vec(i), A.basis_vec(j)
         lhs = A.ev1("delta", A.ev2("m", vi, vj))
         r1 = A.ev2("m", A.ev1("delta", vi), vj)
-        r2 = _scale(A.ev2("m", vi, A.ev1("delta", vj)),
-                    _sign(dp * A.parities[i]))
+        r2 = vec_scale(A.ev2("m", vi, A.ev1("delta", vj)),
+                       _sign(dp * A.parities[i]))
         rhs = {}
         for part in (r1, r2, A.ev2("pi", vi, vj)):
             for k, v in part.items():
                 rhs[k] = rhs.get(k, ZERO) + v
-        chk.record("operator deviation", (i, j), _diff(lhs, rhs))
+        chk.record("operator deviation", (i, j), vec_sub(lhs, rhs))
 
 
 # -- presets ---------------------------------------------------------------

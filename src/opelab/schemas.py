@@ -196,6 +196,19 @@ SCHEMAS = {
         "required": ["tokens"],
         "additionalProperties": False,
     },
+    "localize": {
+        # the fixed and total complexes are mixed.v1 documents, checked
+        # against that schema on their own so that errors name the part
+        "type": "object",
+        "properties": {
+            "fixed": {"type": "object"},
+            "total": {"type": "object"},
+            "map": _SPARSE_MAP,
+            "invert": {"type": "array", "items": _SCALAR},
+        },
+        "required": ["fixed", "total"],
+        "additionalProperties": False,
+    },
     "cartan.v1": {
         "type": "object",
         "properties": {

@@ -19,9 +19,9 @@ from opelab.vla import (Gen, BrValue, VertexLieData, current_algebra,
                         heisenberg, kac_moody_sl2, virasoro, weyl_pair,
                         check_jacobi, check_sesquilinearity,
                         check_skew_symmetry, SL2_KAPPA)
-from opelab.envelope import build_envelope, scale_state
+from opelab.envelope import build_envelope
 from opelab.brst import abelian_datum, pure_ghost_datum, wakimoto_datum
-from opelab.linalg import BasisToken, FiniteComplex
+from opelab.linalg import BasisToken, FiniteComplex, vec_scale as scale_state
 from opelab.equivariant import (MixedComplex, koszul_t, koszul_h,
                                 ucomplex_from_finite, cartan_model,
                                 localize_check, regular_lambda,

@@ -14,7 +14,8 @@ import pytest
 
 from opelab.scalars import Scalar, ZERO, ONE, sc, sc_gcd, format_scalar
 from opelab.vla import direct_sum, heisenberg, weyl_pair, SL2_STRUCT
-from opelab.envelope import build_envelope, add_states, scale_state
+from opelab.envelope import build_envelope
+from opelab.linalg import vec_add as add_states, vec_scale as scale_state
 from opelab.brst import (build_ghosts, ghost_current_words, word_state,
                          BRSTDatum, abelian_datum, pure_ghost_datum,
                          bg_gl1_datum, bg_fundamental_sl2_datum,

@@ -8,6 +8,7 @@ import pytest
 from opelab.brst import bg_gl1_datum
 from opelab.cli import main
 from opelab.equivariant import p1_fixed_points, p1_rotation
+from opelab.operads import sl2_lie
 from opelab.scalars import MAX_EXPONENT
 from opelab.vla import virasoro
 
@@ -192,21 +193,39 @@ def _bad_mixed(field):
         data["d"]["zz"] = {"x": "1"}
     elif field == "coeff":
         data["d"]["e"]["y"] = "1/0"
+    elif field == "polynomial":
+        data["d"]["e"]["y"] = "u"
     return data
 
 
 def _bad_localize(part, field):
     """The P^1 localization file with one bad entry in its fixed or
-    total complex, or in the map."""
+    total complex or in the map, or with its map or invert key replaced
+    by ``field``."""
     data = {"fixed": p1_fixed_points().to_dict(),
             "total": p1_rotation().to_dict(),
             "map": {"p": {"x": "1"}, "q": {"y": "1"}}}
-    if part == "map":
+    if part == "map" and field is None:
         data["map"]["q"]["y"] = "1/0"
+    elif part in ("map", "invert"):
+        data[part] = field
     elif field == "h-row":
         data[part]["h"][0] = {"p": {"zz": "1"}}
     else:
         data[part] = _bad_mixed(field)
+    return data
+
+
+def _bad_sl2(field):
+    """The sl2 Lie algebra table with one bad entry."""
+    data = sl2_lie().to_dict()
+    pi = data["tables"]["pi"]
+    if field == "column":
+        pi["e,f"]["zz"] = "1"
+    elif field == "key":
+        pi["zz,f"] = {"h": "1"}
+    elif field == "coeff":
+        pi["e,f"]["h"] = "1/0"
     return data
 
 
@@ -236,6 +255,17 @@ HOSTILE = [
     (["localize"], _bad_localize("fixed", "h-row"), "/fixed/h/0/p/zz"),
     (["localize"], _bad_localize("total", "coeff"), "/total/d/e/y"),
     (["localize"], _bad_localize("map", None), "/map/q/y"),
+    (["operad-check", "--suite", "Lie"], _bad_sl2("column"),
+     "/tables/pi/e,f/zz"),
+    (["operad-check", "--suite", "Lie"], _bad_sl2("key"), "/tables/pi/zz,f"),
+    (["operad-check", "--suite", "Lie"], _bad_sl2("coeff"),
+     "/tables/pi/e,f/h"),
+    (["localize"], _bad_localize("map", ["p"]), "at /map"),
+    (["localize"], _bad_localize("map", {"p": "x"}), "/map/p"),
+    (["localize"], _bad_localize("invert", "u"), "at /invert"),
+    (["localize"], _bad_localize("invert", ["1/0"]), "/invert/0"),
+    (["koszul"], _bad_mixed("polynomial"), "/d/e/y"),
+    (["localize"], _bad_localize("total", "polynomial"), "/total/d/e/y"),
 ]
 
 
@@ -248,7 +278,10 @@ HOSTILE = [
     "betagamma-dims-without-charge", "brst-ghost-charge",
     "mixed-h-row", "mixed-d-column", "mixed-coeff-over-zero",
     "localize-fixed-pointer", "localize-total-pointer",
-    "localize-map-coeff"])
+    "localize-map-coeff", "alg-undeclared-column", "alg-undeclared-key",
+    "alg-coeff-over-zero", "localize-map-list", "localize-map-column",
+    "localize-invert-string", "localize-invert-over-zero",
+    "mixed-polynomial-entry", "localize-polynomial-entry"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

@@ -6,7 +6,8 @@ from opelab.scalars import Scalar, ONE, sc
 from opelab.vla import (Gen, BrValue, VertexLieData, current_algebra,
                         heisenberg, kac_moody_sl2, virasoro, weyl_pair,
                         direct_sum, SL2_KAPPA)
-from opelab.envelope import build_envelope, add_states, scale_state
+from opelab.envelope import build_envelope
+from opelab.linalg import vec_add as add_states, vec_scale as scale_state
 
 
 # Independent dimension oracle: expand the super generating function

@@ -22,13 +22,11 @@ def mapping_cone(NZ, NX, iota):
 
     def total(N):
         out = {}
-        for j, col in N.d.items():
-            for i, v in col.items():
-                out.setdefault(j, {})[i] = out.get(j, {}).get(i, ZERO) + v
-        for j, col in N.hs[0].items():
-            for i, v in col.items():
-                out.setdefault(j, {})[i] = (out.get(j, {}).get(i, ZERO)
-                                            + u * v)
+        for (i, j), v in N.d.data.items():
+            out.setdefault(j, {})[i] = out.get(j, {}).get(i, ZERO) + v
+        for (i, j), v in N.hs[0].data.items():
+            out.setdefault(j, {})[i] = (out.get(j, {}).get(i, ZERO)
+                                        + u * v)
         return out
 
     nz = len(NZ.tokens)
@@ -118,6 +116,86 @@ def test_operator_degree_is_enforced():
     toks = [BasisToken("a", 0), BasisToken("b", 0)]
     with pytest.raises(ValueError, match="degree"):
         MixedComplex(toks, {}, [{0: {1: 1}}])
+
+
+def _toks(*spec):
+    return [BasisToken(n, g) for n, g in spec]
+
+
+# Each complex has several bad entries.  The product checks name the
+# entry with the lowest column, then the lowest row; the degree and
+# polynomial-entry checks name the first entry in the order the maps were
+# given.
+_U = Scalar.variable("u")
+_PQBCEF = _toks(("p", 0), ("q", 0), ("b", 1), ("c", 1), ("e", 2), ("f", 2))
+_A1B1A2B2 = _toks(("a1", 0), ("b1", 1), ("a2", 0), ("b2", 1))
+_XYZ = _toks(("x1", 2), ("y1", 1), ("z1", 0), ("x2", 2), ("y2", 1),
+             ("z2", 0))
+STRICTNESS = [
+    (_PQBCEF, {1: {3: 1, 2: 1}, 0: {2: 1}, 3: {4: 1}, 2: {5: 1}}, [],
+     "d o d != 0: component <p deg=0> -> <f deg=2>"),
+    (_A1B1A2B2, {2: {3: 1}, 0: {1: 1}}, [{3: {0: 1}, 1: {2: 1}}],
+     "d h_1 + h_1 d != 0: component <a1 deg=0> -> <a2 deg=0>"),
+    (_XYZ, {}, [{3: {1: 1}, 0: {4: 1}}, {1: {2: 1}, 4: {5: 1}}],
+     "h_1 h_2 + h_2 h_1 != 0: component <x1 deg=2> -> <z2 deg=0>"),
+    (_XYZ, {}, [{}, {4: {2: 1}, 3: {4: 2}, 0: {1: 1}, 1: {5: -1}}],
+     "h_2 h_2 + h_2 h_2 != 0: component <x1 deg=2> -> <z2 deg=0>"),
+    (_PQBCEF, {1: {4: 1, 2: 1}, 0: {5: 1}}, [],
+     "d is not of degree +1: <q deg=0> -> <e deg=2>"),
+    (_PQBCEF, {1: {2: 1}}, [{}, {5: {0: 1}, 4: {0: 1}}],
+     "h_2 is not of degree -1: <f deg=2> -> <p deg=0>"),
+    (_PQBCEF, {1: {2: _U}, 0: {4: 1}}, [],
+     "d has a polynomial entry"),
+    (_PQBCEF, {0: {4: 1}, 1: {2: _U}}, [],
+     "d is not of degree +1: <p deg=0> -> <e deg=2>"),
+    (_PQBCEF, {}, [{3: {0: 2 * _U}, 2: {0: 1}}],
+     "h_1 has a polynomial entry"),
+]
+
+
+@pytest.mark.parametrize("tokens, d, hs, message", STRICTNESS)
+def test_strictness_messages_name_the_first_witness(tokens, d, hs,
+                                                     message):
+    with pytest.raises(ValueError) as err:
+        MixedComplex(tokens, d, hs)
+    assert str(err.value) == message
+    if hs:
+        with pytest.raises(ValueError) as err:
+            UComplex(tokens, d, hs)
+        assert str(err.value) == message
+
+
+def test_chain_map_messages_name_the_first_witness():
+    # d sends x0 to y1 and x1 to y0; h sends x0 to f and x1 to e
+    NX = MixedComplex(_toks(("x0", 0), ("x1", 0), ("y0", 1), ("y1", 1),
+                            ("f", -1), ("e", -1)),
+                      {0: {3: 1}, 1: {2: 1}}, [{0: {4: 1}, 1: {5: 1}}])
+    NZ = MixedComplex(_toks(("p", 0), ("q", 0)), {}, [{}])
+    cases = [
+        ({1: {1: 1, 2: 1}, 0: {3: 1}},
+         "map is not of degree 0: <q deg=0> -> <y0 deg=1>"),
+        ({1: {1: 1}, 0: {0: 1}},
+         "map fails to commute with d: component <p deg=0> -> <y1 deg=1>"),
+    ]
+    for iota, message in cases:
+        with pytest.raises(ValueError) as err:
+            check_mixed_map(NZ, NX, iota)
+        assert str(err.value) == message
+    # the same target without d: only h fails to commute
+    NX2 = MixedComplex(NX.tokens, {}, [{0: {4: 1}, 1: {5: 1}}])
+    with pytest.raises(ValueError) as err:
+        check_mixed_map(NZ, NX2, {1: {0: 1}, 0: {1: 1}})
+    assert str(err.value) == ("map fails to commute with h_1: component "
+                              "<p deg=0> -> <e deg=-1>")
+
+
+def test_finite_complex_square_zero_message():
+    # FiniteComplex names the lowest row, then the lowest column
+    with pytest.raises(ValueError) as err:
+        FiniteComplex(_PQBCEF, {1: {3: 1, 2: 1}, 0: {2: 1}, 3: {4: 1},
+                                2: {5: 1}})
+    assert str(err.value) == ("d o d != 0: component <q deg=0> -> "
+                              "<e deg=2> equals 1")
 
 
 def test_random_complexes_square_to_zero():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from opelab.scalars import Scalar, ZERO, ONE, sc
 from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
                            q_solve, smith, smith_solve, quotient_reps,
-                           span_rank, vec_add, vec_scale)
+                           span_rank, vec_add, vec_scale, vec_sub)
 
 
 # Independent rank oracle: fraction-free Bareiss elimination on dense rows.
@@ -213,6 +213,99 @@ def test_kernel_coordinates_against_smith_solve(M, data):
     x = S.kernel_coordinates(b)
     assert x == smith_solve(SK, K, b)
     assert (x is None) == bool(M.apply(b))
+
+
+# -- the Matrix algebra against dense list arithmetic ---------------------
+
+# zero is drawn often, so that sums and products cancel
+over_q = st.one_of(st.just(ZERO), st.fractions(
+    min_value=-3, max_value=3, max_denominator=3).map(Scalar.const))
+over_qu = st.one_of(st.just(ZERO), polys)
+
+
+def dense_rows(draw, ring, n, m):
+    return [[draw(ring) for _ in range(m)] for _ in range(n)]
+
+
+def sparse(rows):
+    return {(i, j): v for i, row in enumerate(rows)
+            for j, v in enumerate(row) if not v.is_zero()}
+
+
+def column_dict(rows, ncols):
+    return {j: {i: row[j] for i, row in enumerate(rows)}
+            for j in range(ncols)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([over_q, over_qu]), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 4), st.data())
+def test_matrix_algebra_matches_dense_lists(ring, n, k, m, data):
+    a, b = (dense_rows(data.draw, ring, n, k) for _ in range(2))
+    c = dense_rows(data.draw, ring, k, m)
+    x, s = [data.draw(ring) for _ in range(k)], data.draw(ring)
+    A, B = (Matrix.of_columns(n, k, column_dict(r, k)) for r in (a, b))
+    C = Matrix.of_columns(k, m, column_dict(c, m))
+    assert A.data == sparse(a) and C.data == sparse(c)
+    results = [
+        (A.add(B), [[a[i][j] + b[i][j] for j in range(k)]
+                    for i in range(n)]),
+        (A.scale(s), [[v * s for v in row] for row in a]),
+        (A.mul(C), [[sum((a[i][l] * c[l][j] for l in range(k)), ZERO)
+                     for j in range(m)] for i in range(n)]),
+        (A.add(A.scale(-1)), [[ZERO] * k for _ in range(n)]),
+    ]
+    for M, want in results:
+        assert (M.nrows, M.ncols) == (len(want), len(want[0]))
+        assert M.data == sparse(want)
+        assert not any(v.is_zero() for v in M.data.values())
+    ax = [sum((a[i][j] * x[j] for j in range(k)), ZERO) for i in range(n)]
+    assert A.apply({j: v for j, v in enumerate(x) if not v.is_zero()}) \
+        == {i: v for i, v in enumerate(ax) if not v.is_zero()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_column_dict_constructor_keeps_the_given_order(n, m, data):
+    rows = dense_rows(data.draw, over_qu, n, m)
+    cols = {j: {i: rows[i][j]
+                for i in data.draw(st.permutations(range(n)))}
+            for j in data.draw(st.permutations(range(m)))}
+    M = Matrix.of_columns(n, m, cols)
+    assert list(M.data.items()) == [((i, j), v) for j, col in cols.items()
+                                    for i, v in col.items()
+                                    if not v.is_zero()]
+    assert Matrix.of_columns(n, m, M) is M
+    assert Matrix.from_columns(n, [cols[j] for j in range(m)]) == M
+
+
+@settings(max_examples=50, deadline=None)
+@given(*[st.integers(1, 4)] * 4)
+def test_matrix_shape_mismatch_raises(n, m, p, q):
+    A, B = Matrix(n, m, {(0, 0): 1}), Matrix(p, q, {(p - 1, q - 1): 1})
+    if (n, m) != (p, q):
+        with pytest.raises(ValueError, match="shape"):
+            A.add(B)
+        with pytest.raises(ValueError, match="shape"):
+            Matrix.of_columns(n, m, B)
+    if m != p:
+        with pytest.raises(ValueError, match="shape"):
+            A.mul(B)
+    with pytest.raises(IndexError):
+        Matrix.of_columns(n, m, {m: {0: 1}})
+    with pytest.raises(IndexError):
+        Matrix.of_columns(n, m, {0: {n: 1}})
+
+
+vectors = st.dictionaries(st.integers(0, 4), polys).map(
+    lambda v: {k: c for k, c in v.items() if not c.is_zero()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors, vectors)
+def test_vec_sub_adds_the_negative(a, b):
+    assert vec_sub(a, b) == vec_add(a, vec_scale(b, -1))
+    assert vec_sub(a, a) == {}
 
 
 def test_quotient_reps():

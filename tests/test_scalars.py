@@ -143,6 +143,14 @@ def test_arithmetic_matches_coefficient_lists(a, b, q):
     assert hash(A + B) == hash(B + A) and hash(A * B) == hash(B * A)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["u", "t", "hbar", "c"]),
+       st.lists(rationals, max_size=6))
+def test_parse_inverts_format(var, coeffs):
+    s = Scalar(var, tuple(coeffs))
+    assert parse_scalar(format_scalar(s)) == s
+
+
 def test_exponent_bound():
     with pytest.raises(ValueError, match="bound"):
         parse_scalar("c^%d" % (MAX_EXPONENT + 1))
