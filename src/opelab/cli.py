@@ -317,6 +317,12 @@ def do_localize(args):
             iota[zpos[zn]] = out
         invert = [scalar_at(f, "localize", "/invert/%d" % k)
                   for k, f in enumerate(data.get("invert", ["u"]))]
+        for k, f in enumerate(invert):
+            # the complexes' Koszul duals are over Q[u]
+            if f.var not in (None, "u"):
+                raise SchemaViolation("localize", "/invert/%d" % k,
+                                      "a polynomial in %r, not in 'u'"
+                                      % f.var)
         name = args.input
     verdict = localize_check(NZ, NX, iota, invert)
     report = {"format": "mixed.v1", "verb": "localize", "source": name,

@@ -200,7 +200,14 @@ class AlgebraInstance:
             out = {}
             for key, col in t.items():
                 at = "/tables/%s/%s" % (escape(op), escape(key))
-                idx = tuple(index(n, at) for n in key.split(","))
+                parts = key.split(",")
+                arity = AlgebraInstance.OP_ARITY[op]
+                if len(parts) != arity:
+                    # ev2 and ev1 would never look such a key up
+                    raise SchemaViolation(
+                        "alg.v1", at, "%s takes %d arguments, the key "
+                        "names %d" % (op, arity, len(parts)))
+                idx = tuple(index(n, at) for n in parts)
                 out[idx] = {index(k, at + "/" + escape(k)):
                             scalar_at(v, "alg.v1", at + "/" + escape(k))
                             for k, v in col.items()}
@@ -596,7 +603,7 @@ class ConfRing:
     def __init__(self, n, d, dims, basis, total):
         self.n = n
         self.d = d
-        self.dims = dims          # form degree k -> dimension
+        self.dims = dims          # form degree k < n -> dimension
         self.basis = basis        # k -> list of pair-tuples
         self.total = total
 
@@ -604,8 +611,6 @@ class ConfRing:
         terms = []
         for k in sorted(self.dims):
             c = self.dims[k]
-            if c == 0:
-                continue
             deg = k * (self.d - 1)
             if deg == 0:
                 terms.append(str(c))
@@ -614,94 +619,37 @@ class ConfRing:
             else:
                 terms.append("t^%d" % deg if c == 1
                              else "%dt^%d" % (c, deg))
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(terms)
 
     def to_dict(self):
         return {"n": self.n, "d": self.d,
                 "dims": {str(k * (self.d - 1)): v
-                         for k, v in self.dims.items() if v},
+                         for k, v in self.dims.items()},
                 "total": self.total,
                 "poincare": self.poincare()}
 
 
-def _merge_sign(mono, extra, d):
-    """Product of the square-free monomials mono * extra (tuples of
-    pairs, each sorted), or None if they overlap; generators commute up
-    to (-1)^(d-1) per transposition."""
-    if set(mono) & set(extra):
-        return None, None
-    merged = tuple(sorted(mono + extra))
-    if (d - 1) % 2 == 0:
-        return merged, 1
-    inv = 0
-    combined = list(mono) + list(extra)
-    for a in range(len(combined)):
-        for b in range(a + 1, len(combined)):
-            if combined[a] > combined[b]:
-                inv += 1
-    return merged, (-1) ** inv
-
-
-def conf_ring(n, d, reverse_order=False) -> ConfRing:
-    """Cohomology of n ordered points in R^d: the free graded ring on
-    the classes of pairwise direction maps, reduced degreewise by the
-    three-term relations (and squares, which vanish in every case here).
+def conf_ring(n, d) -> ConfRing:
+    """Cohomology of n ordered points in R^d, read off its
+    no-broken-circuit basis (Arnold; Orlik-Solomon): the monomials
+    w_{i1 j1}...w_{ik jk} with distinct j's and i_s < j_s, i.e. for each
+    j in 2..n no factor or one w_ij with i < j.  The basis does not
+    depend on d; form degree k sits in degree k(d - 1), so the Poincare
+    polynomial is prod_{j<n} (1 + j t^(d-1)) and the total is n!.
     """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     if n > 6:
         raise ValueError("n > 6 is past desk scale; refusing")
-    pairs = [(i, j) for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)]
-    # three-term rule in sorted pair order:
-    # w_ij w_jk = w_ij w_ik + w_ik w_jk  for i < j < k
-    triples = []
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        triples.append((((i, j), (j, k)), (((i, j), (i, k)), 1),
-                        (((i, k), (j, k)), 1)))
-    dims = {0: 1}
     basis = {0: [()]}
-    total = 1
-    for k in range(1, len(pairs) + 1):
-        monos = [tuple(sorted(c))
-                 for c in itertools.combinations(pairs, k)]
-        if reverse_order:
-            monos = monos[::-1]
-        pos = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for (lead, t1, t2) in (triples if k >= 2 else []):
-            for rest in itertools.combinations(pairs, k - 2):
-                row = {}
-                for pairset, coeff in ((lead, 1), (t1[0], -t1[1]),
-                                       (t2[0], -t2[1])):
-                    merged, s = _merge_sign(tuple(sorted(pairset)),
-                                            tuple(sorted(rest)), d)
-                    if merged is not None:
-                        row[pos[merged]] = row.get(pos[merged], 0) \
-                            + coeff * s
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-        # Gaussian elimination over Q to find the rank of the relations
-        pivots = {}
-        for row in rows:
-            row = {c: Fraction(v) for c, v in row.items()}
-            while row:
-                lead_col = min(row)
-                if lead_col in pivots:
-                    prow = pivots[lead_col]
-                    factor = row[lead_col] / prow[lead_col]
-                    for c, v in prow.items():
-                        row[c] = row.get(c, Fraction(0)) - factor * v
-                    row = {c: v for c, v in row.items() if v}
-                else:
-                    pivots[lead_col] = row
-                    break
-        free = [m for m in monos if pos[m] not in pivots]
-        dims[k] = len(free)
-        basis[k] = free
-        total += len(free)
-    return ConfRing(n, d, dims, basis, total)
+    for j in range(2, n + 1):
+        # descending k, so each monomial takes at most one factor w_ij
+        for k in sorted(basis, reverse=True):
+            basis.setdefault(k + 1, []).extend(
+                tuple(sorted(m + ((i, j),)))
+                for m in basis[k] for i in range(1, j))
+    dims = {k: len(monos) for k, monos in basis.items()}
+    return ConfRing(n, d, dims, basis, sum(dims.values()))
 
 
 # -- the arity bridge ------------------------------------------------------
@@ -787,8 +735,7 @@ def homology_p_d_bridge(n, d):
         raise ValueError("bridge implemented for n <= 3")
     if n == 2:
         ring = conf_ring(2, d)
-        conf_degrees = sorted(k * (d - 1) for k, v in ring.dims.items()
-                              if v)
+        conf_degrees = sorted(k * (d - 1) for k in ring.dims)
         swap = (-1) ** d
         return {"n": 2, "d": d,
                 "conf_dims": ring.total,

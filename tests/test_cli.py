@@ -39,6 +39,20 @@ def test_conf_bridge_flag(capsys):
     assert rep["bridge"]["match"]
 
 
+def test_conf_n6(capsys):
+    # the coefficients of prod_{j<6} (1 + j t^(d-1))
+    dims = [1, 15, 85, 225, 274, 120]
+    poincare = {2: "1 + 15t + 85t^2 + 225t^3 + 274t^4 + 120t^5",
+                3: "1 + 15t^2 + 85t^4 + 225t^6 + 274t^8 + 120t^10"}
+    for d in (2, 3):
+        code, rep, _ = run_json(capsys, "conf", "--n", "6", "--d", str(d))
+        assert code == 0
+        assert rep["total"] == 720
+        assert rep["dims"] == {str(k * (d - 1)): v
+                               for k, v in enumerate(dims)}
+        assert rep["poincare"] == poincare[d]
+
+
 def test_conf_refusals(capsys):
     code, _, err = run(capsys, "conf", "--n", "7", "--d", "2")
     assert code == 2 and "desk scale" in err
@@ -220,7 +234,11 @@ def _bad_sl2(field):
     """The sl2 Lie algebra table with one bad entry."""
     data = sl2_lie().to_dict()
     pi = data["tables"]["pi"]
-    if field == "column":
+    if field == "one-part-key":
+        pi["e"] = {"h": "1"}
+    elif field == "three-part-key":
+        pi["e,f,h"] = {"h": "1"}
+    elif field == "column":
         pi["e,f"]["zz"] = "1"
     elif field == "key":
         pi["zz,f"] = {"h": "1"}
@@ -266,6 +284,11 @@ HOSTILE = [
     (["localize"], _bad_localize("invert", ["1/0"]), "/invert/0"),
     (["koszul"], _bad_mixed("polynomial"), "/d/e/y"),
     (["localize"], _bad_localize("total", "polynomial"), "/total/d/e/y"),
+    (["operad-check", "--suite", "Lie"], _bad_sl2("one-part-key"),
+     "at /tables/pi/e\n"),
+    (["operad-check", "--suite", "Lie"], _bad_sl2("three-part-key"),
+     "/tables/pi/e,f,h"),
+    (["localize"], _bad_localize("invert", ["t"]), "/invert/0"),
 ]
 
 
@@ -281,7 +304,8 @@ HOSTILE = [
     "localize-map-coeff", "alg-undeclared-column", "alg-undeclared-key",
     "alg-coeff-over-zero", "localize-map-list", "localize-map-column",
     "localize-invert-string", "localize-invert-over-zero",
-    "mixed-polynomial-entry", "localize-polynomial-entry"])
+    "mixed-polynomial-entry", "localize-polynomial-entry",
+    "alg-one-part-key", "alg-three-part-key", "localize-invert-foreign-var"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

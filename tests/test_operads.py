@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -250,6 +251,10 @@ def test_alg_round_trip():
 
 
 # -- configuration rings ---------------------------------------------------
+#
+# The reference for conf_ring: the free graded-commutative ring on the
+# classes w_ij, reduced degreewise by the three-term relations, over
+# square-free monomials (the squares vanish in every case here).
 
 def _product_formula(n, d):
     poly = {0: 1}
@@ -261,17 +266,118 @@ def _product_formula(n, d):
     return {k: v for k, v in poly.items() if v}
 
 
+def _merge_sign(mono, extra, d):
+    """Product of the square-free monomials mono * extra (tuples of
+    pairs, each sorted), or None if they overlap; generators commute up
+    to (-1)^(d-1) per transposition."""
+    if set(mono) & set(extra):
+        return None, None
+    merged = tuple(sorted(mono + extra))
+    if (d - 1) % 2 == 0:
+        return merged, 1
+    inv = 0
+    combined = list(mono) + list(extra)
+    for a in range(len(combined)):
+        for b in range(a + 1, len(combined)):
+            if combined[a] > combined[b]:
+                inv += 1
+    return merged, (-1) ** inv
+
+
+def _reduce(row, pivots):
+    """Reduce row against the echelon rows ``pivots`` (lead column ->
+    row) over Q; add it and return True if it is independent of them."""
+    row = {c: Fraction(v) for c, v in row.items()}
+    while row:
+        lead_col = min(row)
+        if lead_col not in pivots:
+            pivots[lead_col] = row
+            return True
+        prow = pivots[lead_col]
+        factor = row[lead_col] / prow[lead_col]
+        for c, v in prow.items():
+            row[c] = row.get(c, Fraction(0)) - factor * v
+        row = {c: v for c, v in row.items() if v}
+    return False
+
+
+def _conf_relations(n, d, reverse_order=False):
+    """Form degree k -> (monomials, their column positions, echelon form
+    of the relation rows), every square-free degree included."""
+    pairs = [(i, j) for i in range(1, n + 1)
+             for j in range(i + 1, n + 1)]
+    # three-term rule in sorted pair order:
+    # w_ij w_jk = w_ij w_ik + w_ik w_jk  for i < j < k
+    triples = []
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        triples.append((((i, j), (j, k)), (((i, j), (i, k)), 1),
+                        (((i, k), (j, k)), 1)))
+    out = {}
+    for k in range(len(pairs) + 1):
+        monos = [tuple(sorted(c))
+                 for c in itertools.combinations(pairs, k)]
+        if reverse_order:
+            monos = monos[::-1]
+        pos = {m: i for i, m in enumerate(monos)}
+        pivots = {}
+        for (lead, t1, t2) in (triples if k >= 2 else []):
+            for rest in itertools.combinations(pairs, k - 2):
+                row = {}
+                for pairset, coeff in ((lead, 1), (t1[0], -t1[1]),
+                                       (t2[0], -t2[1])):
+                    merged, s = _merge_sign(tuple(sorted(pairset)),
+                                            tuple(sorted(rest)), d)
+                    if merged is not None:
+                        row[pos[merged]] = row.get(pos[merged], 0) \
+                            + coeff * s
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    _reduce(row, pivots)
+        out[k] = (monos, pos, pivots)
+    return out
+
+
+def _oracle_dims(relations):
+    return {k: len(monos) - len(pivots)
+            for k, (monos, _, pivots) in relations.items()
+            if len(monos) > len(pivots)}
+
+
 def test_conf_dims_match_product_formula():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         for d in (2, 3):
             R = conf_ring(n, d)
             got = {k * (d - 1): v for k, v in R.dims.items() if v}
             assert got == _product_formula(n, d), (n, d)
+            for k, monos in R.basis.items():
+                assert len(set(monos)) == len(monos) == R.dims[k]
+                for m in monos:
+                    # sorted pairs i < j, one factor at most per j
+                    assert list(m) == sorted(m) and len(m) == k
+                    assert all(i < j for i, j in m)
+                    assert len({j for _, j in m}) == k
+
+
+def test_conf_ring_matches_relation_elimination():
+    # both parities of d - 1; the NBC monomials must be a basis of the
+    # quotient, not only the right count: stacked under the relation
+    # rows, their unit rows raise the rank to the number of monomials
+    for n in range(1, 6):
+        for d in (2, 3):
+            R = conf_ring(n, d)
+            relations = _conf_relations(n, d)
+            assert _oracle_dims(relations) == R.dims, (n, d)
+            assert _oracle_dims(_conf_relations(n, d, reverse_order=True)) \
+                == R.dims, (n, d)
+            for k, (monos, pos, pivots) in relations.items():
+                for m in R.basis.get(k, []):
+                    assert _reduce({pos[m]: 1}, pivots), (n, d, m)
+                assert len(pivots) == len(monos), (n, d, k)
 
 
 def test_conf_totals_are_factorials():
     import math
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         assert conf_ring(n, 2).total == math.factorial(n)
         assert conf_ring(n, 3).total == math.factorial(n)
 
@@ -284,12 +390,6 @@ def test_conf_poincare_strings():
     assert conf_ring(3, 2).poincare() == "1 + 3t + 2t^2"
     assert conf_ring(3, 3).poincare() == "1 + 3t^2 + 2t^4"
     assert conf_ring(1, 2).poincare() == "1"
-
-
-def test_conf_elimination_order_independent():
-    for d in (2, 3):
-        assert conf_ring(4, d, reverse_order=True).dims == \
-            conf_ring(4, d).dims
 
 
 def test_conf_refuses_out_of_scale_input():
