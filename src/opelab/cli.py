@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import presets
 from .brst import BRSTDatum
 from .envelope import build_envelope
-from .equivariant import (MixedComplex, cartan_model, koszul_t,
-                          localize_check)
+from .equivariant import (MixedComplex, cartan_candidates, cartan_model,
+                          koszul_t, localize_check)
 from .operads import AlgebraInstance, check_relations, conf_ring, \
     homology_p_d_bridge
 from .scalars import Scalar
@@ -232,6 +232,19 @@ def do_koszul(args):
     return 0, report
 
 
+# Size bounds for a cartan model of m coordinates, n torus factors and
+# cutoff D, checked before it is built.  Every candidate pair
+# (alpha, beta) may become a form, and each form costs a share of a
+# Smith form: five coordinates at cutoff 12 test about 85k candidates
+# and keep 3069 forms, which take a few seconds to build and to take
+# cohomology of.  Each candidate is also a vector of m exponents tested
+# against n weights, and the n operators are checked pairwise, so the
+# candidates times n (m + n) are bounded too: at cutoff 1, 4000
+# coordinates (8001 candidates) took 5 s, and the time grows as m^2.
+MAX_CARTAN_CANDIDATES = 10 ** 5
+MAX_CARTAN_ENTRIES = 10 ** 6
+
+
 def _parse_weights(text):
     out = []
     for group in text.split(";"):
@@ -242,14 +255,23 @@ def _parse_weights(text):
             vals = [int(p) for p in parts]
         except ValueError:
             raise InputError("weights must be integers: %r" % text)
-        out.append(vals[0] if len(vals) == 1 else tuple(vals))
-    return out
+        if out and len(vals) != len(out[0]):
+            raise InputError("all coordinates need one weight per factor: "
+                             "%r" % text)
+        out.append(tuple(vals))
+    return [w[0] if len(w) == 1 else w for w in out]
 
 
 def do_cartan(args):
     if args.input is not None:
         data = validate(_load_json(args.input), "cartan.v1")
         weights, cutoff, name = data["weights"], data["cutoff"], args.input
+        widths = [len(w) if isinstance(w, list) else 1 for w in weights]
+        for k, width in enumerate(widths):
+            if width != widths[0]:
+                raise SchemaViolation("cartan.v1", "/weights/%d" % k,
+                                      "all coordinates need one weight per "
+                                      "factor")
         weights = [tuple(w) if isinstance(w, list) else w for w in weights]
     elif args.preset is not None:
         if args.preset not in presets.CARTAN_PRESETS:
@@ -266,6 +288,17 @@ def do_cartan(args):
         weights = _parse_weights(args.weights)
         cutoff = args.cutoff if args.cutoff is not None else 4
         name = "weights=%s" % args.weights
+    m = len(weights)
+    n = len(weights[0]) if isinstance(weights[0], tuple) else 1
+    count = cartan_candidates(m, cutoff, MAX_CARTAN_CANDIDATES)
+    if count > MAX_CARTAN_CANDIDATES or \
+            count * n * (m + n) > MAX_CARTAN_ENTRIES:
+        raise InputError("a model of m = %d coordinates and n = %d torus "
+                         "factors at cutoff %d is too large: it tests more "
+                         "than %d candidate forms, or more than %d for the "
+                         "candidates times n (m + n)"
+                         % (m, n, cutoff, MAX_CARTAN_CANDIDATES,
+                            MAX_CARTAN_ENTRIES))
     U = cartan_model(weights, cutoff)
     report = {"format": "cartan.v1", "verb": "cartan", "source": name,
               "truncation": cutoff, "factors": U.nfactors}

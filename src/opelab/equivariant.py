@@ -204,9 +204,23 @@ class UComplex:
 
 def _module_invariants(D: Matrix):
     """H = ker D / im D of a square-zero matrix over Q[u], as free rank
-    plus torsion invariant factors."""
-    _, X = presentation(D)
-    return _cokernel_invariants(smith(X))
+    plus torsion invariant factors.
+
+    H is the direct sum of the H of the blocks of D.  Their free ranks
+    add, and their torsion factors are merged into one divisibility
+    chain by a Smith form of the diagonal matrix they form: a D that is
+    not graded can give blocks with torsion u and u + 1, whose sum has
+    the single factor u^2 + u."""
+    free, tors = 0, []
+    for _, B in D.blocks():
+        f, t = _cokernel_invariants(smith(presentation(B)[1]))
+        free += f
+        tors += t
+    if len(tors) > 1:
+        n = len(tors)
+        tors = _cokernel_invariants(
+            smith(Matrix(n, n, {(k, k): f for k, f in enumerate(tors)})))[1]
+    return free, tors
 
 
 def _cokernel_invariants(S):
@@ -280,6 +294,49 @@ def _form_name(alpha, beta):
     return " ".join(bits) if bits else "1"
 
 
+def _exponent_vectors(m, top):
+    """Every alpha in N^m with |alpha| <= top, in lexicographic order."""
+    alpha, total = [0] * m, 0
+    while True:
+        yield tuple(alpha)
+        # the next alpha raises the last entry that may grow once the
+        # entries after it are cleared
+        k = m - 1
+        while k >= 0 and total == top:
+            total -= alpha[k]
+            alpha[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        alpha[k] += 1
+        total += 1
+
+
+def _binom_capped(n, k, cap):
+    """C(n, k), or cap + 1 when it is larger."""
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        # C(n - k + i, i) grows with i, so the first value past cap is final
+        c = c * (n - k + i) // i
+        if c > cap:
+            return cap + 1
+    return c
+
+
+def cartan_candidates(m, D, cap):
+    """How many pairs (alpha, beta) ``cartan_model`` tests for invariance
+    on m coordinates at cutoff D, or cap + 1 when that is more than cap:
+    the sum over r <= min(m, D) of C(m, r) C(D - r + m, m)."""
+    total = 0
+    for r in range(min(m, D) + 1):
+        total += (_binom_capped(m, r, cap)
+                  * _binom_capped(D - r + m, m, cap))
+        if total > cap:
+            return cap + 1
+    return total
+
+
 def cartan_model(weights, D) -> UComplex:
     """Invariant polynomial forms on affine space for a diagonal torus
     action, truncated at total letter degree |alpha| + |beta| <= D.
@@ -304,14 +361,11 @@ def cartan_model(weights, D) -> UComplex:
         return True
 
     forms = []
-    for beta in itertools.chain.from_iterable(
-            itertools.combinations(range(m), r) for r in range(m + 1)):
-        room = D - len(beta)
-        if room < 0:
-            continue
-        for alpha in itertools.product(range(room + 1), repeat=m):
-            if sum(alpha) <= room and invariant(alpha, beta):
-                forms.append((tuple(alpha), tuple(beta)))
+    for r in range(min(m, D) + 1):
+        for beta in itertools.combinations(range(m), r):
+            for alpha in _exponent_vectors(m, D - r):
+                if invariant(alpha, beta):
+                    forms.append((alpha, beta))
     forms.sort(key=lambda ab: (sum(ab[0]) + len(ab[1]), len(ab[1]), ab))
     tokens = [BasisToken(_form_name(a, b), len(b), aux=(a, b))
               for a, b in forms]

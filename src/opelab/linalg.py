@@ -18,11 +18,18 @@ complexes, mixed-complex operators and chain maps all store one.
   rank, torsion annihilators and representative cocycles follow from
   one more Smith form of the coordinate matrix of the image.
 
-Differentials that are homogeneous for a grading in which the variable
-carries even degree have monomial entries c*u^k, and for those the Smith
-reduction below automatically stays monomial (the minimal-degree pivot
-divides everything), so kernel bases and representatives come out
-homogeneous without extra work.
+Two things keep the Smith forms small and cheap:
+
+- ``Matrix.blocks`` splits a square matrix into the direct summands read
+  off the connected components of its support, and cohomology over
+  Q[var] is taken one summand at a time (a Cartan model falls apart by
+  the multidegree of its forms);
+- a matrix whose entries are monomials c*u^(cw[j] - rw[i]) for some row
+  and column weights (every homogeneous differential is one) is reduced
+  by Q-elimination on its coefficients, pivots taken in increasing order
+  of the exponent, as in the persistence algorithm for graded
+  Q[t]-modules; kernel bases and representatives come out homogeneous.
+  Any other matrix goes through the general polynomial elimination.
 """
 
 from __future__ import annotations
@@ -144,6 +151,37 @@ class Matrix:
 
     def column(self, j) -> dict:
         return {i: v for (i, jj), v in self.data.items() if jj == j}
+
+    def blocks(self):
+        """The direct summands of a square matrix, as [(indices, block)]:
+        one per connected component of its support, where an index with
+        no entry is a component of its own.  Components come in order of
+        their smallest index with their indices ascending, and ``block``
+        is the principal submatrix on ``indices``."""
+        if self.nrows != self.ncols:
+            raise ValueError("direct summands need a square matrix")
+        root = list(range(self.nrows))
+
+        def find(i):
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for i, j in self.data:
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+        groups, pos = {}, {}
+        for i in range(self.nrows):
+            root[i] = find(i)
+            idx = groups.setdefault(root[i], [])
+            pos[i] = len(idx)
+            idx.append(i)
+        entries = {r: {} for r in groups}
+        for (i, j), v in self.data.items():
+            entries[root[i]][(pos[i], pos[j])] = v
+        return [(idx, Matrix(len(idx), len(idx), entries[r]))
+                for r, idx in groups.items()]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
@@ -399,7 +437,147 @@ def _dense(M: Matrix):
 
 def smith(M: Matrix) -> SmithResult:
     """U M V = D with U, V invertible over Q[var], D diagonal, monic
-    invariant factors in a divisibility chain."""
+    invariant factors in a divisibility chain.
+
+    A homogeneous M is reduced over Q by ``_smith_graded``; any other M by
+    the general polynomial elimination ``_smith_general``."""
+    grading = _grading(M)
+    if grading is None:
+        return _smith_general(M)
+    return _smith_graded(M, *grading)
+
+
+def _grading(M: Matrix):
+    """(rw, cw, var) such that every entry (i, j) of M is a monomial
+    c*var^(cw[j] - rw[i]), or None when there are no such weights.
+
+    One traversal of the bipartite support graph fixes the weights, at 0
+    on the first row of each component; rows and columns without entries
+    get weight 0."""
+    var = None
+    by_row, by_col = {}, {}
+    for (i, j), v in M.data.items():
+        cs = v.coeffs
+        if any(cs[:-1]):
+            return None
+        if v.var is not None and v.var != var:
+            if var is not None:
+                return None
+            var = v.var
+        by_row.setdefault(i, []).append((j, len(cs) - 1))
+        by_col.setdefault(j, []).append((i, len(cs) - 1))
+    rw, cw = {}, {}
+    for first in by_row:
+        if first in rw:
+            continue
+        rw[first] = 0
+        todo = [first]
+        while todo:
+            i = todo.pop()
+            for j, e in by_row[i]:
+                w = rw[i] + e
+                if j in cw:
+                    if cw[j] != w:
+                        return None
+                    continue
+                cw[j] = w
+                for k, f in by_col[j]:
+                    if k not in rw:
+                        rw[k] = w - f
+                        todo.append(k)
+                    elif rw[k] != w - f:
+                        return None
+    return ([rw.get(i, 0) for i in range(M.nrows)],
+            [cw.get(j, 0) for j in range(M.ncols)], var)
+
+
+def _axpy(x: dict, y: dict, a):
+    """x += a * y in place, for a nonzero Fraction a."""
+    for k, v in y.items():
+        w = x.get(k, 0) + a * v
+        if w:
+            x[k] = w
+        else:
+            del x[k]
+
+
+def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
+    """Smith form of M = diag(var^-rw) C diag(var^cw), C over Q.
+
+    Row i may take a multiple of row k when rw[k] >= rw[i], and column j
+    of column l when cw[j] >= cw[l]: these are the operations that stay
+    polynomial.  A pivot of least exponent e = cw[q] - rw[p] clears its
+    column and its row with such operations alone, so the elimination
+    runs on the coefficients C, the pivots come out in increasing order
+    of e, and the factors var^e form a divisibility chain.  The
+    transforms found for C are lifted by the same conjugation,
+    U = diag(var^-rw) U_C diag(var^rw) and V = diag(var^-cw) V_C
+    diag(var^cw); nothing is swapped until the end, where the pivots
+    are moved to the diagonal."""
+    n, m = M.nrows, M.ncols
+    A = [dict() for _ in range(n)]
+    for (i, j), v in M.data.items():
+        A[i][j] = v.coeffs[-1]
+    one = Fraction(1)
+    U = [{i: one} for i in range(n)]       # rows of U_C
+    Uinv = [{i: one} for i in range(n)]    # columns of U_C^-1
+    V = [{j: one} for j in range(m)]       # columns of V_C
+    Vinv = [{j: one} for j in range(m)]    # rows of V_C^-1
+    live = {i for i in range(n) if A[i]}
+    pivots = []
+    while live:
+        e, p, q = min((cw[j] - rw[i], i, j) for i in live for j in A[i])
+        live.remove(p)
+        row, c = A[p], A[p][q]
+        for i in list(live):
+            f = A[i].get(q)
+            if f is not None:
+                f = f / c
+                _axpy(A[i], row, -f)
+                _axpy(U[i], U[p], -f)
+                _axpy(Uinv[p], Uinv[i], f)
+                if not A[i]:
+                    live.remove(i)
+        for j, g in row.items():
+            if j != q:
+                g = g / c
+                _axpy(V[j], V[q], -g)
+                _axpy(Vinv[q], Vinv[j], g)
+        U[p] = {k: x / c for k, x in U[p].items()}
+        Uinv[p] = {k: x * c for k, x in Uinv[p].items()}
+        pivots.append((p, q, e))
+
+    mono = Scalar.monomial
+    rank = len(pivots)
+    prow = [p for p, _, _ in pivots]
+    pcol = [q for _, q, _ in pivots]
+    rows = prow + sorted(set(range(n)) - set(prow))
+    cols = pcol + sorted(set(range(m)) - set(pcol))
+    Ud = [[ZERO] * n for _ in range(n)]
+    Uinvd = [[ZERO] * n for _ in range(n)]
+    for t, p in enumerate(rows):
+        for k, x in U[p].items():
+            Ud[t][k] = mono(x, rw[k] - rw[p], var)
+        for k, x in Uinv[p].items():
+            Uinvd[k][t] = mono(x, rw[p] - rw[k], var)
+    Vd = [[ZERO] * m for _ in range(m)]
+    Vinvd = [[ZERO] * m for _ in range(m)]
+    for t, q in enumerate(cols):
+        for k, x in V[q].items():
+            Vd[k][t] = mono(x, cw[q] - cw[k], var)
+        for k, x in Vinv[q].items():
+            Vinvd[t][k] = mono(x, cw[k] - cw[q], var)
+    D = [[ZERO] * m for _ in range(n)]
+    for t, (_, _, e) in enumerate(pivots):
+        D[t][t] = mono(one, e, var)
+    return SmithResult(Ud, Uinvd, Vd, Vinvd, D, rank, n, m)
+
+
+def _smith_general(M: Matrix) -> SmithResult:
+    """Smith form by polynomial elimination: the least-degree pivot
+    reduces its row and column by ``divmod``, a nonzero remainder becomes
+    the new pivot, and a pivot that does not divide the rest of the
+    matrix takes a row that it fails to divide."""
     A = _dense(M)
     n, m = M.nrows, M.ncols
     U = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -673,24 +851,27 @@ class FiniteComplex:
                     self.degrees(), self.component_matrix).items()}
 
     def _cohomology_pid(self):
-        S, X = presentation(self.D)
-        kern = S.kernel_basis()          # homogeneous free basis of ker D
-        if not kern:
-            return []
-        SX = smith(X)
-        # new kernel basis adapted to the image: columns of K * Uinv
+        # H of a direct sum is the direct sum of the H of its summands
         classes = []
-        for j in range(len(kern)):
-            col = {}
-            for k2, kvec in enumerate(kern):
-                u = SX.Uinv[k2][j]
-                if not u.is_zero():
-                    col = vec_add(col, vec_scale(kvec, u))
-            ann = SX.D[j][j] if j < SX.rank else None
-            if ann is not None and ann.degree() == 0:
-                continue  # unit annihilator: trivial class
-            rep = {self.tokens[i]: col[i] for i in sorted(col)}
-            classes.append(CohomologyClass(self._vec_degree(rep), ann, rep))
+        for idx, D in self.D.blocks():
+            S, X = presentation(D)
+            kern = S.kernel_basis()      # homogeneous free basis of ker D
+            if not kern:
+                continue
+            SX = smith(X)
+            # new kernel basis adapted to the image: columns of K * Uinv
+            for j in range(len(kern)):
+                col = {}
+                for k2, kvec in enumerate(kern):
+                    u = SX.Uinv[k2][j]
+                    if not u.is_zero():
+                        col = vec_add(col, vec_scale(kvec, u))
+                ann = SX.D[j][j] if j < SX.rank else None
+                if ann is not None and ann.degree() == 0:
+                    continue  # unit annihilator: trivial class
+                rep = {self.tokens[idx[i]]: col[i] for i in sorted(col)}
+                classes.append(CohomologyClass(self._vec_degree(rep), ann,
+                                               rep))
         classes.sort(key=lambda c: (c.degree if c.degree is not None else 0,
                                     c.annihilator is not None))
         return classes

@@ -45,6 +45,13 @@ class Scalar:
     def variable(name: str) -> "Scalar":
         return Scalar(name, (Fraction(0), Fraction(1)))
 
+    @staticmethod
+    def monomial(c: Fraction, e: int, var) -> "Scalar":
+        """c * var^e for a nonzero Fraction c; var is unused when e = 0."""
+        if e == 0:
+            return _raw(None, (c,))
+        return _raw(var, (Fraction(0),) * e + (c,))
+
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -205,6 +205,10 @@ class VertexLieData:
                                                          vt + "coeff")
             central = scalar_at(b.get("central_coeff", "0"), "vla.v1",
                                 at + "central_coeff")
+            if not data.get("central", False) and not central.is_zero():
+                raise SchemaViolation("vla.v1", at + "central_coeff",
+                                      "central coefficient in a table "
+                                      "that is not central")
             brackets[key] = BrValue(terms, central)
         return VertexLieData(gens, brackets, ring=data.get("ring"),
                              central=data.get("central", False))

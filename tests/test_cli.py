@@ -156,10 +156,13 @@ TOO_HIGH = "c^%d" % (MAX_EXPONENT + 1)
 def _bad_virasoro(field):
     """A Virasoro table whose bracket names a generator it never
     declares (in a's or b's slot of bracket 1, or in bracket 0's value),
-    whose generator weight is not a rational number, or whose central
-    coefficient has too high a power."""
+    whose generator weight is not a rational number, whose central
+    coefficient has too high a power, or that keeps its central
+    coefficient while declaring itself not central."""
     data = dict(virasoro(2).to_dict(), format="vla.v1")
-    if field == "value":
+    if field == "not-central":
+        data["central"] = False
+    elif field == "value":
         data["brackets"][0]["value"][0]["gen"] = "x"
     elif field == "weight":
         data["generators"][0]["weight"] = "1/0"
@@ -289,6 +292,19 @@ HOSTILE = [
     (["operad-check", "--suite", "Lie"], _bad_sl2("three-part-key"),
      "/tables/pi/e,f,h"),
     (["localize"], _bad_localize("invert", ["t"]), "/invert/0"),
+    (["vla-check"], _bad_virasoro("not-central"),
+     "/brackets/2/central_coeff"),
+    (["cartan", "--weights", "1", "--cutoff", "100000000"], None,
+     "candidate forms"),
+    (["cartan"], {"weights": [1, -1], "cutoff": 100000000},
+     "candidate forms"),
+    (["cartan", "--weights", ";".join(["1"] * 28), "--cutoff", "4"], None,
+     "candidate forms"),
+    (["cartan", "--weights", ";".join(["1"] * 4000), "--cutoff", "1"], None,
+     "n (m + n)"),
+    (["cartan", "--weights", "1,2;3", "--cutoff", "2"], None,
+     "one weight per factor"),
+    (["cartan"], {"weights": [1, [1, 2]], "cutoff": 2}, "at /weights/1"),
 ]
 
 
@@ -305,7 +321,11 @@ HOSTILE = [
     "alg-coeff-over-zero", "localize-map-list", "localize-map-column",
     "localize-invert-string", "localize-invert-over-zero",
     "mixed-polynomial-entry", "localize-polynomial-entry",
-    "alg-one-part-key", "alg-three-part-key", "localize-invert-foreign-var"])
+    "alg-one-part-key", "alg-three-part-key", "localize-invert-foreign-var",
+    "central-coeff-in-non-central-table", "cartan-flag-cutoff-too-large",
+    "cartan-file-cutoff-too-large", "cartan-too-many-candidates",
+    "cartan-too-many-coordinates",
+    "cartan-flag-ragged-weights", "cartan-file-ragged-weights"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
@@ -427,6 +447,22 @@ def test_cartan_weights_flag(capsys):
     assert code2 == 0
     for k in ("classes", "cohomology", "factors"):
         assert rep[k] == rep2[k]
+
+
+def test_cartan_five_coordinates(capsys):
+    # 677 forms; the whole-matrix Smith form took about 30 s on them
+    code, rep, _ = run_json(capsys, "cartan", "--weights", "1;-1;2;-2;3",
+                            "--cutoff", "8")
+    assert code == 0
+    assert {"degree": 0, "annihilator": None} in rep["classes"]
+
+
+def test_cartan_many_coordinates_at_a_low_cutoff(capsys):
+    # 57 candidate forms; walking all 2^28 subsets dx^beta never ended
+    code, rep, _ = run_json(capsys, "cartan", "--weights",
+                            ";".join(["1"] * 28), "--cutoff", "1")
+    assert code == 0
+    assert rep["cohomology"] == ["Q[u] in degree 0"]
 
 
 def test_cartan_two_torus(capsys):

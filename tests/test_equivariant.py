@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opelab.scalars import Scalar, ZERO, ONE, sc, format_scalar
-from opelab.linalg import BasisToken, FiniteComplex, smith
+from opelab.linalg import (BasisToken, FiniteComplex, Matrix, smith,
+                           vec_add, vec_scale, _smith_general)
 from opelab.equivariant import (
     MixedComplex, UComplex, koszul_t, koszul_h, ucomplex_from_finite,
     cartan_model, localize_check, check_mixed_map, quotient_invariants,
@@ -59,6 +61,48 @@ def quotient_route(D):
                     if not S.V[i][j].is_zero()})
            for j in range(S.rank)]
     return quotient_invariants(D.nrows, S.kernel_basis(), img)
+
+
+def whole_presentation(D):
+    """``presentation`` of D by the general elimination on the whole
+    matrix."""
+    S = _smith_general(D)
+    cols = [S.kernel_coordinates(D.apply({i: S.V[i][j]
+                                          for i in range(S.ncols)
+                                          if not S.V[i][j].is_zero()}))
+            for j in range(S.rank)]
+    return S, Matrix.from_columns(S.ncols - S.rank, cols)
+
+
+def whole_matrix_invariants(D):
+    SX = _smith_general(whole_presentation(D)[1])
+    return SX.nrows - SX.rank, [f for f in SX.factors if f.degree() > 0]
+
+
+def whole_matrix_classes(C):
+    """Sorted (degree, annihilator or "free") of the classes that the
+    general elimination on the whole differential finds."""
+    S, X = whole_presentation(C.D)
+    kern = S.kernel_basis()
+    SX = _smith_general(X)
+    out = []
+    for j in range(len(kern)):
+        ann = SX.D[j][j] if j < SX.rank else None
+        if ann is not None and ann.degree() == 0:
+            continue
+        col = {}
+        for k, kvec in enumerate(kern):
+            col = vec_add(col, vec_scale(kvec, SX.Uinv[k][j]))
+        rep = {C.tokens[i]: v for i, v in col.items()}
+        out.append((C._vec_degree(rep),
+                    "free" if ann is None else format_scalar(ann)))
+    return sorted(out)
+
+
+def classes_of(C):
+    return sorted((c.degree, "free" if c.annihilator is None
+                   else format_scalar(c.annihilator))
+                  for c in C.cohomology())
 
 
 def random_strict(rng, nfactors=1):
@@ -421,6 +465,90 @@ def test_module_invariants_match_the_quotient_route():
         assert (free, tors) == quotient_route(D)
         torsion_seen = torsion_seen or bool(tors)
     assert torsion_seen
+
+
+# Random square-zero matrices made of blocks S -> T: every entry sends a
+# source index to a target index, and no target is a source.  The indices
+# of all blocks are shuffled together.
+
+@st.composite
+def block_sums(draw, entry):
+    """(tokens' degrees, entries) of a block sum whose entries are drawn
+    by ``entry(source degree, target degree)``, which returns None or a
+    strategy."""
+    degrees, spans, entries = [], [], {}
+    for _ in range(draw(st.integers(1, 5))):
+        base = draw(st.integers(-3, 3))
+        src = [base - 2 * draw(st.integers(0, 1))
+               for _ in range(draw(st.integers(1, 2)))]
+        tgt = [base + 1 - 2 * draw(st.integers(0, 2))
+               for _ in range(draw(st.integers(0, 2)))]
+        first = len(degrees)
+        degrees += src + tgt
+        spans.append((first, len(src), len(tgt)))
+    perm = draw(st.permutations(range(len(degrees))))
+    for first, ns, nt in spans:
+        for s in range(first, first + ns):
+            for t in range(first + ns, first + ns + nt):
+                pick = entry(degrees[s], degrees[t])
+                v = draw(pick) if pick is not None else ZERO
+                if not v.is_zero():
+                    entries[(perm[t], perm[s])] = v
+    shuffled = [0] * len(degrees)
+    for old, new in enumerate(perm):
+        shuffled[new] = degrees[old]
+    return shuffled, entries
+
+
+def _graded_entry(ds, dt):
+    # c * u^k from degree ds to degree dt needs ds + 1 = dt + 2k
+    k, odd = divmod(ds + 1 - dt, 2)
+    if odd or k < 0:
+        return None
+    return st.integers(-2, 2).map(
+        lambda c: Scalar.monomial(Fraction(c), k, "u") if c else ZERO)
+
+
+_any_poly = st.lists(st.integers(-2, 2), max_size=3).map(
+    lambda cs: Scalar("u", tuple(Fraction(c) for c in cs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_sums(_graded_entry))
+def test_classes_per_block_match_the_whole_matrix(case):
+    degrees, entries = case
+    tokens = [BasisToken("t%d" % k, g) for k, g in enumerate(degrees)]
+    n = len(tokens)
+    C = FiniteComplex(tokens, Matrix(n, n, entries), var="u")
+    assert classes_of(C) == whole_matrix_classes(C)
+    assert _module_invariants(C.D) == whole_matrix_invariants(C.D)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_sums(lambda ds, dt: _any_poly))
+def test_module_invariants_per_block_match_the_whole_matrix(case):
+    degrees, entries = case
+    n = len(degrees)
+    D = Matrix(n, n, entries)
+    assert _module_invariants(D) == whole_matrix_invariants(D)
+
+
+def test_torsion_of_coprime_blocks_is_one_factor():
+    # Q[u]/(u) + Q[u]/(u + 1) = Q[u]/(u^2 + u)
+    u = Scalar.variable("u")
+    D = Matrix(4, 4, {(1, 0): u, (3, 2): u + 1})
+    assert len(D.blocks()) == 2
+    free, tors = _module_invariants(D)
+    assert free == 0 and [format_scalar(f) for f in tors] == ["u^2 + u"]
+    assert whole_matrix_invariants(D) == (free, tors)
+
+
+def test_cartan_classes_per_block_match_the_whole_matrix():
+    for weights, cutoff in (([3, -3, -1, -1], 4), ([1, -1, 2], 5),
+                            ([2, -3, 2, 3], 5)):
+        C = cartan_model(weights, cutoff).complex()
+        assert classes_of(C) == whole_matrix_classes(C)
+        assert _module_invariants(C.D) == whole_matrix_invariants(C.D)
 
 
 def test_quotient_invariants_helper():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from opelab.scalars import Scalar, ZERO, ONE, sc
 from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
                            q_solve, smith, smith_solve, quotient_reps,
-                           span_rank, vec_add, vec_scale, vec_sub)
+                           span_rank, vec_add, vec_scale, vec_sub,
+                           _grading, _smith_general)
 
 
 # Independent rank oracle: fraction-free Bareiss elimination on dense rows.
@@ -82,8 +83,8 @@ def test_matrix_product_and_identity():
     assert A.mul(B) == dense_to_matrix([[2, 1], [4, 3]])
 
 
-def _check_smith(M):
-    S = smith(M)
+def _check_smith(M, reduce=smith):
+    S = reduce(M)
     # U M V = D
     U = Matrix(S.nrows, S.nrows,
                {(i, j): S.U[i][j] for i in range(S.nrows)
@@ -187,6 +188,92 @@ def poly_vector(draw, n):
 @given(poly_matrices())
 def test_smith_transforms_on_random_matrices(M):
     _check_smith(M)
+    _check_smith(M, _smith_general)
+
+
+@st.composite
+def homogeneous_matrices(draw):
+    """Entry (i, j) is zero or c*u^(cw[j] - rw[i]); whole rows and
+    columns may be zero, and with all weights 0 every entry is a
+    constant."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    flat = draw(st.booleans())
+    rw = [0 if flat else draw(st.integers(0, 2)) for _ in range(n)]
+    cw = [0 if flat else draw(st.integers(0, 3)) for _ in range(m)]
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    entries = {}
+    for i in range(n):
+        for j in range(m):
+            c = draw(st.integers(-2, 2))
+            if (c and cw[j] >= rw[i] and i not in zero_rows
+                    and j not in zero_cols):
+                entries[(i, j)] = Scalar.monomial(Fraction(c),
+                                                  cw[j] - rw[i], "u")
+    return Matrix(n, m, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_matrices())
+def test_graded_smith_against_the_general_elimination(M):
+    assert _grading(M) is not None
+    S = _check_smith(M)
+    G = _smith_general(M)
+    assert (S.rank, S.factors) == (G.rank, G.factors)
+    assert not any(c for f in S.factors for c in f.coeffs[:-1])
+
+
+def test_grading_refuses_what_has_no_weights():
+    u = Scalar.variable("u")
+    assert _grading(Matrix(1, 1, {(0, 0): u + 1})) is None
+    # u^(cw0 - rw0) = u and u^(cw0 - rw1) = u^(cw1 - rw0) = u^(cw1 - rw1)
+    # = 1 cannot all hold
+    assert _grading(Matrix(2, 2, {(0, 0): u, (0, 1): ONE, (1, 0): ONE,
+                                  (1, 1): ONE})) is None
+    rw, cw, var = _grading(Matrix(2, 3, {(0, 0): u, (1, 0): u * u,
+                                         (1, 2): 3 * u}))
+    assert var == "u" and cw[0] - rw[0] == 1 and cw[0] - rw[1] == 2
+    assert cw[2] - rw[1] == 1
+
+
+@st.composite
+def permuted_block_sums(draw):
+    """A square matrix over Q[u] made of random blocks, its indices
+    shuffled, with the blocks' index sets."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    entries, parts, start = {}, [], 0
+    for size in sizes:
+        idx = [perm[start + k] for k in range(size)]
+        start += size
+        parts.append(sorted(idx))
+        for a in idx:
+            for b in idx:
+                entries[(a, b)] = draw(polys)
+    return Matrix(n, n, entries), parts
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_block_sums())
+def test_blocks_are_the_components_of_the_support(case):
+    M, parts = case
+    blocks = M.blocks()
+    seen = [i for idx, _ in blocks for i in idx]
+    assert sorted(seen) == list(range(M.nrows))
+    assert [idx[0] for idx, _ in blocks] == sorted(idx[0]
+                                                   for idx, _ in blocks)
+    whole = {}
+    for idx, B in blocks:
+        assert idx == sorted(idx) and (B.nrows, B.ncols) == (len(idx),) * 2
+        # a component never straddles two of the drawn blocks
+        assert any(set(idx) <= set(p) for p in parts)
+        whole.update({(idx[i], idx[j]): v for (i, j), v in B.data.items()})
+    assert whole == M.data
+    # each drawn block is a union of components
+    for p in parts:
+        assert set(p) == {i for idx, _ in blocks if set(idx) & set(p)
+                          for i in idx}
 
 
 @settings(max_examples=60, deadline=None)
