@@ -150,6 +150,27 @@ def do_ope(args):
     return 0, report
 
 
+# Largest number of basis monomials that ``envelope-dims`` and ``brst``
+# may enumerate, counted before any is built (``VertexAlgebra.pbw_count``,
+# once per charge of a BRST charge window).  On a 2-core x86 container
+# the Heisenberg envelope through weight 30 (28629 monomials) takes 1.4 s,
+# the abelian BRST preset at cutoff 14 (29816) takes 10 s with
+# --cohomology, and the Wakimoto preset at its largest cutoff 3 walks
+# 13 charges of 2072 monomials.
+MAX_ENVELOPE_STATES = 3 * 10 ** 4
+
+
+def _check_envelope_size(V, cutoff, charges=1):
+    count = V.pbw_count(cutoff, MAX_ENVELOPE_STATES // charges)
+    if count * charges > MAX_ENVELOPE_STATES:
+        fix = ("lower --cutoff" if charges == 1 else
+               "narrow the charge window (%d charges) or lower --cutoff"
+               % charges)
+        raise InputError("the basis through weight %s is too large: more "
+                         "than %d monomials to enumerate; %s"
+                         % (cutoff, MAX_ENVELOPE_STATES, fix))
+
+
 def do_envelope_dims(args):
     L, name, level = _vla_source(args)
     zero_even = [g.name for g in L.gens if g.weight == 0 and g.parity == 0]
@@ -158,6 +179,7 @@ def do_envelope_dims(args):
                          "even generators: %s); pass --charge"
                          % ", ".join(zero_even))
     V = build_envelope(L, cutoff=args.cutoff)
+    _check_envelope_size(V, args.cutoff)
     dims = V.graded_dimensions(args.charge)
     report = {"format": "voa.v1", "verb": "envelope-dims", "source": name,
               "level": None if level is None else str(level),
@@ -175,6 +197,11 @@ def do_brst(args):
         data = validate(_load_json(args.input), "brst.v1")
         D = BRSTDatum.from_dict(data)
         level = None
+    if args.cutoff > D.cutoff:
+        raise InputError("--cutoff %d is beyond the envelope cutoff of %s: "
+                         "the largest allowed --cutoff is %d"
+                         % (args.cutoff, name, D.cutoff))
+    _check_envelope_size(D.V, args.cutoff, len(D.charges()))
     rep, _ = D.check_d_squared(args.cutoff)
     report = {"format": "brst.v1", "verb": "brst", "source": name,
               "level": None if level is None else str(level),

@@ -378,6 +378,39 @@ class VertexAlgebra:
 
         yield from rec(0, target, [])
 
+    def pbw_count(self, cutoff, bound=None) -> int:
+        """Number of monomials of weight at most ``cutoff`` in the modes
+        of positive weight and the odd weight-0 modes, read off their
+        generating function without enumerating them.  This is the whole
+        basis through the cutoff when no even generator has weight 0, and
+        otherwise what ``basis`` walks for each charge.  Counting stops
+        as soon as the count passes ``bound``.
+
+        With a_h even and b_h odd modes of scaled weight h, the series
+        f = prod_h (1 - x^h)^-a_h (1 + x^h)^b_h satisfies
+        n f_n = sum_k c_k f_(n-k), where
+        c_k = sum_(h | k) h (a_h - (-1)^(k/h) b_h)."""
+        D, gw = self._D, self._gen_weight
+        top = int(Fraction(cutoff) * D)
+        even = [gw[i] for i, g in enumerate(self.L.gens) if g.parity == 0]
+        odd = [gw[i] for i, g in enumerate(self.L.gens) if g.parity == 1]
+        scale = 2 ** len(self._zero_odd)
+
+        def modes(h, weights):
+            return sum(1 for g in weights if g <= h and (h - g) % D == 0)
+
+        c, f = [0], [1]
+        total = scale
+        for n in range(1, top + 1):
+            c.append(sum(h * (modes(h, even)
+                              - (-1) ** (n // h) * modes(h, odd))
+                         for h in range(1, n + 1) if n % h == 0))
+            f.append(sum(c[k] * f[n - k] for k in range(1, n + 1)) // n)
+            total += scale * f[n]
+            if bound is not None and total > bound:
+                break
+        return total
+
     def graded_dimensions(self, q=None):
         """dim of each weight block up to the cutoff, in steps of 1/D:
         every weight is a multiple of 1/D."""

@@ -4,8 +4,13 @@ Vectors are dicts mapping basis keys to nonzero ``Scalar`` values; a
 ``Matrix`` is a sparse dict keyed by (row, col), and it is the one map type:
 complexes, mixed-complex operators and chain maps all store one.
 
-- Over Q, ``rref`` does the elimination; ``solve_and_rank`` gives the
-  kernel and image of a matrix from one reduction, and
+- Over Q, ``rref`` does the elimination fraction-free, as Bareiss
+  (1968) does over Z: each row is cleared of denominators, a pivot is
+  cleared from another row by integer row operations that keep the row
+  free of a common factor, and pivot rows are divided by their pivots
+  only at the end, which gives the unique reduced row echelon form;
+  ``solve_and_rank`` gives the kernel and image of a matrix from one
+  reduction, and
   ``graded_cohomology`` computes the cohomology of a complex given block
   by block, reducing each block once and reusing it for the kernel in its
   source degree and the image in its target degree;
@@ -34,9 +39,9 @@ Two things keep the Smith forms small and cheap:
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
-from .scalars import Scalar, ZERO, ONE, sc, format_scalar
+from .scalars import Scalar, ZERO, ONE, sc, quo, format_scalar
 
 
 # -- vectors -----------------------------------------------------------
@@ -226,36 +231,86 @@ def _to_frac_rows(M: Matrix):
     return rows
 
 
-def rref(rows, ncols):
-    """Row-reduce dict rows in place; returns (rank, pivot column list)."""
+def _primitive(row: dict) -> dict:
+    """A row of rationals scaled to integers with no common factor."""
+    dens = [v.denominator for v in row.values() if type(v) is not int]
+    if dens:
+        m = lcm(*dens)
+        row = {k: int(v * m) for k, v in row.items()}
+    return _divide_content(row)
+
+
+def _divide_content(row: dict) -> dict:
+    g = gcd(*row.values())
+    if g > 1:
+        return {k: v // g for k, v in row.items()}
+    return row
+
+
+def _reduce(row: dict, piv: dict, j) -> dict:
+    """The integer row a*row - b*piv, with a > 0 chosen so that its
+    entry at the pivot column j of piv vanishes, divided by its content
+    when a > 1."""
+    p, c = piv[j], row[j]
+    g = gcd(p, c)
+    a, b = p // g, c // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        row = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        w = row.get(k, 0) - b * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return _divide_content(row) if a != 1 and row else row
+
+
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer dict rows in
+    place: each pivot is cleared from every other row by
+    ``_reduce``, so the rows stay integral.  Returns (rank, pivots); row
+    r holds pivot pivots[r] and vanishes at every other pivot, and the
+    rows past the rank are empty."""
     pivots = []
     r = 0
     for j in range(ncols):
-        pr = None
+        pr, best = None, None
         for i in range(r, len(rows)):
-            if rows[i].get(j):
-                pr = i
-                break
+            v = rows[i].get(j)
+            if v is not None:
+                key = (len(rows[i]), abs(v))
+                if best is None or key < best:
+                    pr, best = i, key
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][j]
-        rows[r] = {k: v * inv for k, v in rows[r].items() if v}
+        piv = rows[r]
         for i in range(len(rows)):
-            if i != r and rows[i].get(j):
-                c = rows[i][j]
-                ri = rows[i]
-                for k, v in rows[r].items():
-                    nv = ri.get(k, Fraction(0)) - c * v
-                    if nv:
-                        ri[k] = nv
-                    else:
-                        ri.pop(k, None)
+            if i != r and j in rows[i]:
+                rows[i] = _reduce(rows[i], piv, j)
         pivots.append(j)
         r += 1
         if r == len(rows):
             break
     return r, pivots
+
+
+def rref(rows, ncols):
+    """Row-reduce dict rows of rationals in place to the reduced row
+    echelon form; returns (rank, pivot column list).
+
+    The elimination runs on integers (``_eliminate``) and each pivot row
+    is divided by its pivot only at the end; the reduced form is unique,
+    so it is the same as Gauss-Jordan elimination over Q would give."""
+    ints = [_primitive({k: v for k, v in row.items() if v}) for row in rows]
+    rank, pivots = _eliminate(ints, ncols)
+    for r, j in enumerate(pivots):
+        p = ints[r][j]
+        rows[r] = {k: quo(v, p) for k, v in ints[r].items()}
+    rows[rank:] = [{} for _ in range(len(rows) - rank)]
+    return rank, pivots
 
 
 def solve_and_rank(M: Matrix):
@@ -277,7 +332,10 @@ def solve_and_rank(M: Matrix):
             if c:
                 vec[pj] = Scalar.const(-c)
         kernel.append(vec)
-    image = [M.column(j) for j in pivots]
+    cols = {}
+    for (i, j), v in M.data.items():
+        cols.setdefault(j, {})[i] = v
+    image = [cols[j] for j in pivots]
     return rank, kernel, image
 
 
@@ -314,6 +372,10 @@ def quotient_reps(kernel_vecs, image_vecs):
     """Representatives of span(kernel)/span(image), reduced mod the image.
 
     Both inputs are lists of dict vectors over Q with comparable keys.
+    Each kernel vector is reduced against the image and against the
+    representatives kept before it, until it vanishes at all their
+    pivots; it is kept, scaled to 1 at its least key, when it does not
+    vanish.  The reductions run on integer rows, as in ``rref``.
     """
     keys = sorted({k for v in list(kernel_vecs) + list(image_vecs)
                    for k in v.keys()})
@@ -324,44 +386,21 @@ def quotient_reps(kernel_vecs, image_vecs):
                 if not sc(c).is_zero()}
 
     img_rows = [encode(v) for v in image_vecs]
-    rank_img, piv_img = rref(img_rows, len(keys))
-    img_rows = img_rows[:rank_img]
-
-    def reduce(row):
-        for r, pj in enumerate(piv_img):
-            c = row.get(pj)
-            if c:
-                for k, v in img_rows[r].items():
-                    nv = row.get(k, Fraction(0)) - c * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-        return row
-
+    _, piv_img = rref(img_rows, len(keys))
+    reducers = [(_primitive(row), pj) for row, pj in zip(img_rows, piv_img)]
     reps = []
-    basis_rows = []
-    pivs = []
     for v in kernel_vecs:
-        row = reduce(encode(v))
-        # reduce against previously accepted representatives
-        for r, pj in enumerate(pivs):
-            c = row.get(pj)
-            if c:
-                for k, w in basis_rows[r].items():
-                    nv = row.get(k, Fraction(0)) - c * w
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
+        row = _primitive(encode(v))
+        for piv, pj in reducers:
+            if pj in row:
+                row = _reduce(row, piv, pj)
         if not row:
             continue
-        pj = min(row.keys())
-        inv = 1 / row[pj]
-        row = {k: v * inv for k, v in row.items()}
-        basis_rows.append(row)
-        pivs.append(pj)
-        reps.append({keys[k]: Scalar.const(v) for k, v in row.items()})
+        pj = min(row)
+        reducers.append((row, pj))
+        p = row[pj]
+        reps.append({keys[k]: Scalar.const(quo(c, p))
+                     for k, c in row.items()})
     return reps
 
 
@@ -492,7 +531,7 @@ def _grading(M: Matrix):
 
 
 def _axpy(x: dict, y: dict, a):
-    """x += a * y in place, for a nonzero Fraction a."""
+    """x += a * y in place, for a nonzero rational a."""
     for k, v in y.items():
         w = x.get(k, 0) + a * v
         if w:
@@ -518,11 +557,10 @@ def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
     A = [dict() for _ in range(n)]
     for (i, j), v in M.data.items():
         A[i][j] = v.coeffs[-1]
-    one = Fraction(1)
-    U = [{i: one} for i in range(n)]       # rows of U_C
-    Uinv = [{i: one} for i in range(n)]    # columns of U_C^-1
-    V = [{j: one} for j in range(m)]       # columns of V_C
-    Vinv = [{j: one} for j in range(m)]    # rows of V_C^-1
+    U = [{i: 1} for i in range(n)]       # rows of U_C
+    Uinv = [{i: 1} for i in range(n)]    # columns of U_C^-1
+    V = [{j: 1} for j in range(m)]       # columns of V_C
+    Vinv = [{j: 1} for j in range(m)]    # rows of V_C^-1
     live = {i for i in range(n) if A[i]}
     pivots = []
     while live:
@@ -532,7 +570,7 @@ def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
         for i in list(live):
             f = A[i].get(q)
             if f is not None:
-                f = f / c
+                f = quo(f, c)
                 _axpy(A[i], row, -f)
                 _axpy(U[i], U[p], -f)
                 _axpy(Uinv[p], Uinv[i], f)
@@ -540,10 +578,10 @@ def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
                     live.remove(i)
         for j, g in row.items():
             if j != q:
-                g = g / c
+                g = quo(g, c)
                 _axpy(V[j], V[q], -g)
                 _axpy(Vinv[q], Vinv[j], g)
-        U[p] = {k: x / c for k, x in U[p].items()}
+        U[p] = {k: quo(x, c) for k, x in U[p].items()}
         Uinv[p] = {k: x * c for k, x in Uinv[p].items()}
         pivots.append((p, q, e))
 
@@ -569,7 +607,7 @@ def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
             Vinvd[t][k] = mono(x, cw[k] - cw[q], var)
     D = [[ZERO] * m for _ in range(n)]
     for t, (_, _, e) in enumerate(pivots):
-        D[t][t] = mono(one, e, var)
+        D[t][t] = mono(1, e, var)
     return SmithResult(Ud, Uinvd, Vd, Vinvd, D, rank, n, m)
 
 
@@ -622,7 +660,7 @@ def _smith_general(M: Matrix) -> SmithResult:
         qs = sc(q)
         A[i] = [qs * a for a in A[i]]
         U[i] = [qs * a for a in U[i]]
-        inv = sc(Fraction(1) / Fraction(q))
+        inv = sc(quo(1, q))
         for r in range(n):
             Uinv[r][i] = inv * Uinv[r][i]
 
@@ -683,7 +721,7 @@ def _smith_general(M: Matrix) -> SmithResult:
 
         lead = A[t][t].leading()
         if lead != 1:
-            row_scale(t, Fraction(1) / lead)
+            row_scale(t, quo(1, lead))
         t += 1
         if t == n or t == m:
             break

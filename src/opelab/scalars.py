@@ -8,13 +8,34 @@ expression happened to be computed in; mixing two *different* variables is
 an error rather than a silent coercion.
 
 Coefficient tuples are little-endian (index = exponent) with no trailing
-zeros.
+zeros.  A coefficient is in normal form: an ``int`` when it is an integer
+and a ``Fraction`` (with denominator above 1) otherwise, so that most
+arithmetic runs on Python ints.  Every place that makes a coefficient
+normalizes it, and every true division goes through ``quo``, since
+``int / int`` is a float.  Equality and hashing are unaffected, because
+``hash(n) == hash(Fraction(n))``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+
+
+def _norm(c):
+    """A coefficient in normal form: int when integral, else Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def quo(a, b):
+    """The exact quotient a / b of two coefficients, in normal form."""
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
+    return _norm(a / b)
 
 
 class Scalar:
@@ -25,8 +46,7 @@ class Scalar:
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:
             n -= 1
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c)
-                       for c in coeffs[:n])
+        coeffs = tuple(map(_norm, coeffs[:n]))
         if len(coeffs) <= 1:
             var = None
         _set_var(self, var)
@@ -39,18 +59,19 @@ class Scalar:
 
     @staticmethod
     def const(x) -> "Scalar":
-        return Scalar(None, (Fraction(x),))
+        return Scalar(None, (x,))
 
     @staticmethod
     def variable(name: str) -> "Scalar":
-        return Scalar(name, (Fraction(0), Fraction(1)))
+        return _raw(name, (0, 1))
 
     @staticmethod
-    def monomial(c: Fraction, e: int, var) -> "Scalar":
-        """c * var^e for a nonzero Fraction c; var is unused when e = 0."""
+    def monomial(c, e: int, var) -> "Scalar":
+        """c * var^e for a nonzero rational c; var is unused when e = 0."""
+        c = _norm(c)
         if e == 0:
             return _raw(None, (c,))
-        return _raw(var, (Fraction(0),) * e + (c,))
+        return _raw(var, (0,) * e + (c,))
 
     # -- structure -------------------------------------------------------
 
@@ -63,16 +84,16 @@ class Scalar:
     def is_const(self) -> bool:
         return self.var is None
 
-    def const_value(self) -> Fraction:
+    def const_value(self):
         if self.var is not None:
             raise ValueError("not a constant: %s" % format_scalar(self))
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self.coeffs else 0
 
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -108,6 +129,8 @@ class Scalar:
             return other
         if self.var is None and other.var is None:
             s = a[0] + b[0]
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             return _raw(None, (s,)) if s else ZERO
         var = self._joinvar(other)
         n = max(len(a), len(b))
@@ -137,7 +160,7 @@ class Scalar:
         if other.var is None:
             return self._times(b[0])
         var = self._joinvar(other)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -155,18 +178,20 @@ class Scalar:
         return out
 
     def scale(self, q) -> "Scalar":
-        if type(q) is not int and type(q) is not Fraction:
-            q = Fraction(q)
+        q = _norm(q)
         if not q:
             return ZERO
         return self._times(q)
 
     def _times(self, q) -> "Scalar":
-        """Multiply by a nonzero int or Fraction; the degree is kept, and
-        a Fraction times an int is a Fraction."""
+        """Multiply by a nonzero coefficient q in normal form; the degree
+        is kept."""
         if len(self.coeffs) == 1:
-            return _raw(None, (self.coeffs[0] * q,))
-        return _raw(self.var, tuple(c * q for c in self.coeffs))
+            c = self.coeffs[0] * q
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            return _raw(None, (c,))
+        return _raw(self.var, tuple([_norm(c * q) for c in self.coeffs]))
 
     # -- Euclidean structure --------------------------------------------
 
@@ -178,18 +203,18 @@ class Scalar:
         var = self._joinvar(other)
         rem = list(self.coeffs)
         db, lb = other.degree(), other.leading()
-        quo = [Fraction(0)] * max(len(rem) - db, 0)
+        out = [0] * max(len(rem) - db, 0)
         while len(rem) - 1 >= db and any(rem):
             while rem and rem[-1] == 0:
                 rem.pop()
             if len(rem) - 1 < db:
                 break
             shift = len(rem) - 1 - db
-            q = rem[-1] / lb
-            quo[shift] = q
+            q = quo(rem[-1], lb)
+            out[shift] = q
             for i, c in enumerate(other.coeffs):
                 rem[shift + i] -= q * c
-        return Scalar(var, tuple(quo)), Scalar(var, tuple(rem))
+        return Scalar(var, tuple(out)), Scalar(var, tuple(rem))
 
     def div_exact(self, other: "Scalar") -> "Scalar":
         q, r = self.divmod(other)
@@ -201,15 +226,15 @@ class Scalar:
     def monic(self) -> "Scalar":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading())
+        return self.scale(quo(1, self.leading()))
 
-    def evaluate(self, value) -> Fraction:
-        """Value at a rational point (Horner)."""
-        value = Fraction(value)
-        acc = Fraction(0)
+    def evaluate(self, value):
+        """Value at a rational point (Horner), in normal form."""
+        value = _norm(value)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
-        return acc
+        return _norm(acc)
 
     def subs(self, value) -> "Scalar":
         return Scalar.const(self.evaluate(value))
@@ -220,8 +245,8 @@ _set_coeffs = Scalar.coeffs.__set__
 
 
 def _raw(var, coeffs) -> Scalar:
-    """A Scalar from coefficients already in normal form: Fractions with
-    a nonzero last entry, and var None unless there are two or more."""
+    """A Scalar from coefficients already in normal form, with a nonzero
+    last entry, and var None unless there are two or more."""
     s = object.__new__(Scalar)
     _set_var(s, var)
     _set_coeffs(s, coeffs)
@@ -229,7 +254,7 @@ def _raw(var, coeffs) -> Scalar:
 
 
 ZERO = Scalar(None, ())
-ONE = Scalar(None, (Fraction(1),))
+ONE = Scalar(None, (1,))
 
 
 def sc(x) -> Scalar:
@@ -350,7 +375,7 @@ def _parse_product(tk):
         else:
             if not rhs.is_const() or rhs.is_zero():
                 raise ValueError("can only divide by a nonzero constant")
-            out = out.scale(1 / rhs.const_value())
+            out = out.scale(quo(1, rhs.const_value()))
     return out
 
 

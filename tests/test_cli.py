@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from opelab.brst import bg_gl1_datum
-from opelab.cli import main
+from opelab.cli import MAX_ENVELOPE_STATES, main
 from opelab.equivariant import p1_fixed_points, p1_rotation
 from opelab.operads import sl2_lie
 from opelab.scalars import MAX_EXPONENT
@@ -250,6 +250,13 @@ def _bad_sl2(field):
     return data
 
 
+def _wide_gl1(lo, hi):
+    """The beta-gamma gl_1 datum with the charge window [lo, hi]."""
+    return dict(bg_gl1_datum().to_dict(), charge_window=[lo, hi])
+
+
+TOO_MANY = "more than %d monomials" % MAX_ENVELOPE_STATES
+
 # argv, file to pass as --input (or None), text stderr must show
 HOSTILE = [
     (["ope", "--preset", "virasoro", "--level=3/0"], None,
@@ -305,6 +312,19 @@ HOSTILE = [
     (["cartan", "--weights", "1,2;3", "--cutoff", "2"], None,
      "one weight per factor"),
     (["cartan"], {"weights": [1, [1, 2]], "cutoff": 2}, "at /weights/1"),
+    (["brst", "--preset", "wakimoto", "--cutoff", "4"], None,
+     "largest allowed --cutoff is 3"),
+    (["brst", "--cutoff", "4"], bg_gl1_datum().to_dict(),
+     "largest allowed --cutoff is 3"),
+    (["envelope-dims", "--preset", "heisenberg", "--cutoff", "60"], None,
+     TOO_MANY),
+    (["envelope-dims", "--preset", "virasoro", "--cutoff", "100000"], None,
+     TOO_MANY),
+    (["brst", "--preset", "pure-ghost", "--cutoff", "100"], None, TOO_MANY),
+    (["brst", "--preset", "abelian", "--level", "0", "--cutoff", "60",
+      "--cohomology"], None, TOO_MANY),
+    (["brst", "--cutoff", "3"], _wide_gl1(-10 ** 5, 10 ** 5),
+     "narrow the charge window"),
 ]
 
 
@@ -325,7 +345,11 @@ HOSTILE = [
     "central-coeff-in-non-central-table", "cartan-flag-cutoff-too-large",
     "cartan-file-cutoff-too-large", "cartan-too-many-candidates",
     "cartan-too-many-coordinates",
-    "cartan-flag-ragged-weights", "cartan-file-ragged-weights"])
+    "cartan-flag-ragged-weights", "cartan-file-ragged-weights",
+    "brst-preset-cutoff-past-envelope", "brst-file-cutoff-past-envelope",
+    "heisenberg-dims-too-many-states", "virasoro-dims-too-many-states",
+    "pure-ghost-too-many-states", "abelian-cohomology-too-many-states",
+    "brst-charge-window-too-wide"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

@@ -66,6 +66,24 @@ def test_bc_pair_dimensions():
     assert dims_of(V, 3) == pbw_dims([(1, 1), (0, 1)], 3)
 
 
+@pytest.mark.parametrize("L, cutoff", [
+    (heisenberg(ONE, rank=2), 8),
+    (virasoro(sc(0)), 10),
+    (kac_moody_sl2(ONE), 4),
+    (weyl_pair(odd=True, names=("psi", "psi_star")), 5),
+    (VertexLieData([Gen("psi", Fraction(1, 2), 1),
+                    Gen("b", 1, 0)], {}), Fraction(9, 2)),
+], ids=["heisenberg-2", "virasoro", "sl2", "bc", "half-integer"])
+def test_pbw_count_is_the_size_of_the_enumerated_basis(L, cutoff):
+    V = build_envelope(L, cutoff=cutoff)
+    total = sum(V.graded_dimensions().values())
+    assert V.pbw_count(cutoff) == total
+    # counting stops past the bound, and only past it
+    assert V.pbw_count(cutoff, bound=total) == total
+    assert 3 < V.pbw_count(cutoff, bound=3) <= total
+    assert V.pbw_count(10 ** 9, bound=total) > total
+
+
 def test_betagamma_needs_charge_window():
     V = build_envelope(weyl_pair(odd=False), cutoff=2)
     with pytest.raises(ValueError, match="charge"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from opelab.scalars import Scalar, ZERO, ONE, sc
 from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
                            q_solve, smith, smith_solve, quotient_reps,
-                           span_rank, vec_add, vec_scale, vec_sub,
+                           span_rank, rref, vec_add, vec_scale, vec_sub,
                            _grading, _smith_general)
 
 
@@ -400,6 +400,144 @@ def test_quotient_reps():
     img = [{"a": ONE, "b": sc(-1)}]
     reps = quotient_reps(kern, img)
     assert len(reps) == 1
+
+
+# -- the fraction-free elimination against Gauss-Jordan over Q ---------
+
+
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan elimination over Q on dict rows, in place, with every
+    entry a Fraction: the reference for the fraction-free ``rref``."""
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i].get(j):
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / Fraction(rows[r][j])
+        rows[r] = {k: v * inv for k, v in rows[r].items() if v}
+        for i in range(len(rows)):
+            if i != r and rows[i].get(j):
+                c = rows[i][j]
+                ri = rows[i]
+                for k, v in rows[r].items():
+                    nv = ri.get(k, Fraction(0)) - c * v
+                    if nv:
+                        ri[k] = nv
+                    else:
+                        ri.pop(k, None)
+        pivots.append(j)
+        r += 1
+        if r == len(rows):
+            break
+    return r, pivots
+
+
+def fraction_quotient_reps(kernel_vecs, image_vecs):
+    """``quotient_reps`` by Fraction elimination: the reference."""
+    keys = sorted({k for v in list(kernel_vecs) + list(image_vecs)
+                   for k in v.keys()})
+    idx = {k: i for i, k in enumerate(keys)}
+
+    def encode(v):
+        return {idx[k]: Fraction(c.const_value()) for k, c in v.items()
+                if not c.is_zero()}
+
+    def reduce(row, basis):
+        for pj, b in basis:
+            c = row.get(pj)
+            if c:
+                for k, w in b.items():
+                    nv = row.get(k, Fraction(0)) - c * w
+                    if nv:
+                        row[k] = nv
+                    else:
+                        row.pop(k, None)
+        return row
+
+    img_rows = [encode(v) for v in image_vecs]
+    rank_img, piv_img = fraction_rref(img_rows, len(keys))
+    basis = list(zip(piv_img, img_rows[:rank_img]))
+    reps = []
+    for v in kernel_vecs:
+        row = reduce(encode(v), basis)
+        if not row:
+            continue
+        pj = min(row)
+        inv = 1 / row[pj]
+        row = {k: w * inv for k, w in row.items()}
+        basis.append((pj, row))
+        reps.append({keys[k]: Scalar.const(w) for k, w in row.items()})
+    return reps
+
+
+rational_entries = st.one_of(
+    st.just(0), st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(-5, 5).map(Fraction))
+
+
+@st.composite
+def rational_rows(draw, min_cols=0):
+    """Dense rational rows with zero rows, repeated rows and multiples of
+    rows mixed in, and mixed denominators."""
+    m = draw(st.integers(min_cols, 7))
+    line = st.lists(rational_entries, min_size=m, max_size=m)
+    rows = draw(st.lists(line, max_size=6))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "multiple"]),
+                              max_size=4)):
+        at = draw(st.integers(0, len(rows)))
+        if kind == "zero" or not rows:
+            new = [0] * m
+        else:
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            q = (1 if kind == "repeat" else
+                 draw(st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=5).filter(bool)))
+            new = [q * x for x in src]
+        rows.insert(at, new)
+    return m, rows
+
+
+def dict_rows(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dict_vectors(rows):
+    return [{"k%d" % j: sc(x) for j, x in enumerate(row) if x}
+            for row in rows]
+
+
+def _normal(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rows())
+def test_rref_against_the_fraction_elimination(case):
+    m, rows = case
+    got, want = dict_rows(rows), dict_rows(rows)
+    rank, pivots = rref(got, m)
+    assert (rank, pivots) == fraction_rref(want, m)
+    assert rank == bareiss_rank(rows)
+    assert got == want
+    assert all(_normal(x) for row in got for x in row.values())
+    assert all(got[r][j] == 1 for r, j in enumerate(pivots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(min_cols=1), rational_rows(min_cols=1))
+def test_quotient_reps_against_the_fraction_elimination(kern, img):
+    kvecs, ivecs = dict_vectors(kern[1]), dict_vectors(img[1])
+    got = quotient_reps(kvecs, ivecs)
+    assert got == fraction_quotient_reps(kvecs, ivecs)
+    assert all(_normal(c) for rep in got for v in rep.values()
+               for c in v.coeffs)
 
 
 def test_vec_helpers():

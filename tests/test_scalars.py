@@ -117,10 +117,16 @@ coefficient_lists = st.one_of(st.lists(rationals, max_size=1),
                                        max_size=3))
 
 
+def _in_normal_form(c):
+    """An int, or a Fraction that is not an integer; never a float."""
+    return (type(c) is int
+            or (type(c) is Fraction and c.denominator != 1))
+
+
 def _agrees(s, ref):
     assert s.coeffs == tuple(ref)
     assert s.var == ("x" if len(ref) > 1 else None)
-    assert all(type(c) is Fraction for c in s.coeffs)
+    assert all(_in_normal_form(c) for c in s.coeffs)
     # equal values hash equal, however they were computed
     fresh = Scalar("x", tuple(ref))
     assert s == fresh and hash(s) == hash(fresh)
@@ -141,6 +147,23 @@ def test_arithmetic_matches_coefficient_lists(a, b, q):
     _agrees(q * A, _ref_mul(_ref([q]), ra))
     _agrees(q - A, _ref_add(_ref([q]), [-c for c in ra]))
     assert hash(A + B) == hash(B + A) and hash(A * B) == hash(B * A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, coefficient_lists.filter(any), rationals)
+def test_every_coefficient_is_in_normal_form(a, b, q):
+    A, B = Scalar("x", tuple(a)), Scalar("x", tuple(b))
+    made = [A, B, A + B, A - B, -A, A * B, A.scale(q), A + q, q * A,
+            q - A, *A.divmod(B), A.monic(), B.monic(), A.subs(q),
+            parse_scalar(format_scalar(A)), parse_scalar(format_scalar(B)),
+            parse_scalar("(%s)/3" % format_scalar(A)),
+            Scalar.const(q), Scalar.monomial(q or 1, 2, "x"),
+            sc_gcd(A, B)]
+    for s in made:
+        assert all(_in_normal_form(c) for c in s.coeffs), (s, s.coeffs)
+    assert _in_normal_form(A.evaluate(q))
+    assert _in_normal_form(A.const_value() if A.is_const() else 0)
+    assert _in_normal_form(B.leading())
 
 
 @settings(max_examples=300, deadline=None)
