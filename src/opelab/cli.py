@@ -171,6 +171,29 @@ def _check_envelope_size(V, cutoff, charges=1):
                          % (cutoff, MAX_ENVELOPE_STATES, fix))
 
 
+# Largest number of weight-0 modes that one monomial of a charge block
+# may need.  Weight-0 even modes add no weight, so only the charge bounds
+# how many a monomial holds: about |charge| / c, with c the smallest
+# charge of a weight-0 even generator, and each monomial is written out
+# in full.  On a 2-core x86 container the betagamma block of charge -100
+# takes 1.0 s through weight 12 and 3.6 s through weight 16.
+MAX_ZERO_MODES = 100
+
+
+def _check_charge(L, charge):
+    zero = [abs(g.charge) for g in L.gens
+            if g.weight == 0 and g.parity == 0 and g.charge]
+    if not zero:
+        return
+    c = min(zero)
+    if abs(charge) > MAX_ZERO_MODES * c:
+        raise InputError("--charge %d is too large: |charge| may be at "
+                         "most %d, %d times the smallest weight-0 charge "
+                         "%d, or one monomial holds more than %d weight-0 "
+                         "modes" % (charge, MAX_ZERO_MODES * c,
+                                    MAX_ZERO_MODES, c, MAX_ZERO_MODES))
+
+
 def do_envelope_dims(args):
     L, name, level = _vla_source(args)
     zero_even = [g.name for g in L.gens if g.weight == 0 and g.parity == 0]
@@ -178,6 +201,8 @@ def do_envelope_dims(args):
         raise InputError("weight blocks are infinite-dimensional (weight-0 "
                          "even generators: %s); pass --charge"
                          % ", ".join(zero_even))
+    if args.charge is not None:
+        _check_charge(L, args.charge)
     V = build_envelope(L, cutoff=args.cutoff)
     _check_envelope_size(V, args.cutoff)
     dims = V.graded_dimensions(args.charge)
@@ -359,6 +384,14 @@ def do_localize(args):
                                       e.message)
         for name in ("fixed", "total"):
             part(name, lambda d: validate(d, "mixed.v1"))
+        # the verdict is taken over Q[u]; the total space carries the
+        # action, so its factor count is checked first
+        for name in ("total", "fixed"):
+            count = len(data[name].get("h", []))
+            if count != 1:
+                raise SchemaViolation(
+                    "localize", "/%s/h" % name,
+                    "%d torus factors; localize needs exactly one" % count)
         NZ = part("fixed", MixedComplex.from_dict)
         NX = part("total", MixedComplex.from_dict)
         zpos = {t.name: i for i, t in enumerate(NZ.tokens)}

@@ -26,7 +26,8 @@ from fractions import Fraction
 import itertools
 
 from .scalars import Scalar, ONE, sc, sc_gcd, format_scalar
-from .linalg import Matrix, BasisToken, FiniteComplex, smith, presentation
+from .linalg import (Matrix, BasisToken, FiniteComplex, smith,
+                     smith_factors, presentation)
 
 
 def _check_zero(M: Matrix, what, src, tgt):
@@ -79,7 +80,7 @@ class MixedComplex:
                             % (a + 1, b + 1, b + 1, a + 1), toks, toks)
 
     def q_complex(self) -> FiniteComplex:
-        return FiniteComplex(self.tokens, self.d, var=None)
+        return FiniteComplex._square_zero(self.tokens, self.d, var=None)
 
     def to_dict(self):
         def ser(op):
@@ -155,13 +156,13 @@ class UComplex:
         if self.nfactors != 1:
             raise ValueError("single-variable view needs exactly one u")
         u = Scalar.variable(self.labels[0])
-        return FiniteComplex(self.tokens,
-                             self.d0.add(self.u_parts[0].scale(u)),
-                             var=self.labels[0], var_degree=2)
+        return FiniteComplex._square_zero(
+            self.tokens, self.d0.add(self.u_parts[0].scale(u)),
+            var=self.labels[0], var_degree=2)
 
     def at_zero(self) -> FiniteComplex:
         """Specialize every u_i to 0: the underlying Q complex."""
-        return FiniteComplex(self.tokens, self.d0, var=None)
+        return FiniteComplex._square_zero(self.tokens, self.d0, var=None)
 
     def _specialized_matrix(self, keep, others):
         u = Scalar.variable(self.labels[keep])
@@ -177,17 +178,17 @@ class UComplex:
         """One factor: graded classes over Q[u].  Several: for each u_i,
         the module rank and torsion factors after sending the other
         variables to 0 and to 1 (grading is lost in the latter case, so
-        only module invariants are reported)."""
+        only module invariants are reported).
+
+        No specialization is squared: (d0 + sum c_a h_a)^2 expands into
+        d0^2, the d0 h_a + h_a d0 and the h_a h_b + h_b h_a, which the
+        mixed checks found zero on construction."""
         if self.nfactors == 1:
             return self.complex().cohomology()
         out = {}
         for i in range(self.nfactors):
             for val in (0, 1):
                 M = self._specialized_matrix(i, Fraction(val))
-                sq = M.mul(M)
-                if not sq.is_zero():
-                    raise ValueError("specialized differential does not "
-                                     "square to zero")
                 free, tors = _module_invariants(M)
                 out[(self.labels[i], val)] = {
                     "free_rank": free,
@@ -203,30 +204,40 @@ class UComplex:
 
 
 def _module_invariants(D: Matrix):
-    """H = ker D / im D of a square-zero matrix over Q[u], as free rank
-    plus torsion invariant factors.
+    """H = ker D / im D of a square-zero n x n matrix over Q[u], as free
+    rank plus torsion invariant factors, read off one Smith form of D
+    with no transforms.
+
+    Over a PID, Q[u]^n / ker D is isomorphic to im D, which is free, so
+    0 -> H -> coker D -> Q[u]^n / ker D -> 0 splits: the torsion of H is
+    the torsion of coker D, the invariant factors of D of positive
+    degree, and rank H = n - 2 rank D.
 
     H is the direct sum of the H of the blocks of D.  Their free ranks
     add, and their torsion factors are merged into one divisibility
     chain by a Smith form of the diagonal matrix they form: a D that is
     not graded can give blocks with torsion u and u + 1, whose sum has
     the single factor u^2 + u."""
-    free, tors = 0, []
+    free, tors = D.nrows, []
     for _, B in D.blocks():
-        f, t = _cokernel_invariants(smith(presentation(B)[1]))
-        free += f
-        tors += t
+        rank, factors = smith_factors(B)
+        free -= 2 * rank
+        tors += _torsion(factors)
     if len(tors) > 1:
         n = len(tors)
-        tors = _cokernel_invariants(
-            smith(Matrix(n, n, {(k, k): f for k, f in enumerate(tors)})))[1]
+        tors = _torsion(smith_factors(
+            Matrix(n, n, {(k, k): f for k, f in enumerate(tors)}))[1])
     return free, tors
+
+
+def _torsion(factors):
+    return [f for f in factors if f.degree() > 0]
 
 
 def _cokernel_invariants(S):
     """(free rank, torsion invariant factors) of the cokernel of the
     matrix whose Smith form is S."""
-    return S.nrows - S.rank, [f for f in S.factors if f.degree() > 0]
+    return S.nrows - S.rank, _torsion(S.factors)
 
 
 def quotient_invariants(ambient, gens, rels):

@@ -22,6 +22,8 @@ complexes, mixed-complex operators and chain maps all store one.
   (the entries before it vanish exactly when v is in the kernel).  Free
   rank, torsion annihilators and representative cocycles follow from
   one more Smith form of the coordinate matrix of the image.
+  ``smith_factors`` runs the same elimination with no transforms, for
+  callers that need only the rank and the invariant factors.
 
 Two things keep the Smith forms small and cheap:
 
@@ -486,6 +488,16 @@ def smith(M: Matrix) -> SmithResult:
     return _smith_graded(M, *grading)
 
 
+def smith_factors(M: Matrix):
+    """(rank, monic invariant factors) of M: ``smith(M).rank`` and
+    ``smith(M).factors``, from the same eliminations run on M alone,
+    with no transforms tracked."""
+    grading = _grading(M)
+    if grading is None:
+        return _smith_general(M, transforms=False)
+    return _smith_graded(M, *grading, transforms=False)
+
+
 def _grading(M: Matrix):
     """(rw, cw, var) such that every entry (i, j) of M is a monomial
     c*var^(cw[j] - rw[i]), or None when there are no such weights.
@@ -540,7 +552,7 @@ def _axpy(x: dict, y: dict, a):
             del x[k]
 
 
-def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
+def _smith_graded(M: Matrix, rw, cw, var, transforms=True):
     """Smith form of M = diag(var^-rw) C diag(var^cw), C over Q.
 
     Row i may take a multiple of row k when rw[k] >= rw[i], and column j
@@ -552,15 +564,17 @@ def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
     transforms found for C are lifted by the same conjugation,
     U = diag(var^-rw) U_C diag(var^rw) and V = diag(var^-cw) V_C
     diag(var^cw); nothing is swapped until the end, where the pivots
-    are moved to the diagonal."""
+    are moved to the diagonal.  Without ``transforms`` only (rank,
+    factors) is returned."""
     n, m = M.nrows, M.ncols
     A = [dict() for _ in range(n)]
     for (i, j), v in M.data.items():
         A[i][j] = v.coeffs[-1]
-    U = [{i: 1} for i in range(n)]       # rows of U_C
-    Uinv = [{i: 1} for i in range(n)]    # columns of U_C^-1
-    V = [{j: 1} for j in range(m)]       # columns of V_C
-    Vinv = [{j: 1} for j in range(m)]    # rows of V_C^-1
+    if transforms:
+        U = [{i: 1} for i in range(n)]       # rows of U_C
+        Uinv = [{i: 1} for i in range(n)]    # columns of U_C^-1
+        V = [{j: 1} for j in range(m)]       # columns of V_C
+        Vinv = [{j: 1} for j in range(m)]    # rows of V_C^-1
     live = {i for i in range(n) if A[i]}
     pivots = []
     while live:
@@ -572,10 +586,15 @@ def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
             if f is not None:
                 f = quo(f, c)
                 _axpy(A[i], row, -f)
-                _axpy(U[i], U[p], -f)
-                _axpy(Uinv[p], Uinv[i], f)
+                if transforms:
+                    _axpy(U[i], U[p], -f)
+                    _axpy(Uinv[p], Uinv[i], f)
                 if not A[i]:
                     live.remove(i)
+        pivots.append((p, q, e))
+        if not transforms:
+            continue
+        # the column operations leave every live row as it is
         for j, g in row.items():
             if j != q:
                 g = quo(g, c)
@@ -583,9 +602,10 @@ def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
                 _axpy(Vinv[q], Vinv[j], g)
         U[p] = {k: quo(x, c) for k, x in U[p].items()}
         Uinv[p] = {k: x * c for k, x in Uinv[p].items()}
-        pivots.append((p, q, e))
 
     mono = Scalar.monomial
+    if not transforms:
+        return len(pivots), [mono(1, e, var) for _, _, e in pivots]
     rank = len(pivots)
     prow = [p for p, _, _ in pivots]
     pcol = [q for _, q, _ in pivots]
@@ -611,58 +631,65 @@ def _smith_graded(M: Matrix, rw, cw, var) -> SmithResult:
     return SmithResult(Ud, Uinvd, Vd, Vinvd, D, rank, n, m)
 
 
-def _smith_general(M: Matrix) -> SmithResult:
+def _smith_general(M: Matrix, transforms=True):
     """Smith form by polynomial elimination: the least-degree pivot
     reduces its row and column by ``divmod``, a nonzero remainder becomes
     the new pivot, and a pivot that does not divide the rest of the
-    matrix takes a row that it fails to divide."""
+    matrix takes a row that it fails to divide.  Without ``transforms``
+    the operations act on M alone, and only (rank, factors) is
+    returned."""
     A = _dense(M)
     n, m = M.nrows, M.ncols
-    U = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    Uinv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    V = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-    Vinv = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
+    if transforms:
+        U, Uinv = _dense(Matrix.identity(n)), _dense(Matrix.identity(n))
+        V, Vinv = _dense(Matrix.identity(m)), _dense(Matrix.identity(m))
 
     def row_swap(i, k):
         A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-        for r in range(n):
-            Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
+        if transforms:
+            U[i], U[k] = U[k], U[i]
+            for r in range(n):
+                Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
 
     def col_swap(j, k):
         for r in range(n):
             A[r][j], A[r][k] = A[r][k], A[r][j]
-        for r in range(m):
-            V[r][j], V[r][k] = V[r][k], V[r][j]
-        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
+        if transforms:
+            for r in range(m):
+                V[r][j], V[r][k] = V[r][k], V[r][j]
+            Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
 
     def row_add(i, k, q):
         # row i += q * row k
         if q.is_zero():
             return
-        A[i] = [a + q * b for a, b in zip(A[i], A[k])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[k])]
-        for r in range(n):
-            Uinv[r][k] = Uinv[r][k] - q * Uinv[r][i]
+        A[i] = [a + q * b if b else a for a, b in zip(A[i], A[k])]
+        if transforms:
+            U[i] = [a + q * b for a, b in zip(U[i], U[k])]
+            for r in range(n):
+                Uinv[r][k] = Uinv[r][k] - q * Uinv[r][i]
 
     def col_add(j, k, q):
         # col j += q * col k
         if q.is_zero():
             return
         for r in range(n):
-            A[r][j] = A[r][j] + q * A[r][k]
-        for r in range(m):
-            V[r][j] = V[r][j] + q * V[r][k]
-        Vinv[k] = [a - q * b for a, b in zip(Vinv[k], Vinv[j])]
+            if A[r][k]:
+                A[r][j] = A[r][j] + q * A[r][k]
+        if transforms:
+            for r in range(m):
+                V[r][j] = V[r][j] + q * V[r][k]
+            Vinv[k] = [a - q * b for a, b in zip(Vinv[k], Vinv[j])]
 
     def row_scale(i, q):
         # q a nonzero rational
         qs = sc(q)
         A[i] = [qs * a for a in A[i]]
-        U[i] = [qs * a for a in U[i]]
-        inv = sc(quo(1, q))
-        for r in range(n):
-            Uinv[r][i] = inv * Uinv[r][i]
+        if transforms:
+            U[i] = [qs * a for a in U[i]]
+            inv = sc(quo(1, q))
+            for r in range(n):
+                Uinv[r][i] = inv * Uinv[r][i]
 
     t = 0
     while True:
@@ -703,9 +730,11 @@ def _smith_general(M: Matrix) -> SmithResult:
             if not dirty:
                 break
 
-        # pivot must divide the remaining submatrix for the chain property
+        # pivot must divide the remaining submatrix for the chain
+        # property; a unit pivot divides everything
         fixed = True
-        for i in range(t + 1, n):
+        rest = range(t + 1, n) if A[t][t].degree() > 0 else ()
+        for i in rest:
             for j in range(t + 1, m):
                 if A[i][j].is_zero():
                     continue
@@ -726,6 +755,8 @@ def _smith_general(M: Matrix) -> SmithResult:
         if t == n or t == m:
             break
 
+    if not transforms:
+        return t, [A[i][i] for i in range(t)]
     return SmithResult(U, Uinv, V, Vinv, A, t, n, m)
 
 
@@ -809,6 +840,20 @@ class FiniteComplex:
     """
 
     def __init__(self, tokens, diff, var=None, var_degree=2):
+        self._build(tokens, diff, var, var_degree)
+        self._check_square_zero()
+
+    @classmethod
+    def _square_zero(cls, tokens, diff, var=None, var_degree=2):
+        """A complex whose differential is known to square to zero, built
+        without taking the square: the checks of a mixed complex already
+        imply it for its Koszul dual and for every specialization of
+        it."""
+        C = cls.__new__(cls)
+        C._build(tokens, diff, var, var_degree)
+        return C
+
+    def _build(self, tokens, diff, var, var_degree):
         self.tokens = list(tokens)
         self.var = var
         self.var_degree = var_degree
@@ -818,7 +863,6 @@ class FiniteComplex:
         n = len(self.tokens)
         self.D = Matrix.of_columns(n, n, diff)
         self._check_homogeneous()
-        self._check_square_zero()
 
     def _check_homogeneous(self):
         for (i, j), v in self.D.data.items():

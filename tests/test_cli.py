@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +230,9 @@ def _bad_localize(part, field):
         data[part] = field
     elif field == "h-row":
         data[part]["h"][0] = {"p": {"zz": "1"}}
+    elif field == "two-factors":
+        data["fixed"]["h"] = [{}, {}]
+        data["total"]["h"] = [{}, {}]
     else:
         data[part] = _bad_mixed(field)
     return data
@@ -325,6 +330,10 @@ HOSTILE = [
       "--cohomology"], None, TOO_MANY),
     (["brst", "--cutoff", "3"], _wide_gl1(-10 ** 5, 10 ** 5),
      "narrow the charge window"),
+    (["localize"], _bad_localize("total", "two-factors"),
+     "localize needs exactly one at /total/h"),
+    (["envelope-dims", "--preset", "betagamma", "--charge=-100000",
+      "--cutoff", "2"], None, "|charge| may be at most 100,"),
 ]
 
 
@@ -349,7 +358,8 @@ HOSTILE = [
     "brst-preset-cutoff-past-envelope", "brst-file-cutoff-past-envelope",
     "heisenberg-dims-too-many-states", "virasoro-dims-too-many-states",
     "pure-ghost-too-many-states", "abelian-cohomology-too-many-states",
-    "brst-charge-window-too-wide"])
+    "brst-charge-window-too-wide", "localize-two-factors",
+    "betagamma-charge-too-large"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
@@ -553,9 +563,14 @@ def test_every_verb_is_deterministic(capsys):
 
 
 def test_console_script(tmp_path):
+    # the child imports opelab from this checkout's src/
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "opelab.cli", "conf", "--n", "2",
          "--d", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["poincare"] == "1 + t^2"

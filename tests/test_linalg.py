@@ -8,7 +8,7 @@ from opelab.scalars import Scalar, ZERO, ONE, sc
 from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
                            q_solve, smith, smith_solve, quotient_reps,
                            span_rank, rref, vec_add, vec_scale, vec_sub,
-                           _grading, _smith_general)
+                           smith_factors, _grading, _smith_general)
 
 
 # Independent rank oracle: fraction-free Bareiss elimination on dense rows.
@@ -221,6 +221,18 @@ def test_graded_smith_against_the_general_elimination(M):
     G = _smith_general(M)
     assert (S.rank, S.factors) == (G.rank, G.factors)
     assert not any(c for f in S.factors for c in f.coeffs[:-1])
+
+
+zero_matrices = st.builds(Matrix, st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(poly_matrices(), homogeneous_matrices(), zero_matrices))
+def test_smith_factors_match_the_smith_form(M):
+    S = smith(M)
+    assert smith_factors(M) == (S.rank, S.factors)
+    G = _smith_general(M)
+    assert _smith_general(M, transforms=False) == (G.rank, G.factors)
 
 
 def test_grading_refuses_what_has_no_weights():
