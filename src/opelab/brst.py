@@ -32,7 +32,7 @@ import math
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 from .vla import (Gen, BrValue, VertexLieData, CheckReport, direct_sum,
                   heisenberg, weyl_pair, SL2_STRUCT)
-from .envelope import VertexAlgebra, build_envelope, _acc
+from .envelope import VertexAlgebra, build_envelope
 from .linalg import Matrix, graded_cohomology, vec_add, vec_scale
 
 
@@ -112,7 +112,7 @@ class BRSTDatum:
                                for n in self.names}
         self._Q = None
         self._dgen_cache = {}
-        self._d_cache = {(): {}}
+        self._d_cache = {}
         # W -> report of the whole-basis d^2 pass
         self._d_squared_reports = {}
 
@@ -177,14 +177,12 @@ class BRSTDatum:
             Q = vec_add(Q, self.V.nth_product(self.currents[a], -1,
                                               psistar))
         q3 = sc(cubic_coeff)
-        for (i, j), terms in sorted(self.struct.items()):
-            for k, c in terms:
-                seq = ((-1, self.L.gen("psi*_%s" % self.names[i])),
-                       (-1, self.L.gen("psi*_%s" % self.names[j])),
-                       (-1, self.L.gen("psi_%s" % self.names[k])))
-                Q = vec_add(Q, vec_scale(self.V.eval_sequence(seq),
-                                         c * q3))
-        return Q
+        n = self.names
+        cubic = [(c * q3, [("psi*_%s" % n[i], 0), ("psi*_%s" % n[j], 0),
+                           ("psi_%s" % n[k], 0)])
+                 for (i, j), terms in sorted(self.struct.items())
+                 for k, c in terms]
+        return vec_add(Q, word_state(self.V, cubic))
 
     @property
     def Q(self):
@@ -193,33 +191,12 @@ class BRSTDatum:
         return self._Q
 
     def differential(self):
-        """d = Q_(0) as a linear map on states, memoized per monomial."""
-        def d(state):
-            out = {}
-            for mono, c in state.items():
-                for m2, c2 in self._d_mono(mono).items():
-                    _acc(out, m2, c * c2)
-            return out
-        return d
-
-    def _d_mono(self, mono) -> dict:
-        """d on the PBW monomial g_(k) R by the derivation rule
-
-            d(g_(k) R) = (Q_(0) g)_(k) R + (-1)^{p(g)} g_(k) d(R),
-
-        which holds because Q is odd and [Q_(0), g_(k)] = (Q_(0) g)_(k).
-        Every suffix R is memoized along the way."""
-        hit = self._d_cache.get(mono)
-        if hit is not None:
-            return hit
-        V = self.V
-        (k, g), rest = mono[0], mono[1:]
-        res = V.nth_product(self._dgen(g), k, {rest: ONE})
-        odd = self.L.gens[g].parity
-        for m2, c2 in V.apply_mode(g, k, self._d_mono(rest)).items():
-            _acc(res, m2, -c2 if odd else c2)
-        self._d_cache[mono] = res
-        return res
+        """d = Q_(0) as a linear map on states: the odd derivation with
+        [d, g_(k)] = (Q_(0) g)_(k), which holds because Q is odd, applied
+        by the envelope's derivation rule with one memo per datum."""
+        def head(g, k, rest):
+            return self.V.nth_product(self._dgen(g), k, {rest: ONE})
+        return lambda state: self.V._derive(state, head, 1, self._d_cache)
 
     def _dgen(self, g) -> dict:
         """Q_(0) g for the generator g, by skew-symmetry from its modes on

@@ -601,9 +601,14 @@ def main(argv=None):
         return 2
     except ValueError as e:
         # a computation module refused: report the witness
-        print(_render({"ok": False, "error": str(e)}, args.output))
-        return 1
-    print(_render(report, args.output))
+        code, report = 1, {"ok": False, "error": str(e)}
+    try:
+        print(_render(report, args.output))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: the report has nowhere to go,
+        # and the interpreter's exit flush must not raise again
+        sys.stdout = open(os.devnull, "w")
     return code
 
 

@@ -20,6 +20,14 @@ Products are computed from two recursions:
             [ g_(m-j) (a_(n+j) b)
               - (-1)^m (-1)^{|g||a|} a_(m+n-j) (g_(j) b) ].
 
+T and every other graded derivation D act by one rule, peeled off the
+first mode of a monomial and memoized per monomial (so per suffix R):
+
+        D(g_(k) R) = [D, g_(k)] R + (-1)^{|D||g|} g_(k) D(R),   D|0> = 0,
+
+where [T, g_(k)] = -k g_(k-1), and a derivation with D g = coeff T^e g2
+has [D, g_(k)] = coeff (-1)^e (k)_e g2_(k-e), (k)_e a falling factorial.
+
 The optional central element acts as (1b)_(p) = c delta_{p,-1} for the
 chosen central value c, which realizes the envelope at that central
 specialization.
@@ -28,6 +36,7 @@ specialization.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .scalars import Scalar, ZERO, ONE, sc, binom, falling, format_scalar
@@ -69,6 +78,9 @@ class VertexAlgebra:
         self._D = D = lcm(*(g.weight.denominator for g in L.gens))
         self._gen_weight = [int(g.weight * D) for g in L.gens]
         self._weight_cache = {}
+        # T as the derivation g -> Tg, memoized for the envelope's lifetime
+        self._t_rule = {g: [(0, g, 1, ONE)] for g in range(len(L.gens))}
+        self._t_cache = {}
         # L.pole_bound(a, b): floor(wt a + wt b) - 1, weights being >= 0
         self._pole_bound = [[(wa + wb) // D - 1 for wb in self._gen_weight]
                             for wa in self._gen_weight]
@@ -167,27 +179,52 @@ class VertexAlgebra:
         self._mode_cache[key] = res
         return res
 
-    def eval_sequence(self, seq) -> dict:
-        """Apply modes right to left to the vacuum."""
-        state = self.vacuum()
-        for k, g in reversed(seq):
-            state = self.apply_mode(g, k, state)
-        return state
+    # -- derivations -----------------------------------------------------
 
-    # -- translation -----------------------------------------------------
+    def _derive(self, state, head, parity, cache) -> dict:
+        """D(state) for the derivation D of the given parity whose
+        commutator with a mode is head(g, k, R) = [D, g_(k)] R, by
 
-    def translate(self, state: dict) -> dict:
-        """T, acting as the even derivation g_(k) -> -k g_(k-1)."""
+            D(g_(k) R) = [D, g_(k)] R + (-1)^{|D||g|} g_(k) D(R),
+
+        with D|0> = 0 and every monomial memoized in ``cache``."""
+        cache.setdefault((), {})
         out = {}
         for mono, c in state.items():
-            for i, (k, g) in enumerate(mono):
-                coeff = c.scale(-k)
-                if coeff.is_zero():
-                    continue
-                seq = mono[:i] + ((k - 1, g),) + mono[i + 1:]
-                for m2, c2 in self.eval_sequence(seq).items():
-                    _acc(out, m2, coeff * c2)
+            if mono not in cache:
+                # D on the suffixes of mono, from the longest one known
+                i = 1
+                while mono[i:] not in cache:
+                    i += 1
+                for j in reversed(range(i)):
+                    (k, g), rest = mono[j], mono[j + 1:]
+                    res = dict(head(g, k, rest))
+                    odd = parity * self.L.gens[g].parity
+                    for m2, c2 in self.apply_mode(g, k, cache[rest]).items():
+                        _acc(res, m2, -c2 if odd else c2)
+                    cache[mono[j:]] = res
+            for m2, c2 in cache[mono].items():
+                _acc(out, m2, c * c2)
         return out
+
+    def _rule_head(self, terms, g, k, rest) -> dict:
+        """[D, g_(k)] R for D given on generators: ``terms`` maps g to
+        (shift, g2, e, coeff), each adding coeff (T^e g2)_(k+shift) R."""
+        out = {}
+        for shift, g2, e, s in terms.get(g, ()):
+            coeff = s.scale(falling(k + shift, e) * (-1) ** e)
+            if coeff.is_zero():
+                continue
+            for m2, c2 in self._apply_mode_mono(
+                    g2, k + shift - e, rest).items():
+                _acc(out, m2, coeff * c2)
+        return out
+
+    def translate(self, state: dict) -> dict:
+        """T, the even derivation with the rule g -> Tg, that is
+        [T, g_(k)] = -k g_(k-1); one memo per envelope."""
+        return self._derive(state, partial(self._rule_head, self._t_rule),
+                            0, self._t_cache)
 
     # -- products --------------------------------------------------------
 
@@ -570,46 +607,20 @@ class VertexAlgebra:
 
     # -- graded derivations and the topological structure -----------------
 
-    def derivation(self, rule, op_parity, mode_shift=0, extra_rule=None):
-        """Odd/even derivation from its values on generators.
+    def derivation(self, rule, op_parity, extra_rule=None):
+        """The derivation of parity ``op_parity`` given on generators.
 
-        ``rule`` maps generator names to lists of (gen, dpow, coeff); it is
-        applied mode by mode, g_(k) -> sum coeff (T^d g2)_(k+mode_shift),
-        with Koszul signs for ``op_parity``.  ``extra_rule`` adds a second
-        rule applied at k+1 (the twist needed by rotation operators).
-        """
-        idx_rule = {}
-        for name, terms in rule.items():
-            idx_rule[self.L.gen(name)] = [
-                (self.L.gen(g2), e, sc(c)) for g2, e, c in terms]
-        idx_extra = {}
-        if extra_rule:
-            for name, terms in extra_rule.items():
-                idx_extra[self.L.gen(name)] = [
-                    (self.L.gen(g2), e, sc(c)) for g2, e, c in terms]
-
-        def act(state):
-            out = {}
-            for mono, c in state.items():
-                sign = 1
-                for i, (k, g) in enumerate(mono):
-                    for shift, terms in ((0, idx_rule.get(g)),
-                                         (1, idx_extra.get(g))):
-                        if not terms:
-                            continue
-                        for g2, e, s in terms:
-                            kk = k + shift
-                            coeff = (c * s).scale(
-                                sign * falling(kk, e) * (-1) ** e)
-                            if coeff.is_zero():
-                                continue
-                            seq = mono[:i] + ((kk - e, g2),) + mono[i + 1:]
-                            for m2, c2 in self.eval_sequence(seq).items():
-                                _acc(out, m2, coeff * c2)
-                    sign *= (-1) ** (op_parity * self.L.gens[g].parity)
-            return out
-
-        return act
+        ``rule`` maps generator names to lists of (gen, dpow, coeff), so
+        that g_(k) -> sum coeff (T^dpow gen)_(k); ``extra_rule`` adds a
+        second rule at k+1 (the twist needed by rotation operators).  The
+        returned operator keeps one memo of its own."""
+        terms = {}
+        for shift, table in ((0, rule), (1, extra_rule or {})):
+            for name, ts in table.items():
+                terms.setdefault(self.L.gen(name), []).extend(
+                    (shift, self.L.gen(g2), e, sc(c)) for g2, e, c in ts)
+        head, cache = partial(self._rule_head, terms), {}
+        return lambda state: self._derive(state, head, op_parity, cache)
 
     def check_topological(self, d_rule, g_minus_rule, g_zero_rule=None,
                           cutoff=2) -> CheckReport:

@@ -489,6 +489,35 @@ def test_differential_matches_the_charge_product(build, W, closes):
     assert got == entries
 
 
+def oracle_charge(D, cubic_coeff):
+    """Q with its cubic term built mode by mode, right to left:
+    sum c q3 psi*_i(-1) psi*_j(-1) psi_k(-1)|0> over f_ij^k = c."""
+    V = D.V
+    Q = {}
+    for a in D.names:
+        Q = add_states(Q, V.nth_product(D.currents[a], -1,
+                                        V.gen_state("psi*_%s" % a)))
+    for (i, j), terms in sorted(D.struct.items()):
+        for k, c in terms:
+            s = V.vacuum()
+            for name in ("psi_" + D.names[k], "psi*_" + D.names[j],
+                         "psi*_" + D.names[i]):
+                s = V.apply_mode(V.L.gen(name), -1, s)
+            Q = add_states(Q, scale_state(s, c * sc(cubic_coeff)))
+    return Q
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wakimoto_datum("t", cutoff=2),
+    lambda: bg_fundamental_sl2_datum(1),
+], ids=["wakimoto-t", "bg-fundamental-sl2"])
+def test_charge_matches_the_mode_by_mode_cubic_term(build):
+    D = build()
+    assert D.Q == oracle_charge(D, Fraction(-1, 2))
+    q = Scalar.variable("q")
+    assert D.brst_charge(cubic_coeff=q) == oracle_charge(D, q)
+
+
 @pytest.fixture
 def d_squared_calls(monkeypatch):
     """The (W, states) arguments of every check_d_squared call."""

@@ -562,15 +562,39 @@ def test_every_verb_is_deterministic(capsys):
         assert first == second, argv
 
 
-def test_console_script(tmp_path):
-    # the child imports opelab from this checkout's src/
+def _child_env():
+    """The environment of a child that imports opelab from this
+    checkout's src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_console_script(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "opelab.cli", "conf", "--n", "2",
          "--d", "3"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["poincare"] == "1 + t^2"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["presets"], 0),
+    (["brst", "--preset", "abelian", "--level", "1", "--cutoff", "1"], 1),
+], ids=["clean", "failure"])
+def test_closed_pipe_keeps_the_exit_code(argv, code):
+    # the reader is gone before the report is written, as when
+    # `opelab presets | head -1` loses the race to `head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "opelab.cli"] + argv, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=_child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from opelab.scalars import Scalar, ONE, sc
+from opelab.scalars import Scalar, ONE, sc, falling
 from opelab.vla import (Gen, BrValue, VertexLieData, current_algebra,
                         heisenberg, kac_moody_sl2, virasoro, weyl_pair,
                         direct_sum, SL2_KAPPA)
-from opelab.envelope import build_envelope
+from opelab.envelope import build_envelope, _acc
 from opelab.linalg import vec_add as add_states, vec_scale as scale_state
 
 
@@ -269,6 +270,142 @@ def test_topological_violation_reported():
     )
     assert not rep.ok
     assert any("[d, g_{-1}]" in v["message"] for v in rep.violations)
+
+
+# -- the derivation rule against sequence re-evaluation ------------------
+
+
+def eval_sequence(V, seq):
+    """Apply modes right to left to the vacuum."""
+    state = V.vacuum()
+    for k, g in reversed(seq):
+        state = V.apply_mode(g, k, state)
+    return state
+
+
+def oracle_translate(V, state):
+    """T, acting as the even derivation g_(k) -> -k g_(k-1): each mode is
+    swapped in turn and the whole sequence re-evaluated from the vacuum."""
+    out = {}
+    for mono, c in state.items():
+        for i, (k, g) in enumerate(mono):
+            coeff = c.scale(-k)
+            if coeff.is_zero():
+                continue
+            seq = mono[:i] + ((k - 1, g),) + mono[i + 1:]
+            for m2, c2 in eval_sequence(V, seq).items():
+                _acc(out, m2, coeff * c2)
+    return out
+
+
+def oracle_derivation(V, rule, op_parity, extra_rule=None):
+    """The derivation g_(k) -> sum coeff (T^d g2)_(k) (plus extra_rule at
+    k+1), one position at a time with the Koszul sign of the modes to its
+    left, each sequence re-evaluated from the vacuum."""
+    idx_rule = {}
+    for name, terms in rule.items():
+        idx_rule[V.L.gen(name)] = [
+            (V.L.gen(g2), e, sc(c)) for g2, e, c in terms]
+    idx_extra = {}
+    if extra_rule:
+        for name, terms in extra_rule.items():
+            idx_extra[V.L.gen(name)] = [
+                (V.L.gen(g2), e, sc(c)) for g2, e, c in terms]
+
+    def act(state):
+        out = {}
+        for mono, c in state.items():
+            sign = 1
+            for i, (k, g) in enumerate(mono):
+                for shift, terms in ((0, idx_rule.get(g)),
+                                     (1, idx_extra.get(g))):
+                    if not terms:
+                        continue
+                    for g2, e, s in terms:
+                        kk = k + shift
+                        coeff = (c * s).scale(
+                            sign * falling(kk, e) * (-1) ** e)
+                        if coeff.is_zero():
+                            continue
+                        seq = mono[:i] + ((kk - e, g2),) + mono[i + 1:]
+                        for m2, c2 in eval_sequence(V, seq).items():
+                            _acc(out, m2, coeff * c2)
+                sign *= (-1) ** (op_parity * V.L.gens[g].parity)
+        return out
+
+    return act
+
+
+def _neighbour_rules(L):
+    """d, g_{-1} and g_0 rules that send each generator to itself and to
+    the next one, with derivatives: every generator has a rule, an odd
+    generator meets an even one where the algebra has both, and g_0 has
+    terms at both shifts once its extra rule is added."""
+    names = [g.name for g in L.gens]
+    nxt = {n: names[(i + 1) % len(names)] for i, n in enumerate(names)}
+    return ({n: [(nxt[n], 0, 1)] for n in names},
+            {n: [(n, 1, 1), (nxt[n], 2, Fraction(-1, 2))] for n in names},
+            {n: [(nxt[n], 0, Fraction(2, 3)), (n, 1, 3)] for n in names})
+
+
+def _half_integer():
+    return direct_sum(_free_fermion(), heisenberg(Scalar.variable("t")))
+
+
+# (id, envelope, (d, g_{-1}, g_0) rules or None for _neighbour_rules,
+#  sampled weight: Virasoro has only l and Tl through weight 3)
+DERIVATION_CASES = [
+    ("virasoro", lambda: build_envelope(
+        virasoro(Scalar.variable("c")), cutoff=5), None, 5),
+    ("sl2", lambda: build_envelope(
+        kac_moody_sl2(Scalar.variable("k")), cutoff=3), None, 3),
+    ("even-pair", lambda: build_envelope(
+        weyl_pair(odd=False), cutoff=3, charge_window=(-4, 4)), None, 3),
+    ("odd-pair", lambda: build_envelope(
+        weyl_pair(odd=True, names=("psi", "psi_star")), cutoff=3), None, 3),
+    ("de-rham-pair", _de_rham_pair,
+     ({"theta": [("x", 0, 1)]}, {"x": [("theta", 1, 1)]},
+      {"x": [("theta", 0, 1)]}), 3),
+    ("half-integer", lambda: build_envelope(_half_integer(), cutoff=3),
+     None, 3),
+]
+
+
+def _oracle_states(V, wmax, seed=0):
+    """The sampled states, then random linear combinations of them."""
+    states = [s for _, s in V._sample_states(wmax, charge_hint=True)]
+    rng = random.Random(seed)
+    for _ in range(20):
+        combo = {}
+        for s in rng.sample(states, min(4, len(states))):
+            q = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+            combo = add_states(combo, scale_state(s, q))
+        states.append(combo)
+    return states
+
+
+@pytest.mark.parametrize("build, rules, wmax",
+                         [row[1:] for row in DERIVATION_CASES],
+                         ids=[row[0] for row in DERIVATION_CASES])
+def test_derivations_match_sequence_reevaluation(build, rules, wmax):
+    """T, T o T and the d, g_{-1}, g_0 derivations of the memoized rule
+    agree with swapping one mode at a time and re-evaluating from the
+    vacuum, on sampled states and on linear combinations of them."""
+    V = build()
+    d_rule, gm_rule, g0_rule = rules or _neighbour_rules(V.L)
+    ops = [(V.derivation(d_rule, 1), oracle_derivation(V, d_rule, 1)),
+           (V.derivation(gm_rule, 1), oracle_derivation(V, gm_rule, 1)),
+           (V.derivation(g0_rule, 1, extra_rule=gm_rule),
+            oracle_derivation(V, g0_rule, 1, extra_rule=gm_rule))]
+    states = _oracle_states(V, wmax)
+    assert len(states) > 20
+    for s in states:
+        label = V.format_state(s)
+        ts = oracle_translate(V, s)
+        assert V.translate(s) == ts, label
+        assert V.translate(V.translate(s)) == oracle_translate(V, ts), label
+        for got, want in ops:
+            assert got(s) == want(s), label
 
 
 def test_format_state():
