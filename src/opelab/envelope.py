@@ -478,7 +478,7 @@ class VertexAlgebra:
                     bad.append({"message":
                                 "%s_(%d)|0> != 0" % (name, n)})
 
-        states = self._sample_states(min(cutoff, 3), charge_hint=True)
+        states = self._sample_states(min(cutoff, 3))
 
         # translation covariance along both slots
         for name, a in gens:
@@ -564,7 +564,7 @@ class VertexAlgebra:
                                     "%s_(%d) on %s" % (na, m, nb, k, lbl)})
         return CheckReport(bad)
 
-    def _sample_states(self, wmax, charge_hint=False):
+    def _sample_states(self, wmax):
         out = [("|0>", self.vacuum())]
         for g in self.L.gens:
             out.append((g.name, self.gen_state(g.name)))
@@ -577,7 +577,7 @@ class VertexAlgebra:
             if self.charge_window is not None:
                 lo, hi = self.charge_window
                 qs = [q for q in qs if lo <= q <= hi]
-        w = Fraction(0)
+        w, step = Fraction(0), Fraction(1, self._D)
         while w <= wmax:
             for q in qs:
                 try:
@@ -588,7 +588,7 @@ class VertexAlgebra:
                     if mono not in seen:
                         seen.add(mono)
                         out.append((self.format_mono(mono), {mono: ONE}))
-            w += 1
+            w += step
         return out
 
     def _state_parity(self, state):

@@ -27,7 +27,7 @@ import itertools
 
 from .scalars import Scalar, ONE, sc, sc_gcd, format_scalar
 from .linalg import (Matrix, BasisToken, FiniteComplex, smith,
-                     smith_factors, presentation)
+                     smith_factors, smith_solve, presentation)
 
 
 def _check_zero(M: Matrix, what, src, tgt):
@@ -158,7 +158,7 @@ class UComplex:
         u = Scalar.variable(self.labels[0])
         return FiniteComplex._square_zero(
             self.tokens, self.d0.add(self.u_parts[0].scale(u)),
-            var=self.labels[0], var_degree=2)
+            var=self.labels[0])
 
     def at_zero(self) -> FiniteComplex:
         """Specialize every u_i to 0: the underlying Q complex."""
@@ -232,28 +232,6 @@ def _module_invariants(D: Matrix):
 
 def _torsion(factors):
     return [f for f in factors if f.degree() > 0]
-
-
-def _cokernel_invariants(S):
-    """(free rank, torsion invariant factors) of the cokernel of the
-    matrix whose Smith form is S."""
-    return S.nrows - S.rank, _torsion(S.factors)
-
-
-def quotient_invariants(ambient, gens, rels):
-    """Invariant factors of span(gens)/span(rels) inside Q[u]^ambient,
-    with rels contained in span(gens).  Returns (free_rank, torsion)."""
-    g = len(gens)
-    if g == 0:
-        return 0, []
-    cols = list(gens) + list(rels)
-    B = Matrix.from_columns(ambient, cols)
-    pres = []
-    for kcol in smith(B).kernel_basis():
-        c = {i: v for i, v in kcol.items() if i < g}
-        if c:
-            pres.append(c)
-    return _cokernel_invariants(smith(Matrix.from_columns(g, pres)))
 
 
 # -- duality functors ------------------------------------------------------
@@ -468,18 +446,20 @@ def localize_check(NZ: MixedComplex, NX: MixedComplex, iota,
     B = Matrix.from_columns(
         rX, F_cols + [XX.column(j) for j in range(XX.ncols)])
     SB = smith(B)
-    cfree, ctors = _cokernel_invariants(SB)
-    # kernel: {x : F x in im XX} / im XZ
-    if rZ:
-        gens = []
-        for kcol in SB.kernel_basis():
-            c = {i: v for i, v in kcol.items() if i < rZ}
-            if c:
-                gens.append(c)
-        kfree, ktors = quotient_invariants(
-            rZ, gens, [XZ.column(j) for j in range(XZ.ncols)])
-    else:
-        kfree, ktors = 0, []
+    cfree, ctors = rX - SB.rank, _torsion(SB.factors)
+    # kernel: K / im XZ with K = {x : F x in im XX}; XX is injective, so
+    # the x-parts of a basis of ker [F | XX] are a basis G of K
+    G = Matrix.from_columns(rZ, [{i: v for i, v in kcol.items() if i < rZ}
+                                 for kcol in SB.kernel_basis()])
+    SG = smith(G)
+    coords = []
+    for j in range(XZ.ncols):
+        c = smith_solve(SG, G, XZ.column(j))
+        if c is None:
+            raise AssertionError("source boundary escapes the kernel")
+        coords.append(c)
+    krank, kfactors = smith_factors(Matrix.from_columns(G.ncols, coords))
+    kfree, ktors = G.ncols - krank, _torsion(kfactors)
 
     from .scalars import parse_scalar
     f_total = ONE

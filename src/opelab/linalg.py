@@ -14,8 +14,9 @@ complexes, mixed-complex operators and chain maps all store one.
   ``graded_cohomology`` computes the cohomology of a complex given block
   by block, reducing each block once and reusing it for the kernel in its
   source degree and the image in its target degree;
-- Over Q[var], ``smith`` does the elimination: U M V diagonal, with the
-  unimodular transforms tracked on both sides.  ``presentation`` reads
+- Over Q[var], ``smith`` does the elimination on a homogeneous matrix:
+  U M V diagonal, with the unimodular transforms tracked on both sides
+  and kept as sparse rows and columns.  ``presentation`` reads
   H = ker D / im D of a differential D off one Smith form: the columns
   of V past the rank are a free basis of ker D, and the coordinates of a
   kernel vector v in that basis are the entries of V^-1 v past the rank
@@ -35,8 +36,11 @@ Two things keep the Smith forms small and cheap:
   and column weights (every homogeneous differential is one) is reduced
   by Q-elimination on its coefficients, pivots taken in increasing order
   of the exponent, as in the persistence algorithm for graded
-  Q[t]-modules; kernel bases and representatives come out homogeneous.
-  Any other matrix goes through the general polynomial elimination.
+  Q[t]-modules; kernel bases and representatives come out homogeneous,
+  and so are the coordinate matrices built from them.  ``smith``
+  refuses any other matrix, and ``smith_factors`` takes it through the
+  general polynomial elimination, which gives the invariant factors
+  alone.
 """
 
 from __future__ import annotations
@@ -431,70 +435,69 @@ def graded_cohomology(degrees, block):
 
 
 class SmithResult:
-    __slots__ = ("U", "Uinv", "V", "Vinv", "D", "rank", "factors",
-                 "nrows", "ncols")
+    """U M V = diag(factors) with U, V invertible over Q[var], stored
+    sparse: ``U`` and ``Vinv`` list the rows of U and V^-1, ``Uinv`` and
+    ``V`` the columns of U^-1 and V, each a dict {index: nonzero entry}
+    in index order.  The first ``rank`` of each belong to the pivots."""
 
-    def __init__(self, U, Uinv, V, Vinv, D, rank, nrows, ncols):
+    __slots__ = ("U", "Uinv", "V", "Vinv", "factors", "rank", "nrows",
+                 "ncols")
+
+    def __init__(self, U, Uinv, V, Vinv, factors):
         self.U, self.Uinv, self.V, self.Vinv = U, Uinv, V, Vinv
-        self.D = D
-        self.rank = rank
-        self.nrows, self.ncols = nrows, ncols
-        self.factors = [D[i][i] for i in range(rank)]
+        self.factors = factors
+        self.rank = len(factors)
+        self.nrows, self.ncols = len(U), len(V)
 
     def kernel_basis(self):
         """Columns of V beyond the rank: a free basis of ker M."""
-        out = []
-        for j in range(self.rank, self.ncols):
-            col = {i: self.V[i][j] for i in range(self.ncols)
-                   if not self.V[i][j].is_zero()}
-            out.append(col)
-        return out
+        return self.V[self.rank:]
 
     def kernel_coordinates(self, v: dict):
         """Coordinates of v in ``kernel_basis()``: the entries of V^-1 v
         past the rank.  None when v is not in the kernel, which is when
         one of the entries before the rank is nonzero."""
         out = {}
-        for i in range(self.ncols):
-            row = self.Vinv[i]
-            acc = ZERO
-            for k, c in v.items():
-                if not row[k].is_zero():
-                    acc = acc + row[k] * c
+        for t, row in enumerate(self.Vinv):
+            acc = _dot(row, v)
             if acc.is_zero():
                 continue
-            if i < self.rank:
+            if t < self.rank:
                 return None
-            out[i - self.rank] = acc
+            out[t - self.rank] = acc
         return out
 
 
-def _dense(M: Matrix):
-    A = [[ZERO] * M.ncols for _ in range(M.nrows)]
-    for (i, j), v in M.data.items():
-        A[i][j] = v
-    return A
+def _dot(row: dict, v: dict) -> Scalar:
+    acc = ZERO
+    for k, c in v.items():
+        x = row.get(k)
+        if x is not None:
+            acc = acc + x * c
+    return acc
 
 
 def smith(M: Matrix) -> SmithResult:
-    """U M V = D with U, V invertible over Q[var], D diagonal, monic
-    invariant factors in a divisibility chain.
-
-    A homogeneous M is reduced over Q by ``_smith_graded``; any other M by
-    the general polynomial elimination ``_smith_general``."""
+    """U M V = diag(factors) with U, V invertible over Q[var] and monic
+    invariant factors in a divisibility chain, for a homogeneous M:
+    one whose entries are monomials c*var^(cw[j] - rw[i]), as every
+    differential of a graded complex over Q[var] is.  ``smith_factors``
+    gives the rank and the factors of any other M."""
     grading = _grading(M)
     if grading is None:
-        return _smith_general(M)
+        raise ValueError("smith needs a homogeneous matrix; use "
+                         "smith_factors for the invariant factors of "
+                         "any other")
     return _smith_graded(M, *grading)
 
 
 def smith_factors(M: Matrix):
-    """(rank, monic invariant factors) of M: ``smith(M).rank`` and
-    ``smith(M).factors``, from the same eliminations run on M alone,
-    with no transforms tracked."""
+    """(rank, monic invariant factors) of any M over Q[var]: by the
+    graded elimination with no transforms when M is homogeneous, by the
+    general polynomial elimination ``_smith_general`` otherwise."""
     grading = _grading(M)
     if grading is None:
-        return _smith_general(M, transforms=False)
+        return _smith_general(M)
     return _smith_graded(M, *grading, transforms=False)
 
 
@@ -604,92 +607,50 @@ def _smith_graded(M: Matrix, rw, cw, var, transforms=True):
         Uinv[p] = {k: x * c for k, x in Uinv[p].items()}
 
     mono = Scalar.monomial
+    factors = [mono(1, e, var) for _, _, e in pivots]
     if not transforms:
-        return len(pivots), [mono(1, e, var) for _, _, e in pivots]
-    rank = len(pivots)
+        return len(pivots), factors
     prow = [p for p, _, _ in pivots]
     pcol = [q for _, q, _ in pivots]
     rows = prow + sorted(set(range(n)) - set(prow))
     cols = pcol + sorted(set(range(m)) - set(pcol))
-    Ud = [[ZERO] * n for _ in range(n)]
-    Uinvd = [[ZERO] * n for _ in range(n)]
-    for t, p in enumerate(rows):
-        for k, x in U[p].items():
-            Ud[t][k] = mono(x, rw[k] - rw[p], var)
-        for k, x in Uinv[p].items():
-            Uinvd[k][t] = mono(x, rw[p] - rw[k], var)
-    Vd = [[ZERO] * m for _ in range(m)]
-    Vinvd = [[ZERO] * m for _ in range(m)]
-    for t, q in enumerate(cols):
-        for k, x in V[q].items():
-            Vd[k][t] = mono(x, cw[q] - cw[k], var)
-        for k, x in Vinv[q].items():
-            Vinvd[t][k] = mono(x, cw[k] - cw[q], var)
-    D = [[ZERO] * m for _ in range(n)]
-    for t, (_, _, e) in enumerate(pivots):
-        D[t][t] = mono(1, e, var)
-    return SmithResult(Ud, Uinvd, Vd, Vinvd, D, rank, n, m)
+
+    def lift(vecs, order, w, sign):
+        # entry k of vecs[p] times var^(sign * (w[k] - w[p]))
+        return [{k: mono(vecs[p][k], sign * (w[k] - w[p]), var)
+                 for k in sorted(vecs[p])} for p in order]
+
+    return SmithResult(lift(U, rows, rw, 1), lift(Uinv, rows, rw, -1),
+                       lift(V, cols, cw, -1), lift(Vinv, cols, cw, 1),
+                       factors)
 
 
-def _smith_general(M: Matrix, transforms=True):
-    """Smith form by polynomial elimination: the least-degree pivot
-    reduces its row and column by ``divmod``, a nonzero remainder becomes
-    the new pivot, and a pivot that does not divide the rest of the
-    matrix takes a row that it fails to divide.  Without ``transforms``
-    the operations act on M alone, and only (rank, factors) is
-    returned."""
-    A = _dense(M)
+def _smith_general(M: Matrix):
+    """(rank, monic invariant factors) of M by polynomial elimination:
+    the least-degree pivot reduces its row and column by ``divmod``, a
+    nonzero remainder becomes the new pivot, and a pivot that does not
+    divide the rest of the matrix takes a row that it fails to divide.
+    The operations act on M alone; no transform is tracked."""
     n, m = M.nrows, M.ncols
-    if transforms:
-        U, Uinv = _dense(Matrix.identity(n)), _dense(Matrix.identity(n))
-        V, Vinv = _dense(Matrix.identity(m)), _dense(Matrix.identity(m))
-
-    def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-        if transforms:
-            U[i], U[k] = U[k], U[i]
-            for r in range(n):
-                Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
+    A = [[ZERO] * m for _ in range(n)]
+    for (i, j), v in M.data.items():
+        A[i][j] = v
 
     def col_swap(j, k):
         for r in range(n):
             A[r][j], A[r][k] = A[r][k], A[r][j]
-        if transforms:
-            for r in range(m):
-                V[r][j], V[r][k] = V[r][k], V[r][j]
-            Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
 
     def row_add(i, k, q):
         # row i += q * row k
-        if q.is_zero():
-            return
-        A[i] = [a + q * b if b else a for a, b in zip(A[i], A[k])]
-        if transforms:
-            U[i] = [a + q * b for a, b in zip(U[i], U[k])]
-            for r in range(n):
-                Uinv[r][k] = Uinv[r][k] - q * Uinv[r][i]
+        if not q.is_zero():
+            A[i] = [a + q * b if b else a for a, b in zip(A[i], A[k])]
 
     def col_add(j, k, q):
         # col j += q * col k
-        if q.is_zero():
-            return
-        for r in range(n):
-            if A[r][k]:
-                A[r][j] = A[r][j] + q * A[r][k]
-        if transforms:
-            for r in range(m):
-                V[r][j] = V[r][j] + q * V[r][k]
-            Vinv[k] = [a - q * b for a, b in zip(Vinv[k], Vinv[j])]
-
-    def row_scale(i, q):
-        # q a nonzero rational
-        qs = sc(q)
-        A[i] = [qs * a for a in A[i]]
-        if transforms:
-            U[i] = [qs * a for a in U[i]]
-            inv = sc(quo(1, q))
+        if not q.is_zero():
             for r in range(n):
-                Uinv[r][i] = inv * Uinv[r][i]
+                if A[r][k]:
+                    A[r][j] = A[r][j] + q * A[r][k]
 
     t = 0
     while True:
@@ -703,8 +664,7 @@ def _smith_general(M: Matrix, transforms=True):
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
+        A[t], A[bi] = A[bi], A[t]
         if bj != t:
             col_swap(t, bj)
 
@@ -717,7 +677,7 @@ def _smith_general(M: Matrix, transforms=True):
                 row_add(i, t, -q)
                 if not r.is_zero():
                     # remainder has smaller degree: promote it to the pivot
-                    row_swap(t, i)
+                    A[t], A[i] = A[i], A[t]
                     dirty = True
             for j in range(t + 1, m):
                 if A[t][j].is_zero():
@@ -748,28 +708,22 @@ def _smith_general(M: Matrix, transforms=True):
         if not fixed:
             continue
 
-        lead = A[t][t].leading()
-        if lead != 1:
-            row_scale(t, quo(1, lead))
+        A[t][t] = A[t][t].monic()
         t += 1
         if t == n or t == m:
             break
 
-    if not transforms:
-        return t, [A[i][i] for i in range(t)]
-    return SmithResult(U, Uinv, V, Vinv, A, t, n, m)
+    return t, [A[i][i] for i in range(t)]
 
 
 def presentation(D: Matrix):
-    """H = ker D / im D over Q[var] for a square-zero D, as (S, X): S is
-    the Smith form of D, whose ``kernel_basis()`` is a free basis of
-    ker D, and X holds in column j the coordinates of D V e_j (j below the
-    rank) in that basis, so that H = Q[var]^r / im X."""
+    """H = ker D / im D over Q[var] for a homogeneous square-zero D, as
+    (S, X): S is the Smith form of D, whose ``kernel_basis()`` is a free
+    basis of ker D, and X holds in column j the coordinates of D V e_j
+    (j below the rank) in that basis, so that H = Q[var]^r / im X."""
     S = smith(D)
     cols = []
-    for j in range(S.rank):
-        vj = {i: S.V[i][j] for i in range(S.ncols)
-              if not S.V[i][j].is_zero()}
+    for vj in S.V[:S.rank]:
         x = S.kernel_coordinates(D.apply(vj))
         if x is None:
             raise AssertionError("image vector outside the kernel")
@@ -779,33 +733,22 @@ def presentation(D: Matrix):
 
 def smith_solve(S: SmithResult, M: Matrix, b: dict):
     """Solve M x = b over the polynomial ring using a precomputed Smith
-    form of M.  Returns x as a column dict, or None when no polynomial
-    solution exists.  The library reads kernel coordinates off V^-1
-    instead; this general solver is the reference the tests compare
-    against."""
-    ub = [ZERO] * S.nrows
-    for i in range(S.nrows):
-        acc = ZERO
-        for k, v in b.items():
-            acc = acc + S.U[i][k] * sc(v)
-        ub[i] = acc
-    y = [ZERO] * S.ncols
-    for i in range(S.nrows):
-        if i < S.rank:
-            try:
-                y[i] = ub[i].div_exact(S.D[i][i])
-            except ValueError:
-                return None
-        elif not ub[i].is_zero():
-            return None
+    form of M: x = V y where y_t = (U b)_t / factors[t] below the rank.
+    Returns x as a column dict, or None when no polynomial solution
+    exists, which is when some (U b)_t past the rank is nonzero or some
+    division is inexact."""
     x = {}
-    for r in range(S.ncols):
-        acc = ZERO
-        for j in range(S.ncols):
-            if not y[j].is_zero():
-                acc = acc + S.V[r][j] * y[j]
-        if not acc.is_zero():
-            x[r] = acc
+    for t, row in enumerate(S.U):
+        acc = _dot(row, b)
+        if acc.is_zero():
+            continue
+        if t >= S.rank:
+            return None
+        try:
+            y = acc.div_exact(S.factors[t])
+        except ValueError:
+            return None
+        x = vec_add(x, vec_scale(S.V[t], y))
     return x
 
 
@@ -834,29 +777,30 @@ class FiniteComplex:
     differential as a Matrix, or as a column dict mapping token index to
     the differential of that basis vector.  Over Q the grading splits
     the differential into per-degree matrices; over Q[var]
-    the variable carries degree ``var_degree`` (2 for equivariant
-    parameters) and the single endomorphism is the honest representation,
-    since multiplication by the variable moves between generator degrees.
+    the variable carries degree 2, as an equivariant parameter does, and
+    the single endomorphism is the honest representation, since
+    multiplication by the variable moves between generator degrees.
+    Every entry is then one monomial c*var^k with k determined by the
+    degrees it joins, so the differential is homogeneous.
     """
 
-    def __init__(self, tokens, diff, var=None, var_degree=2):
-        self._build(tokens, diff, var, var_degree)
+    def __init__(self, tokens, diff, var=None):
+        self._build(tokens, diff, var)
         self._check_square_zero()
 
     @classmethod
-    def _square_zero(cls, tokens, diff, var=None, var_degree=2):
+    def _square_zero(cls, tokens, diff, var=None):
         """A complex whose differential is known to square to zero, built
         without taking the square: the checks of a mixed complex already
         imply it for its Koszul dual and for every specialization of
         it."""
         C = cls.__new__(cls)
-        C._build(tokens, diff, var, var_degree)
+        C._build(tokens, diff, var)
         return C
 
-    def _build(self, tokens, diff, var, var_degree):
+    def _build(self, tokens, diff, var):
         self.tokens = list(tokens)
         self.var = var
-        self.var_degree = var_degree
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate basis tokens")
@@ -876,10 +820,14 @@ class FiniteComplex:
                         "differential not of degree +1: %r -> %r"
                         % (self.tokens[j], self.tokens[i]))
             else:
-                # each monomial u^k shifts degree by k*var_degree
+                if v.var not in (None, self.var):
+                    raise ValueError(
+                        "entry in %s in a complex over Q[%s] at %r -> %r"
+                        % (v.var, self.var, self.tokens[j], self.tokens[i]))
+                # each monomial u^k shifts degree by 2k
                 want = dj + 1 - di
                 for e, c in enumerate(v.coeffs):
-                    if c != 0 and e * self.var_degree != want:
+                    if c != 0 and 2 * e != want:
                         raise ValueError(
                             "differential not homogeneous of degree +1 at "
                             "%r -> %r" % (self.tokens[j], self.tokens[i]))
@@ -942,13 +890,11 @@ class FiniteComplex:
                 continue
             SX = smith(X)
             # new kernel basis adapted to the image: columns of K * Uinv
-            for j in range(len(kern)):
+            for j, ucol in enumerate(SX.Uinv):
                 col = {}
-                for k2, kvec in enumerate(kern):
-                    u = SX.Uinv[k2][j]
-                    if not u.is_zero():
-                        col = vec_add(col, vec_scale(kvec, u))
-                ann = SX.D[j][j] if j < SX.rank else None
+                for k2, u in ucol.items():
+                    col = vec_add(col, vec_scale(kern[k2], u))
+                ann = SX.factors[j] if j < SX.rank else None
                 if ann is not None and ann.degree() == 0:
                     continue  # unit annihilator: trivial class
                 rep = {self.tokens[idx[i]]: col[i] for i in sorted(col)}
@@ -963,7 +909,7 @@ class FiniteComplex:
         for tok, v in rep.items():
             for e, c in enumerate(v.coeffs):
                 if c != 0:
-                    degs.add(tok.degree + e * self.var_degree)
+                    degs.add(tok.degree + 2 * e)
         if len(degs) == 1:
             return degs.pop()
         return None  # inhomogeneous representative

@@ -1,0 +1,144 @@
+"""The reference Smith form for the tests: dense polynomial elimination
+with the unimodular transforms tracked on both sides, for any matrix
+over Q[u].  ``opelab.linalg.smith`` takes homogeneous matrices only, and
+``smith_factors`` runs the same elimination with no transforms; this one
+returns the full sparse ``SmithResult``, so the Smith form properties can
+be checked on matrices that are not homogeneous too."""
+
+from opelab.linalg import Matrix, SmithResult
+from opelab.scalars import ZERO, ONE, sc, quo
+
+
+def _dense(M: Matrix):
+    A = [[ZERO] * M.ncols for _ in range(M.nrows)]
+    for (i, j), v in M.data.items():
+        A[i][j] = v
+    return A
+
+
+def general_smith(M: Matrix) -> SmithResult:
+    """U M V = D by polynomial elimination: the least-degree pivot
+    reduces its row and column by ``divmod``, a nonzero remainder becomes
+    the new pivot, and a pivot that does not divide the rest of the
+    matrix takes a row that it fails to divide.  U, U^-1, V and V^-1 are
+    updated with every operation."""
+    A = _dense(M)
+    n, m = M.nrows, M.ncols
+    U, Uinv = _dense(Matrix.identity(n)), _dense(Matrix.identity(n))
+    V, Vinv = _dense(Matrix.identity(m)), _dense(Matrix.identity(m))
+
+    def row_swap(i, k):
+        A[i], A[k] = A[k], A[i]
+        U[i], U[k] = U[k], U[i]
+        for r in range(n):
+            Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
+
+    def col_swap(j, k):
+        for r in range(n):
+            A[r][j], A[r][k] = A[r][k], A[r][j]
+        for r in range(m):
+            V[r][j], V[r][k] = V[r][k], V[r][j]
+        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
+
+    def row_add(i, k, q):
+        # row i += q * row k
+        if q.is_zero():
+            return
+        A[i] = [a + q * b if b else a for a, b in zip(A[i], A[k])]
+        U[i] = [a + q * b for a, b in zip(U[i], U[k])]
+        for r in range(n):
+            Uinv[r][k] = Uinv[r][k] - q * Uinv[r][i]
+
+    def col_add(j, k, q):
+        # col j += q * col k
+        if q.is_zero():
+            return
+        for r in range(n):
+            if A[r][k]:
+                A[r][j] = A[r][j] + q * A[r][k]
+        for r in range(m):
+            V[r][j] = V[r][j] + q * V[r][k]
+        Vinv[k] = [a - q * b for a, b in zip(Vinv[k], Vinv[j])]
+
+    def row_scale(i, q):
+        # q a nonzero rational
+        qs = sc(q)
+        A[i] = [qs * a for a in A[i]]
+        U[i] = [qs * a for a in U[i]]
+        inv = sc(quo(1, q))
+        for r in range(n):
+            Uinv[r][i] = inv * Uinv[r][i]
+
+    t = 0
+    while True:
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if not A[i][j].is_zero():
+                    d = A[i][j].degree()
+                    if best is None or d < best[0]:
+                        best = (d, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+
+        while True:
+            dirty = False
+            for i in range(t + 1, n):
+                if A[i][t].is_zero():
+                    continue
+                q, r = A[i][t].divmod(A[t][t])
+                row_add(i, t, -q)
+                if not r.is_zero():
+                    # remainder has smaller degree: promote it to the pivot
+                    row_swap(t, i)
+                    dirty = True
+            for j in range(t + 1, m):
+                if A[t][j].is_zero():
+                    continue
+                q, r = A[t][j].divmod(A[t][t])
+                col_add(j, t, -q)
+                if not r.is_zero():
+                    col_swap(t, j)
+                    dirty = True
+            if not dirty:
+                break
+
+        # pivot must divide the remaining submatrix for the chain
+        # property; a unit pivot divides everything
+        fixed = True
+        rest = range(t + 1, n) if A[t][t].degree() > 0 else ()
+        for i in rest:
+            for j in range(t + 1, m):
+                if A[i][j].is_zero():
+                    continue
+                _, r = A[i][j].divmod(A[t][t])
+                if not r.is_zero():
+                    row_add(t, i, ONE)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+
+        lead = A[t][t].leading()
+        if lead != 1:
+            row_scale(t, quo(1, lead))
+        t += 1
+        if t == n or t == m:
+            break
+
+    def rows(X):
+        return [{k: x for k, x in enumerate(row) if x} for row in X]
+
+    def cols(X):
+        return [{k: row[c] for k, row in enumerate(X) if row[c]}
+                for c in range(len(X))]
+
+    return SmithResult(rows(U), cols(Uinv), cols(V), rows(Vinv),
+                       [A[i][i] for i in range(t)])

@@ -277,14 +277,13 @@ def test_trivial_operator_dualizes_to_a_free_module():
 
 def _free_line():
     return ucomplex_from_finite(FiniteComplex(
-        [BasisToken("g", 0)], {}, var="u", var_degree=2))
+        [BasisToken("g", 0)], {}, var="u"))
 
 
 def _point_module():
     u = Scalar.variable("u")
     return ucomplex_from_finite(FiniteComplex(
-        [BasisToken("m1", 1), BasisToken("m0", 0)], {0: {1: u}},
-        var="u", var_degree=2))
+        [BasisToken("m1", 1), BasisToken("m0", 0)], {0: {1: u}}, var="u"))
 
 
 def _random_three_term(rng):
@@ -315,7 +314,7 @@ def _random_three_term(rng):
             e, f = add(1), add(0)
             diff[e] = {x: q, y: sc(rng.choice([1, -1, 2])),
                        f: u * sc(rng.choice([1, -1]))}
-    C = FiniteComplex(tokens, diff, var="u", var_degree=2)
+    C = FiniteComplex(tokens, diff, var="u")
     assert C.D.mul(C.D).is_zero()
     return ucomplex_from_finite(C)
 

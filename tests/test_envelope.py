@@ -373,7 +373,7 @@ DERIVATION_CASES = [
 
 def _oracle_states(V, wmax, seed=0):
     """The sampled states, then random linear combinations of them."""
-    states = [s for _, s in V._sample_states(wmax, charge_hint=True)]
+    states = [s for _, s in V._sample_states(wmax)]
     rng = random.Random(seed)
     for _ in range(20):
         combo = {}
@@ -482,3 +482,11 @@ def test_integer_weights_match_the_fraction_recursion(V, weights, charges):
         jf, js = V._alive_bounds(ma[0][1], ma[1:], n, mb)
         assert _fraction_alive(V, ma, n, mb) == (list(range(jf + 1)),
                                                  list(range(js + 1)))
+
+
+def test_samples_cover_every_weight_block():
+    # the weight-1/2 free fermion has states at 3/2 and 5/2 beyond psi
+    V = build_envelope(_free_fermion(), cutoff=3)
+    weights = {V.state_weight(s) for _, s in V._sample_states(3)}
+    assert {Fraction(3, 2), Fraction(5, 2)} <= weights
+    assert weights == {w for w, dim in V.graded_dimensions().items() if dim}

@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opelab.scalars import Scalar, ZERO, ONE, sc, format_scalar
-from opelab.linalg import (BasisToken, FiniteComplex, Matrix, smith,
+from opelab.scalars import (Scalar, ZERO, ONE, sc, format_scalar,
+                            parse_scalar)
+from opelab.linalg import (BasisToken, FiniteComplex, Matrix, presentation,
                            vec_add, vec_scale, _smith_general)
 from opelab.equivariant import (
     MixedComplex, UComplex, koszul_t, koszul_h, ucomplex_from_finite,
-    cartan_model, localize_check, check_mixed_map, quotient_invariants,
+    cartan_model, localize_check, check_mixed_map,
     _module_invariants, divides_power, regular_lambda, sphere_pair,
     zero_mixed, p1_rotation, p1_fixed_points, p1_inclusion)
+from smith_oracle import general_smith
 
 
 # -- oracles ---------------------------------------------------------------
@@ -45,32 +47,46 @@ def mapping_cone(NZ, NX, iota):
             tgt[nz + i] = sc(v)
     for j, col in dx.items():
         diff[nz + j] = {nz + i: v for i, v in col.items()}
-    return FiniteComplex(tokens, diff, var="u", var_degree=2)
+    return FiniteComplex(tokens, diff, var="u")
 
 
 def cone_invariants(NZ, NX, iota):
     return _module_invariants(mapping_cone(NZ, NX, iota).D)
 
 
+def quotient_invariants(ambient, gens, rels):
+    """Invariant factors of span(gens)/span(rels) inside Q[u]^ambient,
+    with rels contained in span(gens), by the general elimination: the
+    coefficient parts of ker [gens | rels] present the quotient.
+    Returns (free_rank, torsion)."""
+    g = len(gens)
+    if g == 0:
+        return 0, []
+    cols = list(gens) + list(rels)
+    B = Matrix.from_columns(ambient, cols)
+    pres = []
+    for kcol in general_smith(B).kernel_basis():
+        c = {i: v for i, v in kcol.items() if i < g}
+        if c:
+            pres.append(c)
+    S = general_smith(Matrix.from_columns(g, pres))
+    return S.nrows - S.rank, [f for f in S.factors if f.degree() > 0]
+
+
 def quotient_route(D):
     """Module invariants of ker D / im D from the [kernel | image]
     presentation, the route the library took before it read coordinates
     off V^-1."""
-    S = smith(D)
-    img = [D.apply({i: S.V[i][j] for i in range(S.ncols)
-                    if not S.V[i][j].is_zero()})
-           for j in range(S.rank)]
+    S = general_smith(D)
+    img = [D.apply(S.V[j]) for j in range(S.rank)]
     return quotient_invariants(D.nrows, S.kernel_basis(), img)
 
 
 def whole_presentation(D):
     """``presentation`` of D by the general elimination on the whole
     matrix."""
-    S = _smith_general(D)
-    cols = [S.kernel_coordinates(D.apply({i: S.V[i][j]
-                                          for i in range(S.ncols)
-                                          if not S.V[i][j].is_zero()}))
-            for j in range(S.rank)]
+    S = general_smith(D)
+    cols = [S.kernel_coordinates(D.apply(S.V[j])) for j in range(S.rank)]
     return S, Matrix.from_columns(S.ncols - S.rank, cols)
 
 
@@ -79,7 +95,7 @@ def whole_matrix_invariants(D):
     on the whole matrix, without transforms: the torsion of H is that of
     coker D, and rank H = n - 2 rank D.  Its cost does not grow with the
     entries of any transform."""
-    rank, factors = _smith_general(D, transforms=False)
+    rank, factors = _smith_general(D)
     return D.nrows - 2 * rank, [f for f in factors if f.degree() > 0]
 
 
@@ -87,7 +103,7 @@ def presentation_invariants(D):
     """Module invariants read off the presentation of H by the general
     elimination: free rank and torsion of Q[var]^r / im X.  Its
     transforms blow up on large sums, so it runs on single blocks."""
-    SX = _smith_general(whole_presentation(D)[1])
+    SX = general_smith(whole_presentation(D)[1])
     return SX.nrows - SX.rank, [f for f in SX.factors if f.degree() > 0]
 
 
@@ -96,15 +112,15 @@ def whole_matrix_classes(C):
     general elimination on the whole differential finds."""
     S, X = whole_presentation(C.D)
     kern = S.kernel_basis()
-    SX = _smith_general(X)
+    SX = general_smith(X)
     out = []
-    for j in range(len(kern)):
-        ann = SX.D[j][j] if j < SX.rank else None
+    for j, ucol in enumerate(SX.Uinv):
+        ann = SX.factors[j] if j < SX.rank else None
         if ann is not None and ann.degree() == 0:
             continue
         col = {}
-        for k, kvec in enumerate(kern):
-            col = vec_add(col, vec_scale(kvec, SX.Uinv[k][j]))
+        for k, u in ucol.items():
+            col = vec_add(col, vec_scale(kern[k], u))
         rep = {C.tokens[i]: v for i, v in col.items()}
         out.append((C._vec_degree(rep),
                     "free" if ann is None else format_scalar(ann)))
@@ -328,13 +344,13 @@ def test_round_trip_is_exact_on_mixed_complexes():
 def test_round_trip_preserves_torsion_type():
     u = Scalar.variable("u")
     toks = [BasisToken("m1", 1), BasisToken("m0", 0)]
-    C = FiniteComplex(toks, {0: {1: u}}, var="u", var_degree=2)
+    C = FiniteComplex(toks, {0: {1: u}}, var="u")
     M = ucomplex_from_finite(C)
     back = koszul_t(koszul_h(M)).complex()
     assert back.D.data == C.D.data
     assert class_shape(back) == [(0, "u")]
 
-    free = FiniteComplex([BasisToken("g", 0)], {}, var="u", var_degree=2)
+    free = FiniteComplex([BasisToken("g", 0)], {}, var="u")
     M2 = ucomplex_from_finite(free)
     assert koszul_t(koszul_h(M2)).complex().cohomology()[0].annihilator \
         is None
@@ -343,7 +359,7 @@ def test_round_trip_preserves_torsion_type():
 def test_quadratic_entries_are_refused():
     u = Scalar.variable("u")
     toks = [BasisToken("a", 3), BasisToken("b", 0)]
-    C = FiniteComplex(toks, {0: {1: u * u}}, var="u", var_degree=2)
+    C = FiniteComplex(toks, {0: {1: u * u}}, var="u")
     with pytest.raises(ValueError, match="degree >= 2"):
         ucomplex_from_finite(C)
 
@@ -470,6 +486,70 @@ def test_cone_agrees_with_the_verdict():
             divides_power(f, Scalar.variable("u")) for f in tors)
         assert res["iso_after_localization"] is expect
         assert cone_ok is expect
+
+
+def direct_sum(A, B):
+    """A + B as a mixed complex, with the tokens of B renamed apart."""
+    n, m = len(A.tokens), len(B.tokens)
+    tokens = A.tokens + [BasisToken("b" + t.name, t.degree)
+                         for t in B.tokens]
+
+    def block(P, Q):
+        entries = dict(P.data)
+        entries.update({(i + n, j + n): v for (i, j), v in Q.data.items()})
+        return Matrix(n + m, n + m, entries)
+
+    return MixedComplex(tokens, block(A.d, B.d),
+                        [block(P, Q) for P, Q in zip(A.hs, B.hs)])
+
+
+def localize_oracle(NZ, NX, iota):
+    """(cokernel, kernel) of H(t(iota)), each as (free rank, torsion
+    factors): the kernel is span(gens) / im XZ by ``quotient_invariants``,
+    where gens are the nonzero x-parts of ker [F | XX], and the cokernel
+    comes from the general elimination of [F | XX].  This is the route
+    ``localize_check`` took before it solved for coordinates in a basis
+    of the kernel."""
+    iota = check_mixed_map(NZ, NX, iota)
+    SZ, XZ = presentation(koszul_t(NZ).complex().D)
+    SX, XX = presentation(koszul_t(NX).complex().D)
+    F = [SX.kernel_coordinates(iota.apply(kz)) for kz in SZ.kernel_basis()]
+    SB = general_smith(Matrix.from_columns(
+        XX.nrows, F + [XX.column(j) for j in range(XX.ncols)]))
+    gens = [{i: v for i, v in k.items() if i < len(F)}
+            for k in SB.kernel_basis()]
+    kernel = quotient_invariants(XZ.nrows, [g for g in gens if g],
+                                 [XZ.column(j) for j in range(XZ.ncols)])
+    cokernel = XX.nrows - SB.rank, [f for f in SB.factors if f.degree() > 0]
+    return cokernel, kernel
+
+
+def test_localize_kernel_matches_the_quotient_oracle():
+    # A, B random; maps: zero A -> B, c id on A, and the inclusion,
+    # projection and projector of the summand A of A + B
+    rng = random.Random(14)
+    kernel_torsion = 0
+    for _ in range(150):
+        A, B = random_strict(rng), random_strict(rng)
+        X = direct_sum(A, B)
+        on_a = {j: {j: 1} for j in range(len(A.tokens))}
+        c = rng.choice([2, -3, Fraction(1, 2)])
+        maps = [(A, B, {}), (A, A, {j: {j: c} for j in on_a}),
+                (A, X, on_a), (X, A, on_a), (X, X, on_a)]
+        for NZ, NX, iota in maps:
+            (cfree, ctors), (kfree, ktors) = localize_oracle(NZ, NX, iota)
+            for inverted in ("u", "u + 1", "2"):
+                res = localize_check(NZ, NX, iota, [inverted])
+                assert res["iso_after_localization"] == (
+                    cfree == kfree == 0 and all(
+                        divides_power(f, parse_scalar(inverted))
+                        for f in ctors + ktors))
+                assert res["cokernel_factors"] == [
+                    format_scalar(f) for f in ctors] + ["0"] * cfree
+                assert res["kernel_factors"] == [
+                    format_scalar(f) for f in ktors] + ["0"] * kfree
+            kernel_torsion += bool(ktors)
+    assert kernel_torsion
 
 
 def test_module_invariants_match_the_quotient_route():

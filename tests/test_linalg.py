@@ -9,6 +9,7 @@ from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
                            q_solve, smith, smith_solve, quotient_reps,
                            span_rank, rref, vec_add, vec_scale, vec_sub,
                            smith_factors, _grading, _smith_general)
+from smith_oracle import general_smith
 
 
 # Independent rank oracle: fraction-free Bareiss elimination on dense rows.
@@ -83,27 +84,26 @@ def test_matrix_product_and_identity():
     assert A.mul(B) == dense_to_matrix([[2, 1], [4, 3]])
 
 
+def _rows(n, vecs):
+    return Matrix(n, n, {(t, k): x for t, vec in enumerate(vecs)
+                         for k, x in vec.items()})
+
+
 def _check_smith(M, reduce=smith):
     S = reduce(M)
+    n, m = S.nrows, S.ncols
+    assert (len(S.U), len(S.Uinv), len(S.V), len(S.Vinv)) == (n, n, m, m)
+    for vec in S.U + S.Uinv + S.V + S.Vinv:
+        assert list(vec) == sorted(vec)
+        assert not any(x.is_zero() for x in vec.values())
+    U, Vinv = _rows(n, S.U), _rows(m, S.Vinv)
+    Uinv, V = _rows(n, S.Uinv).transpose(), _rows(m, S.V).transpose()
     # U M V = D
-    U = Matrix(S.nrows, S.nrows,
-               {(i, j): S.U[i][j] for i in range(S.nrows)
-                for j in range(S.nrows)})
-    V = Matrix(S.ncols, S.ncols,
-               {(i, j): S.V[i][j] for i in range(S.ncols)
-                for j in range(S.ncols)})
     D = U.mul(M).mul(V)
-    for (i, j), v in D.data.items():
-        assert i == j, "off-diagonal entry survives"
-        assert v == S.D[i][j]
-    Uinv = Matrix(S.nrows, S.nrows,
-                  {(i, j): S.Uinv[i][j] for i in range(S.nrows)
-                   for j in range(S.nrows)})
-    assert U.mul(Uinv) == Matrix.identity(S.nrows)
-    Vinv = Matrix(S.ncols, S.ncols,
-                  {(i, j): S.Vinv[i][j] for i in range(S.ncols)
-                   for j in range(S.ncols)})
-    assert V.mul(Vinv) == Matrix.identity(S.ncols)
+    assert D.data == {(t, t): f for t, f in enumerate(S.factors)}, \
+        "U M V is not diag(factors)"
+    assert U.mul(Uinv) == Matrix.identity(n)
+    assert V.mul(Vinv) == Matrix.identity(m)
     # monic divisibility chain
     for a, b in zip(S.factors, S.factors[1:]):
         assert b.divmod(a)[1].is_zero()
@@ -123,7 +123,7 @@ def test_smith_scalar_matrix():
 def test_smith_coprime_diagonal():
     u = Scalar.variable("u")
     M = Matrix(2, 2, {(0, 0): u, (1, 1): u - 1})
-    S = _check_smith(M)
+    S = _check_smith(M, general_smith)
     assert S.rank == 2
     assert S.factors[0] == ONE
     assert S.factors[1] == u * u - u
@@ -143,7 +143,7 @@ def test_smith_general_primes():
     u = Scalar.variable("u")
     M = Matrix(2, 2, {(0, 0): (u - 1) * (u - 2), (0, 1): (u - 1),
                       (1, 0): (u - 2), (1, 1): ONE})
-    S = _check_smith(M)
+    S = _check_smith(M, general_smith)
     assert S.rank == 1
     assert S.factors == [ONE]
 
@@ -164,6 +164,16 @@ def test_smith_solve():
     assert M.apply(x) == {0: u * u, 1: sc(3)}
     # u x = 1 has no polynomial solution
     assert smith_solve(S, M, {0: ONE}) is None
+
+
+def test_smith_refuses_what_smith_factors_answers():
+    u = Scalar.variable("u")
+    cases = [(Matrix(2, 2, {(0, 0): u, (1, 1): u - 1}), [ONE, u * u - u]),
+             (Matrix(1, 1, {(0, 0): u + 1}), [u + 1])]
+    for M, factors in cases:
+        with pytest.raises(ValueError, match="smith_factors"):
+            smith(M)
+        assert smith_factors(M) == (len(factors), factors)
 
 
 # -- properties of the Smith form on small random matrices over Q[u] -------
@@ -187,8 +197,12 @@ def poly_vector(draw, n):
 @settings(max_examples=60, deadline=None)
 @given(poly_matrices())
 def test_smith_transforms_on_random_matrices(M):
-    _check_smith(M)
-    _check_smith(M, _smith_general)
+    _check_smith(M, general_smith)
+    if _grading(M) is None:
+        with pytest.raises(ValueError, match="homogeneous"):
+            smith(M)
+    else:
+        _check_smith(M)
 
 
 @st.composite
@@ -218,8 +232,8 @@ def homogeneous_matrices(draw):
 def test_graded_smith_against_the_general_elimination(M):
     assert _grading(M) is not None
     S = _check_smith(M)
-    G = _smith_general(M)
-    assert (S.rank, S.factors) == (G.rank, G.factors)
+    G = general_smith(M)
+    assert (S.rank, S.factors) == (G.rank, G.factors) == _smith_general(M)
     assert not any(c for f in S.factors for c in f.coeffs[:-1])
 
 
@@ -229,10 +243,10 @@ zero_matrices = st.builds(Matrix, st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(poly_matrices(), homogeneous_matrices(), zero_matrices))
 def test_smith_factors_match_the_smith_form(M):
-    S = smith(M)
+    G = general_smith(M)
+    assert _smith_general(M) == (G.rank, G.factors)
+    S = G if _grading(M) is None else smith(M)
     assert smith_factors(M) == (S.rank, S.factors)
-    G = _smith_general(M)
-    assert _smith_general(M, transforms=False) == (G.rank, G.factors)
 
 
 def test_grading_refuses_what_has_no_weights():
@@ -288,30 +302,34 @@ def test_blocks_are_the_components_of_the_support(case):
                           for i in idx}
 
 
+# Homogeneous matrices go through ``smith``, and polynomial ones through
+# the oracle; a kernel basis of a homogeneous matrix is homogeneous.
 @settings(max_examples=60, deadline=None)
-@given(poly_matrices())
-def test_kernel_basis_is_a_direct_summand(M):
-    # the saturation that makes V^-1 coordinates polynomial
-    kern = smith(M).kernel_basis()
-    SK = smith(Matrix.from_columns(M.ncols, kern))
-    assert SK.rank == len(kern)
-    assert all(f.degree() == 0 for f in SK.factors)
+@given(homogeneous_matrices(), poly_matrices())
+def test_kernel_basis_is_a_direct_summand(H, P):
+    for M, reduce in ((H, smith), (P, general_smith)):
+        # the saturation that makes V^-1 coordinates polynomial
+        kern = reduce(M).kernel_basis()
+        SK = reduce(Matrix.from_columns(M.ncols, kern))
+        assert SK.rank == len(kern)
+        assert all(f.degree() == 0 for f in SK.factors)
 
 
 @settings(max_examples=60, deadline=None)
-@given(poly_matrices(), st.data())
-def test_kernel_coordinates_against_smith_solve(M, data):
-    S = smith(M)
-    kern = S.kernel_basis()
-    K = Matrix.from_columns(M.ncols, kern)
-    SK = smith(K)
-    c = poly_vector(data.draw, len(kern))
-    v = K.apply(c)
-    assert S.kernel_coordinates(v) == smith_solve(SK, K, v) == c
-    b = poly_vector(data.draw, M.ncols)
-    x = S.kernel_coordinates(b)
-    assert x == smith_solve(SK, K, b)
-    assert (x is None) == bool(M.apply(b))
+@given(homogeneous_matrices(), poly_matrices(), st.data())
+def test_kernel_coordinates_against_smith_solve(H, P, data):
+    for M, reduce in ((H, smith), (P, general_smith)):
+        S = reduce(M)
+        kern = S.kernel_basis()
+        K = Matrix.from_columns(M.ncols, kern)
+        SK = reduce(K)
+        c = poly_vector(data.draw, len(kern))
+        v = K.apply(c)
+        assert S.kernel_coordinates(v) == smith_solve(SK, K, v) == c
+        b = poly_vector(data.draw, M.ncols)
+        x = S.kernel_coordinates(b)
+        assert x == smith_solve(SK, K, b)
+        assert (x is None) == bool(M.apply(b))
 
 
 # -- the Matrix algebra against dense list arithmetic ---------------------
@@ -575,6 +593,18 @@ def test_complex_rejects_inhomogeneous():
     b = BasisToken("b", 2)
     with pytest.raises(ValueError, match="degree"):
         FiniteComplex([a, b], {0: {1: ONE}})
+
+
+def test_complex_refuses_entries_in_another_variable():
+    # an entry t passes the degree check as if it were u, and t next to
+    # u used to fail only in the arithmetic, with "cannot mix variables"
+    u, t = Scalar.variable("u"), Scalar.variable("t")
+    a, b, c = BasisToken("a", 0), BasisToken("b", -1), BasisToken("c", -1)
+    for diff, target in (({0: {1: t}}, "b"), ({0: {1: u, 2: t}}, "c")):
+        with pytest.raises(ValueError) as err:
+            FiniteComplex([a, b, c], diff, var="u")
+        assert str(err.value) == ("entry in t in a complex over Q[u] at "
+                                  "<a deg=0> -> <%s deg=-1>" % target)
 
 
 def test_cohomology_over_q():
