@@ -391,14 +391,21 @@ class BRSTDatum:
     @classmethod
     def from_dict(cls, data) -> "BRSTDatum":
         # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import SchemaViolation, escape, scalar_at
+        from .schemas import SchemaViolation, escape, name_index, scalar_at
         try:
             matter = VertexLieData.from_dict(data["matter"])
         except SchemaViolation as e:
             raise SchemaViolation("brst.v1", "/matter" + e.pointer,
                                   e.message)
         names = list(data["basis"])
-        pos = {n: i for i, n in enumerate(names)}
+        pos = name_index(names, "brst.v1", "/basis/%d")
+        ghosts = build_ghosts(names).index
+        for k, g in enumerate(matter.gens):
+            if g.name in ghosts:
+                raise SchemaViolation(
+                    "brst.v1", "/matter/generators/%d/name" % k,
+                    "matter generator %r has the name of a ghost"
+                    % g.name)
 
         # cross-references the schema cannot see
         def declared(name, table, what, pointer):

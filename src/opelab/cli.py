@@ -19,7 +19,7 @@ from .equivariant import (MixedComplex, cartan_candidates, cartan_model,
                           koszul_t, localize_check)
 from .operads import AlgebraInstance, check_relations, conf_ring, \
     homology_p_d_bridge
-from .scalars import Scalar
+from .scalars import Scalar, format_scalar
 from .schemas import SchemaViolation, escape, scalar_at, validate
 from .vla import (VertexLieData, check_jacobi, check_sesquilinearity,
                   check_skew_symmetry)
@@ -247,14 +247,13 @@ def do_brst(args):
 def _class_entries(classes):
     out = []
     for c in sorted(classes, key=lambda c: (c.degree, str(c.annihilator))):
-        from .scalars import format_scalar
         ann = None if c.annihilator is None \
             else format_scalar(c.annihilator)
         out.append({"degree": c.degree, "annihilator": ann})
     return out
 
 
-def _summaries(entries, var="u"):
+def _summaries(entries, var):
     out = []
     for e in entries:
         ann = e["annihilator"]
@@ -268,19 +267,24 @@ def _summaries(entries, var="u"):
     return out
 
 
-def do_koszul(args):
-    N, name = _mixed_source(args)
-    U = koszul_t(N)
-    report = {"format": "mixed.v1", "verb": "koszul", "source": name,
-              "factors": N.nfactors}
-    if N.nfactors == 1:
+def _add_cohomology(report, U):
+    """The classes of H(U) and their summaries for one torus factor; for
+    several, the module invariants of each specialization."""
+    if U.nfactors == 1:
         entries = _class_entries(U.cohomology())
         report["classes"] = entries
-        report["cohomology"] = _summaries(entries)
+        report["cohomology"] = _summaries(entries, U.labels[0])
     else:
         inv = U.cohomology()
         report["invariants"] = {
             "%s at %d" % k: v for k, v in sorted(inv.items())}
+
+
+def do_koszul(args):
+    N, name = _mixed_source(args)
+    report = {"format": "mixed.v1", "verb": "koszul", "source": name,
+              "factors": N.nfactors}
+    _add_cohomology(report, koszul_t(N))
     return 0, report
 
 
@@ -354,14 +358,7 @@ def do_cartan(args):
     U = cartan_model(weights, cutoff)
     report = {"format": "cartan.v1", "verb": "cartan", "source": name,
               "truncation": cutoff, "factors": U.nfactors}
-    if U.nfactors == 1:
-        entries = _class_entries(U.cohomology())
-        report["classes"] = entries
-        report["cohomology"] = _summaries(entries, U.labels[0])
-    else:
-        inv = U.cohomology()
-        report["invariants"] = {
-            "%s at %d" % k: v for k, v in sorted(inv.items())}
+    _add_cohomology(report, U)
     return 0, report
 
 

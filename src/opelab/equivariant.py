@@ -6,12 +6,14 @@ degree +1 and pairwise anticommuting square-zero operators h_1..h_n of
 degree -1, one per torus factor, each anticommuting with d.  The duality
 functor t tensors with Q[u_1..u_n] (each u_i of degree 2) and perturbs
 the differential to d + sum u_i h_i; strictness of the input is exactly
-what makes the output square to zero, so t re-validates its result.
+what makes the output square to zero, so t wraps the validated mixed
+complex and checks nothing again.
 
 The inverse-direction functor h reads the u-linear part of a polynomial
 differential back off as the operators h_i.  For differentials produced
-by t this is literally an inverse, which is the reason the round-trip
-cohomology comparison in the contract holds on the nose here.
+by t this is literally an inverse: h returns the mixed complex that t
+wrapped, which is the reason the round-trip cohomology comparison in the
+contract holds on the nose here.
 
 Cartan models for diagonal torus actions on affine space are spanned by
 invariant monomial forms x^alpha dx^beta.  Both the de Rham part and the
@@ -98,10 +100,11 @@ class MixedComplex:
     @staticmethod
     def from_dict(data) -> "MixedComplex":
         # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import SchemaViolation, escape, scalar_at
+        from .schemas import SchemaViolation, escape, name_index, scalar_at
         tokens = [BasisToken(t["name"], t["degree"])
                   for t in data["tokens"]]
-        pos = {t.name: i for i, t in enumerate(tokens)}
+        pos = name_index([t.name for t in tokens], "mixed.v1",
+                         "/tokens/%d/name")
 
         def token_index(name, pointer):
             # a cross-reference the schema cannot see
@@ -132,16 +135,17 @@ class MixedComplex:
 
 
 class UComplex:
-    """Free graded Q[u_1..u_n]-module with differential d0 + sum u_i h_i,
-    stored by its constant and u-linear parts.  With one factor this is
+    """Free graded Q[u_1..u_n]-module with differential d + sum u_i h_i,
+    for a mixed complex N = (d, h_1..h_n) that its constructor has
+    already checked: its strictness is what makes this differential
+    square to zero, so nothing is checked here.  With one factor this is
     an honest single-variable complex; with several, Smith computations
     follow the one-variable-at-a-time policy in ``cohomology``."""
 
-    def __init__(self, tokens, d0, u_parts, labels=None, truncation=None):
-        # same strictness data as a mixed complex, so reuse its checks
-        N = MixedComplex(tokens, d0, u_parts)
-        self.tokens, self.d0, self.u_parts = N.tokens, N.d, N.hs
-        n = len(self.u_parts)
+    def __init__(self, N: MixedComplex, labels=None, truncation=None):
+        self.mixed = N
+        self.tokens = N.tokens
+        n = N.nfactors
         if labels is None:
             labels = ("u",) if n == 1 else tuple(
                 "u%d" % (i + 1) for i in range(n))
@@ -150,24 +154,24 @@ class UComplex:
 
     @property
     def nfactors(self):
-        return len(self.u_parts)
+        return self.mixed.nfactors
 
     def complex(self) -> FiniteComplex:
         if self.nfactors != 1:
             raise ValueError("single-variable view needs exactly one u")
         u = Scalar.variable(self.labels[0])
         return FiniteComplex._square_zero(
-            self.tokens, self.d0.add(self.u_parts[0].scale(u)),
+            self.tokens, self.mixed.d.add(self.mixed.hs[0].scale(u)),
             var=self.labels[0])
 
     def at_zero(self) -> FiniteComplex:
         """Specialize every u_i to 0: the underlying Q complex."""
-        return FiniteComplex._square_zero(self.tokens, self.d0, var=None)
+        return self.mixed.q_complex()
 
     def _specialized_matrix(self, keep, others):
         u = Scalar.variable(self.labels[keep])
-        total = self.d0
-        for i, h in enumerate(self.u_parts):
+        total = self.mixed.d
+        for i, h in enumerate(self.mixed.hs):
             if i == keep:
                 total = total.add(h.scale(u))
             elif others:
@@ -180,8 +184,8 @@ class UComplex:
         variables to 0 and to 1 (grading is lost in the latter case, so
         only module invariants are reported).
 
-        No specialization is squared: (d0 + sum c_a h_a)^2 expands into
-        d0^2, the d0 h_a + h_a d0 and the h_a h_b + h_b h_a, which the
+        No specialization is squared: (d + sum c_a h_a)^2 expands into
+        d^2, the d h_a + h_a d and the h_a h_b + h_b h_a, which the
         mixed checks found zero on construction."""
         if self.nfactors == 1:
             return self.complex().cohomology()
@@ -238,13 +242,13 @@ def _torsion(factors):
 
 def koszul_t(N: MixedComplex, labels=None) -> UComplex:
     """S tensor N with differential d + sum u_i h_i."""
-    return UComplex(N.tokens, N.d, N.hs, labels=labels)
+    return UComplex(N, labels=labels)
 
 
 def koszul_h(M: UComplex) -> MixedComplex:
     """Read the operators back off the u-linear parts of the
-    differential."""
-    return MixedComplex(M.tokens, M.d0, M.u_parts)
+    differential: the mixed complex M was built from."""
+    return M.mixed
 
 
 def ucomplex_from_finite(C: FiniteComplex) -> UComplex:
@@ -265,8 +269,8 @@ def ucomplex_from_finite(C: FiniteComplex) -> UComplex:
         if len(coeffs) > 1:
             d1[(i, j)] = coeffs[1]
     n = len(C.tokens)
-    return UComplex(C.tokens, Matrix(n, n, d0), [Matrix(n, n, d1)],
-                    labels=(C.var,))
+    return UComplex(MixedComplex(C.tokens, Matrix(n, n, d0),
+                                 [Matrix(n, n, d1)]), labels=(C.var,))
 
 
 # -- Cartan models ---------------------------------------------------------
@@ -384,8 +388,9 @@ def cartan_model(weights, D) -> UComplex:
                 if key in pos:
                     u_parts[f][(pos[key], j)] = ((-1) ** r) * ws[k][f]
     N = len(forms)
-    return UComplex(tokens, Matrix(N, N, d0),
-                    [Matrix(N, N, h) for h in u_parts], truncation=D)
+    return UComplex(MixedComplex(tokens, Matrix(N, N, d0),
+                                 [Matrix(N, N, h) for h in u_parts]),
+                    truncation=D)
 
 
 # -- localization ----------------------------------------------------------
@@ -454,7 +459,7 @@ def localize_check(NZ: MixedComplex, NX: MixedComplex, iota,
     SG = smith(G)
     coords = []
     for j in range(XZ.ncols):
-        c = smith_solve(SG, G, XZ.column(j))
+        c = smith_solve(SG, XZ.column(j))
         if c is None:
             raise AssertionError("source boundary escapes the kernel")
         coords.append(c)

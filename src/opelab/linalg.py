@@ -15,16 +15,20 @@ complexes, mixed-complex operators and chain maps all store one.
   by block, reducing each block once and reusing it for the kernel in its
   source degree and the image in its target degree;
 - Over Q[var], ``smith`` does the elimination on a homogeneous matrix:
-  U M V diagonal, with the unimodular transforms tracked on both sides
-  and kept as sparse rows and columns.  ``presentation`` reads
-  H = ker D / im D of a differential D off one Smith form: the columns
-  of V past the rank are a free basis of ker D, and the coordinates of a
-  kernel vector v in that basis are the entries of V^-1 v past the rank
-  (the entries before it vanish exactly when v is in the kernel).  Free
-  rank, torsion annihilators and representative cocycles follow from
-  one more Smith form of the coordinate matrix of the image.
-  ``smith_factors`` runs the same elimination with no transforms, for
-  callers that need only the rank and the invariant factors.
+  U M V diagonal, with U, V and V^-1 tracked and kept as sparse rows and
+  columns.  ``presentation`` reads H = ker D / im D of a differential D
+  off one Smith form: the columns of V past the rank are a free basis of
+  ker D, and the coordinates of a kernel vector v in that basis are the
+  entries of V^-1 v past the rank (the entries before it vanish exactly
+  when v is in the kernel).  ``smith_factors`` runs the same elimination
+  with no transforms, for callers that need only the rank and the
+  invariant factors.
+- ``FiniteComplex.cohomology`` reads the classes of H, over Q and over
+  Q[var] alike, off the pivots of that elimination with no transforms:
+  each pivot pairs a basis element that is not a cocycle with one that
+  spans a torsion class (none when the factor is a unit), as in the
+  persistence algorithm (Zomorodian and Carlsson, 2005), and the basis
+  elements no pivot takes give the free classes.
 
 Two things keep the Smith forms small and cheap:
 
@@ -36,15 +40,15 @@ Two things keep the Smith forms small and cheap:
   and column weights (every homogeneous differential is one) is reduced
   by Q-elimination on its coefficients, pivots taken in increasing order
   of the exponent, as in the persistence algorithm for graded
-  Q[t]-modules; kernel bases and representatives come out homogeneous,
-  and so are the coordinate matrices built from them.  ``smith``
-  refuses any other matrix, and ``smith_factors`` takes it through the
-  general polynomial elimination, which gives the invariant factors
-  alone.
+  Q[t]-modules; kernel bases come out homogeneous, and so are the
+  coordinate matrices built from them.  ``smith`` refuses any other
+  matrix, and ``smith_factors`` takes it through the general polynomial
+  elimination, which gives the invariant factors alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, lcm
 
 from .scalars import Scalar, ZERO, ONE, sc, quo, format_scalar
@@ -436,15 +440,14 @@ def graded_cohomology(degrees, block):
 
 class SmithResult:
     """U M V = diag(factors) with U, V invertible over Q[var], stored
-    sparse: ``U`` and ``Vinv`` list the rows of U and V^-1, ``Uinv`` and
-    ``V`` the columns of U^-1 and V, each a dict {index: nonzero entry}
-    in index order.  The first ``rank`` of each belong to the pivots."""
+    sparse: ``U`` and ``Vinv`` list the rows of U and V^-1, and ``V``
+    the columns of V, each a dict {index: nonzero entry} in index
+    order.  The first ``rank`` of each belong to the pivots."""
 
-    __slots__ = ("U", "Uinv", "V", "Vinv", "factors", "rank", "nrows",
-                 "ncols")
+    __slots__ = ("U", "V", "Vinv", "factors", "rank", "nrows", "ncols")
 
-    def __init__(self, U, Uinv, V, Vinv, factors):
-        self.U, self.Uinv, self.V, self.Vinv = U, Uinv, V, Vinv
+    def __init__(self, U, V, Vinv, factors):
+        self.U, self.V, self.Vinv = U, V, Vinv
         self.factors = factors
         self.rank = len(factors)
         self.nrows, self.ncols = len(U), len(V)
@@ -498,7 +501,9 @@ def smith_factors(M: Matrix):
     grading = _grading(M)
     if grading is None:
         return _smith_general(M)
-    return _smith_graded(M, *grading, transforms=False)
+    pivots = _smith_graded(M, *grading, transforms=False)
+    return len(pivots), [Scalar.monomial(1, e, grading[2])
+                         for _, _, e in pivots]
 
 
 def _grading(M: Matrix):
@@ -567,15 +572,15 @@ def _smith_graded(M: Matrix, rw, cw, var, transforms=True):
     transforms found for C are lifted by the same conjugation,
     U = diag(var^-rw) U_C diag(var^rw) and V = diag(var^-cw) V_C
     diag(var^cw); nothing is swapped until the end, where the pivots
-    are moved to the diagonal.  Without ``transforms`` only (rank,
-    factors) is returned."""
+    are moved to the diagonal.  Without ``transforms`` only the pivots
+    [(p, q, e)] are returned, in the order they were taken: each pairs
+    row p with column q by the invariant factor var^e."""
     n, m = M.nrows, M.ncols
     A = [dict() for _ in range(n)]
     for (i, j), v in M.data.items():
         A[i][j] = v.coeffs[-1]
     if transforms:
         U = [{i: 1} for i in range(n)]       # rows of U_C
-        Uinv = [{i: 1} for i in range(n)]    # columns of U_C^-1
         V = [{j: 1} for j in range(m)]       # columns of V_C
         Vinv = [{j: 1} for j in range(m)]    # rows of V_C^-1
     live = {i for i in range(n) if A[i]}
@@ -591,7 +596,6 @@ def _smith_graded(M: Matrix, rw, cw, var, transforms=True):
                 _axpy(A[i], row, -f)
                 if transforms:
                     _axpy(U[i], U[p], -f)
-                    _axpy(Uinv[p], Uinv[i], f)
                 if not A[i]:
                     live.remove(i)
         pivots.append((p, q, e))
@@ -604,12 +608,10 @@ def _smith_graded(M: Matrix, rw, cw, var, transforms=True):
                 _axpy(V[j], V[q], -g)
                 _axpy(Vinv[q], Vinv[j], g)
         U[p] = {k: quo(x, c) for k, x in U[p].items()}
-        Uinv[p] = {k: x * c for k, x in Uinv[p].items()}
 
-    mono = Scalar.monomial
-    factors = [mono(1, e, var) for _, _, e in pivots]
     if not transforms:
-        return len(pivots), factors
+        return pivots
+    mono = Scalar.monomial
     prow = [p for p, _, _ in pivots]
     pcol = [q for _, q, _ in pivots]
     rows = prow + sorted(set(range(n)) - set(prow))
@@ -620,9 +622,9 @@ def _smith_graded(M: Matrix, rw, cw, var, transforms=True):
         return [{k: mono(vecs[p][k], sign * (w[k] - w[p]), var)
                  for k in sorted(vecs[p])} for p in order]
 
-    return SmithResult(lift(U, rows, rw, 1), lift(Uinv, rows, rw, -1),
-                       lift(V, cols, cw, -1), lift(Vinv, cols, cw, 1),
-                       factors)
+    return SmithResult(lift(U, rows, rw, 1), lift(V, cols, cw, -1),
+                       lift(Vinv, cols, cw, 1),
+                       [mono(1, e, var) for _, _, e in pivots])
 
 
 def _smith_general(M: Matrix):
@@ -731,9 +733,9 @@ def presentation(D: Matrix):
     return S, Matrix.from_columns(S.ncols - S.rank, cols)
 
 
-def smith_solve(S: SmithResult, M: Matrix, b: dict):
-    """Solve M x = b over the polynomial ring using a precomputed Smith
-    form of M: x = V y where y_t = (U b)_t / factors[t] below the rank.
+def smith_solve(S: SmithResult, b: dict):
+    """Solve M x = b over the polynomial ring, for the M whose Smith
+    form is S: x = V y where y_t = (U b)_t / factors[t] below the rank.
     Returns x as a column dict, or None when no polynomial solution
     exists, which is when some (U b)_t past the rank is nonzero or some
     division is inexact."""
@@ -756,12 +758,11 @@ def smith_solve(S: SmithResult, M: Matrix, b: dict):
 
 
 class CohomologyClass:
-    __slots__ = ("degree", "annihilator", "rep")
+    __slots__ = ("degree", "annihilator")
 
-    def __init__(self, degree, annihilator, rep):
+    def __init__(self, degree, annihilator):
         self.degree = degree
         self.annihilator = annihilator  # None for a free class
-        self.rep = rep
 
     def __repr__(self):
         ann = ("free" if self.annihilator is None
@@ -775,13 +776,13 @@ class FiniteComplex:
 
     ``tokens`` is an ordered list of BasisTokens; ``diff`` is the
     differential as a Matrix, or as a column dict mapping token index to
-    the differential of that basis vector.  Over Q the grading splits
-    the differential into per-degree matrices; over Q[var]
-    the variable carries degree 2, as an equivariant parameter does, and
-    the single endomorphism is the honest representation, since
-    multiplication by the variable moves between generator degrees.
-    Every entry is then one monomial c*var^k with k determined by the
-    degrees it joins, so the differential is homogeneous.
+    the differential of that basis vector.  Over Q every entry is a
+    constant from degree k to degree k + 1; over Q[var] the variable
+    carries degree 2, as an equivariant parameter does, and the single
+    endomorphism is the honest representation, since multiplication by
+    the variable moves between generator degrees.  Every entry is then
+    one monomial c*var^k with k determined by the degrees it joins, so
+    the differential is homogeneous.
     """
 
     def __init__(self, tokens, diff, var=None):
@@ -801,8 +802,7 @@ class FiniteComplex:
     def _build(self, tokens, diff, var):
         self.tokens = list(tokens)
         self.var = var
-        self.index = {tok: i for i, tok in enumerate(self.tokens)}
-        if len(self.index) != len(self.tokens):
+        if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate basis tokens")
         n = len(self.tokens)
         self.D = Matrix.of_columns(n, n, diff)
@@ -840,26 +840,6 @@ class FiniteComplex:
                 "d o d != 0: component %r -> %r equals %s"
                 % (self.tokens[j], self.tokens[i], format_scalar(v)))
 
-    # -- views ----------------------------------------------------------
-
-    def degrees(self):
-        return sorted({t.degree for t in self.tokens})
-
-    def tokens_of_degree(self, k):
-        return [t for t in self.tokens if t.degree == k]
-
-    def component_matrix(self, k):
-        """The block of the differential from degree k to degree k+1
-        (only meaningful over Q, where there is no variable mixing)."""
-        src = [self.index[t] for t in self.tokens_of_degree(k)]
-        tgt = [self.index[t] for t in self.tokens_of_degree(k + 1)]
-        tpos = {i: r for r, i in enumerate(tgt)}
-        entries = {}
-        for c, j in enumerate(src):
-            for i, v in self.D.column(j).items():
-                entries[(tpos[i], c)] = v
-        return Matrix(len(tgt), len(src), entries), src, tgt
-
     def euler_characteristic(self):
         chi = 0
         for t in self.tokens:
@@ -869,47 +849,34 @@ class FiniteComplex:
     # -- cohomology ------------------------------------------------------
 
     def cohomology(self):
-        if self.var is None:
-            return self._cohomology_q()
-        return self._cohomology_pid()
+        """The classes of H as a graded Q[var]-module, a graded vector
+        space over Q when var is None, sorted by degree, free classes
+        first, then by annihilator.
 
-    def _cohomology_q(self):
-        return {k: [CohomologyClass(
-                    k, None, {self.tokens[i]: v for i, v in r.items()})
-                    for r in reps]
-                for k, reps in graded_cohomology(
-                    self.degrees(), self.component_matrix).items()}
-
-    def _cohomology_pid(self):
-        # H of a direct sum is the direct sum of the H of its summands
-        classes = []
-        for idx, D in self.D.blocks():
-            S, X = presentation(D)
-            kern = S.kernel_basis()      # homogeneous free basis of ker D
-            if not kern:
-                continue
-            SX = smith(X)
-            # new kernel basis adapted to the image: columns of K * Uinv
-            for j, ucol in enumerate(SX.Uinv):
-                col = {}
-                for k2, u in ucol.items():
-                    col = vec_add(col, vec_scale(kern[k2], u))
-                ann = SX.factors[j] if j < SX.rank else None
-                if ann is not None and ann.degree() == 0:
-                    continue  # unit annihilator: trivial class
-                rep = {self.tokens[idx[i]]: col[i] for i in sorted(col)}
-                classes.append(CohomologyClass(self._vec_degree(rep), ann,
-                                               rep))
-        classes.sort(key=lambda c: (c.degree if c.degree is not None else 0,
-                                    c.annihilator is not None))
-        return classes
-
-    def _vec_degree(self, rep):
-        degs = set()
-        for tok, v in rep.items():
-            for e, c in enumerate(v.coeffs):
-                if c != 0:
-                    degs.add(tok.degree + 2 * e)
-        if len(degs) == 1:
-            return degs.pop()
-        return None  # inhomogeneous representative
+        H of a direct sum is the sum of the H of its summands, so the
+        classes are read one block of D at a time, off the pivots
+        (p, q, e) of the graded elimination with no transforms.  A pivot
+        pairs a basis vector of degree deg q with one of degree deg p =
+        deg q + 1 - 2e, which D reaches times var^e: the first is not a
+        cocycle, and the second spans a torsion class var^e kills, none
+        when e = 0 (always over Q).  The saturated image is a direct
+        summand of the kernel, so what is left is free, one class for
+        each token degree that no pivot takes."""
+        found = []      # (degree, exponent of the annihilator or 0 if free)
+        for idx, B in self.D.blocks():
+            grading = _grading(B)
+            if grading is None:
+                raise AssertionError("a block of the differential is not "
+                                     "homogeneous")
+            degree = [self.tokens[k].degree for k in idx]
+            free = Counter(degree)
+            for p, q, e in _smith_graded(B, *grading, transforms=False):
+                free[degree[p]] -= 1
+                free[degree[q]] -= 1
+                if e:
+                    found.append((degree[p], e))
+            if any(k < 0 for k in free.values()):
+                raise AssertionError("more pivots than tokens in a degree")
+            found += [(g, 0) for g in free.elements()]
+        return [CohomologyClass(g, Scalar.monomial(1, e, self.var) if e
+                                else None) for g, e in sorted(found)]

@@ -185,9 +185,9 @@ class AlgebraInstance:
     @staticmethod
     def from_dict(data):
         # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import SchemaViolation, escape, scalar_at
+        from .schemas import SchemaViolation, escape, name_index, scalar_at
         names = [b["name"] for b in data["basis"]]
-        pos = {n: i for i, n in enumerate(names)}
+        pos = name_index(names, "alg.v1", "/basis/%d/name")
 
         def index(name, pointer):
             # a cross-reference the schema cannot see

@@ -281,6 +281,19 @@ def escape(name):
     return name.replace("~", "~0").replace("/", "~1")
 
 
+def name_index(names, schema_name, pointer):
+    """{name: position} for a list of declared names.  A name declared
+    again at position k is refused at the JSON pointer ``pointer % k``:
+    every reference to it would resolve to one of the two."""
+    out = {}
+    for k, name in enumerate(names):
+        if name in out:
+            raise SchemaViolation(schema_name, pointer % k,
+                                  "duplicate name %r" % name)
+        out[name] = k
+    return out
+
+
 def scalar_at(value, schema_name, pointer):
     """``parse_scalar`` of a file entry; an entry that does not parse is
     refused with its JSON pointer."""

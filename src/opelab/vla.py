@@ -172,7 +172,7 @@ class VertexLieData:
     def from_dict(data) -> "VertexLieData":
         # imported here: loading jsonschema before the other opelab
         # modules raises the peak RSS of a command-line run by ~2 MiB
-        from .schemas import SchemaViolation, scalar_at
+        from .schemas import SchemaViolation, name_index, scalar_at
         gens = []
         for k, g in enumerate(data["generators"]):
             try:
@@ -183,7 +183,8 @@ class VertexLieData:
                                       % g["weight"])
             gens.append(Gen(g["name"], weight, g.get("parity", 0),
                             g.get("charge", 0), g.get("ghost", 0)))
-        index = {g.name: i for i, g in enumerate(gens)}
+        index = name_index([g.name for g in gens], "vla.v1",
+                           "/generators/%d/name")
 
         def gen_index(name, pointer):
             # a cross-reference the schema cannot see

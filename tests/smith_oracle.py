@@ -2,8 +2,9 @@
 with the unimodular transforms tracked on both sides, for any matrix
 over Q[u].  ``opelab.linalg.smith`` takes homogeneous matrices only, and
 ``smith_factors`` runs the same elimination with no transforms; this one
-returns the full sparse ``SmithResult``, so the Smith form properties can
-be checked on matrices that are not homogeneous too."""
+returns the full sparse ``SmithResult`` plus the columns of U^-1, so the
+Smith form properties can be checked on matrices that are not
+homogeneous too."""
 
 from opelab.linalg import Matrix, SmithResult
 from opelab.scalars import ZERO, ONE, sc, quo
@@ -16,7 +17,17 @@ def _dense(M: Matrix):
     return A
 
 
-def general_smith(M: Matrix) -> SmithResult:
+class OracleSmith(SmithResult):
+    """A ``SmithResult`` that also keeps ``Uinv``, the columns of U^-1."""
+
+    __slots__ = ("Uinv",)
+
+    def __init__(self, U, Uinv, V, Vinv, factors):
+        super().__init__(U, V, Vinv, factors)
+        self.Uinv = Uinv
+
+
+def general_smith(M: Matrix) -> OracleSmith:
     """U M V = D by polynomial elimination: the least-degree pivot
     reduces its row and column by ``divmod``, a nonzero remainder becomes
     the new pivot, and a pivot that does not divide the rest of the
@@ -140,5 +151,5 @@ def general_smith(M: Matrix) -> SmithResult:
         return [{k: row[c] for k, row in enumerate(X) if row[c]}
                 for c in range(len(X))]
 
-    return SmithResult(rows(U), cols(Uinv), cols(V), rows(Vinv),
+    return OracleSmith(rows(U), cols(Uinv), cols(V), rows(Vinv),
                        [A[i][i] for i in range(t)])

@@ -159,11 +159,14 @@ def _bad_virasoro(field):
     """A Virasoro table whose bracket names a generator it never
     declares (in a's or b's slot of bracket 1, or in bracket 0's value),
     whose generator weight is not a rational number, whose central
-    coefficient has too high a power, or that keeps its central
-    coefficient while declaring itself not central."""
+    coefficient has too high a power, that keeps its central
+    coefficient while declaring itself not central, or that declares l
+    again with another weight."""
     data = dict(virasoro(2).to_dict(), format="vla.v1")
     if field == "not-central":
         data["central"] = False
+    elif field == "duplicate":
+        data["generators"].append({"name": "l", "weight": 3})
     elif field == "value":
         data["brackets"][0]["value"][0]["gen"] = "x"
     elif field == "weight":
@@ -178,11 +181,17 @@ def _bad_virasoro(field):
 def _bad_gl1(field):
     """The beta-gamma gl_1 datum with one bad entry: a structure row or
     a current naming something its tables never declare, a matter
-    bracket naming an undeclared generator, or a current coefficient
-    with too high a power."""
+    bracket naming an undeclared generator, a current coefficient
+    with too high a power, a basis element declared twice, or a matter
+    generator with the name of a ghost."""
     data = bg_gl1_datum().to_dict()
     current = data["currents"][0]
-    if field in ("a", "b", "gen"):
+    if field == "duplicate":
+        data["basis"].append("x")
+    elif field == "ghost-name":
+        data["matter"]["generators"].append({"name": "psi*_x",
+                                             "weight": 0})
+    elif field in ("a", "b", "gen"):
         row = {"a": "x", "b": "x", "terms": [{"gen": "x", "coeff": "1"}]}
         if field == "gen":
             row["terms"][0]["gen"] = "zz"
@@ -204,9 +213,12 @@ def _bad_gl1(field):
 
 def _bad_mixed(field):
     """The P^1 rotation complex with one bad entry: an h or d entry
-    naming an undeclared token, or a coefficient that is not a number."""
+    naming an undeclared token, a coefficient that is not a number, or
+    the token f declared again in another degree."""
     data = p1_rotation().to_dict()
-    if field == "h-row":
+    if field == "duplicate":
+        data["tokens"].append({"name": "f", "degree": 5})
+    elif field == "h-row":
         data["h"][0]["e"]["zz"] = "1"
     elif field == "d-column":
         data["d"]["zz"] = {"x": "1"}
@@ -239,10 +251,13 @@ def _bad_localize(part, field):
 
 
 def _bad_sl2(field):
-    """The sl2 Lie algebra table with one bad entry."""
+    """The sl2 Lie algebra table with one bad entry, or with the basis
+    element e declared twice."""
     data = sl2_lie().to_dict()
     pi = data["tables"]["pi"]
-    if field == "one-part-key":
+    if field == "duplicate":
+        data["basis"].append(dict(data["basis"][0]))
+    elif field == "one-part-key":
         pi["e"] = {"h": "1"}
     elif field == "three-part-key":
         pi["e,f,h"] = {"h": "1"}
@@ -334,6 +349,18 @@ HOSTILE = [
      "localize needs exactly one at /total/h"),
     (["envelope-dims", "--preset", "betagamma", "--charge=-100000",
       "--cutoff", "2"], None, "|charge| may be at most 100,"),
+    (["koszul"], _bad_mixed("duplicate"),
+     "duplicate name 'f' at /tokens/4/name"),
+    (["localize"], _bad_localize("fixed", "duplicate"),
+     "duplicate name 'f' at /fixed/tokens/4/name"),
+    (["localize"], _bad_localize("total", "duplicate"),
+     "duplicate name 'f' at /total/tokens/4/name"),
+    (["vla-check"], _bad_virasoro("duplicate"),
+     "duplicate name 'l' at /generators/1/name"),
+    (["operad-check", "--suite", "Lie"], _bad_sl2("duplicate"),
+     "duplicate name 'e' at /basis/3/name"),
+    (["brst"], _bad_gl1("duplicate"), "duplicate name 'x' at /basis/1\n"),
+    (["brst"], _bad_gl1("ghost-name"), "at /matter/generators/2/name"),
 ]
 
 
@@ -359,7 +386,10 @@ HOSTILE = [
     "heisenberg-dims-too-many-states", "virasoro-dims-too-many-states",
     "pure-ghost-too-many-states", "abelian-cohomology-too-many-states",
     "brst-charge-window-too-wide", "localize-two-factors",
-    "betagamma-charge-too-large"])
+    "betagamma-charge-too-large", "mixed-duplicate-token",
+    "localize-fixed-duplicate-token", "localize-total-duplicate-token",
+    "vla-duplicate-generator", "alg-duplicate-basis",
+    "brst-duplicate-basis", "brst-matter-named-like-a-ghost"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

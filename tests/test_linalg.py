@@ -92,17 +92,19 @@ def _rows(n, vecs):
 def _check_smith(M, reduce=smith):
     S = reduce(M)
     n, m = S.nrows, S.ncols
-    assert (len(S.U), len(S.Uinv), len(S.V), len(S.Vinv)) == (n, n, m, m)
-    for vec in S.U + S.Uinv + S.V + S.Vinv:
+    assert (len(S.U), len(S.V), len(S.Vinv)) == (n, m, m)
+    for vec in S.U + S.V + S.Vinv:
         assert list(vec) == sorted(vec)
         assert not any(x.is_zero() for x in vec.values())
     U, Vinv = _rows(n, S.U), _rows(m, S.Vinv)
-    Uinv, V = _rows(n, S.Uinv).transpose(), _rows(m, S.V).transpose()
+    V = _rows(m, S.V).transpose()
     # U M V = D
     D = U.mul(M).mul(V)
     assert D.data == {(t, t): f for t, f in enumerate(S.factors)}, \
         "U M V is not diag(factors)"
-    assert U.mul(Uinv) == Matrix.identity(n)
+    # U is unimodular: its own Smith form, by the oracle, is the identity
+    SU = general_smith(U)
+    assert SU.rank == n and all(f == ONE for f in SU.factors)
     assert V.mul(Vinv) == Matrix.identity(m)
     # monic divisibility chain
     for a, b in zip(S.factors, S.factors[1:]):
@@ -159,11 +161,11 @@ def test_smith_solve():
     u = Scalar.variable("u")
     M = Matrix(2, 2, {(0, 0): u, (1, 1): ONE})
     S = smith(M)
-    x = smith_solve(S, M, {0: u * u, 1: sc(3)})
+    x = smith_solve(S, {0: u * u, 1: sc(3)})
     assert x is not None
     assert M.apply(x) == {0: u * u, 1: sc(3)}
     # u x = 1 has no polynomial solution
-    assert smith_solve(S, M, {0: ONE}) is None
+    assert smith_solve(S, {0: ONE}) is None
 
 
 def test_smith_refuses_what_smith_factors_answers():
@@ -325,10 +327,10 @@ def test_kernel_coordinates_against_smith_solve(H, P, data):
         SK = reduce(K)
         c = poly_vector(data.draw, len(kern))
         v = K.apply(c)
-        assert S.kernel_coordinates(v) == smith_solve(SK, K, v) == c
+        assert S.kernel_coordinates(v) == smith_solve(SK, v) == c
         b = poly_vector(data.draw, M.ncols)
         x = S.kernel_coordinates(b)
-        assert x == smith_solve(SK, K, b)
+        assert x == smith_solve(SK, b)
         assert (x is None) == bool(M.apply(b))
 
 
@@ -612,12 +614,11 @@ def test_cohomology_over_q():
     a = BasisToken("a", 0)
     b = BasisToken("b", 1)
     C = FiniteComplex([a, b], {0: {1: ONE}})
-    H = C.cohomology()
-    assert all(len(v) == 0 for v in H.values())
+    assert C.cohomology() == []
     # zero differential: cohomology is everything
     C2 = FiniteComplex([a, b], {})
     H2 = C2.cohomology()
-    assert len(H2[0]) == 1 and len(H2[1]) == 1
+    assert [(c.degree, c.annihilator) for c in H2] == [(0, None), (1, None)]
     assert C2.euler_characteristic() == 0
 
 
@@ -628,8 +629,7 @@ def test_cohomology_three_term():
     c = BasisToken("c", 1)
     d = BasisToken("d", 2)
     C = FiniteComplex([a, b, c, d], {0: {1: ONE}, 2: {3: ONE}})
-    H = C.cohomology()
-    assert [len(H[k]) for k in sorted(H)] == [0, 0, 0]
+    assert C.cohomology() == []
 
 
 def test_cohomology_torsion_over_pid():
@@ -644,7 +644,6 @@ def test_cohomology_torsion_over_pid():
     cls = classes[0]
     assert cls.annihilator == u
     assert cls.degree == -1
-    assert set(cls.rep) == {b}
 
 
 def test_cohomology_free_over_pid():
