@@ -391,14 +391,16 @@ class BRSTDatum:
     @classmethod
     def from_dict(cls, data) -> "BRSTDatum":
         # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import SchemaViolation, escape, name_index, scalar_at
-        try:
-            matter = VertexLieData.from_dict(data["matter"])
-        except SchemaViolation as e:
-            raise SchemaViolation("brst.v1", "/matter" + e.pointer,
-                                  e.message)
+        from .schemas import (SchemaViolation, escape, name_index, nested,
+                              scalar_at)
+        matter = nested("brst.v1", data, "matter", VertexLieData.from_dict)
         names = list(data["basis"])
-        pos = name_index(names, "brst.v1", "/basis/%d")
+        basis_index = name_index(names, "basis element", "brst.v1",
+                                 "/basis/%d")
+        matter_names = matter.names()
+        # from_dict above has refused a matter generator declared twice
+        matter_index = name_index(matter_names, "matter generator",
+                                  "brst.v1", "/matter/generators/%d/name")
         ghosts = build_ghosts(names).index
         for k, g in enumerate(matter.gens):
             if g.name in ghosts:
@@ -406,17 +408,6 @@ class BRSTDatum:
                     "brst.v1", "/matter/generators/%d/name" % k,
                     "matter generator %r has the name of a ghost"
                     % g.name)
-
-        # cross-references the schema cannot see
-        def declared(name, table, what, pointer):
-            if name not in table:
-                raise SchemaViolation("brst.v1", pointer,
-                                      "undeclared %s %r" % (what, name))
-            return name
-
-        def basis_index(name, pointer):
-            return pos[declared(name, pos, "basis element", pointer)]
-
         struct = {}
         for r, row in enumerate(data.get("structure", [])):
             at = "/structure/%d/" % r
@@ -429,18 +420,16 @@ class BRSTDatum:
         words = {}
         for r, row in enumerate(data.get("currents", [])):
             at = "/currents/%d/" % r
-            gen = declared(row["gen"], pos, "basis element", at + "gen")
-            words[gen] = [
+            words[names[basis_index(row["gen"], at + "gen")]] = [
                 (scalar_at(t["coeff"], "brst.v1",
                            at + "terms/%d/coeff" % k),
-                 [(declared(f["gen"], matter.index, "matter generator",
-                            at + "terms/%d/factors/%d/gen" % (k, i)),
+                 [(matter_names[matter_index(
+                     f["gen"], at + "terms/%d/factors/%d/gen" % (k, i))],
                    f.get("dpow", 0)) for i, f in enumerate(t["factors"])])
                 for k, t in enumerate(row["terms"])]
         ghost_charges = data.get("ghost_charges")
         for name in ghost_charges or ():
-            declared(name, pos, "basis element",
-                     "/ghost_charges/" + escape(name))
+            basis_index(name, "/ghost_charges/" + escape(name))
         cw = data.get("charge_window")
         return cls(names, struct, matter, words, data["cutoff"],
                    tuple(cw) if cw is not None else None, ghost_charges)

@@ -20,7 +20,8 @@ from .equivariant import (MixedComplex, cartan_candidates, cartan_model,
 from .operads import AlgebraInstance, check_relations, conf_ring, \
     homology_p_d_bridge
 from .scalars import Scalar, format_scalar
-from .schemas import SchemaViolation, escape, scalar_at, validate
+from .schemas import (SchemaViolation, escape, name_index, nested,
+                      scalar_at, validate)
 from .vla import (VertexLieData, check_jacobi, check_sesquilinearity,
                   check_skew_symmetry)
 
@@ -61,6 +62,13 @@ def _level(text):
     return Scalar.variable(text)
 
 
+class _RepeatedKey(dict):
+    """A parsed JSON object that repeats ``key``.  Only the last value
+    would be kept (RFC 8259 leaves the choice open), so a file holding
+    one is refused."""
+    __slots__ = ("key",)
+
+
 def _load_json(path):
     target = None
     if os.path.exists(path):
@@ -72,11 +80,48 @@ def _load_json(path):
             target = ref.read_bytes()
     if target is None:
         raise InputError("no such file or packaged fixture: %s" % path)
+    repeats = []
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    break
+                seen.add(key)
+            obj = _RepeatedKey(obj)
+            obj.key = key
+            repeats.append(obj)
+        return obj
     try:
-        return json.loads(target)
+        data = json.loads(target, object_pairs_hook=pairs_hook)
     except json.JSONDecodeError as e:
         raise InputError("malformed JSON in %s at byte %d: %s"
                          % (path, e.pos, e.msg))
+    if repeats:
+        pointer, key = _first_repeat(data, "")
+        raise InputError("repeated key %r in the object at %s of %s"
+                         % (key, pointer or "/", path))
+    return data
+
+
+def _first_repeat(node, pointer):
+    """(JSON pointer, key) of the first object, in document order, at or
+    under ``node`` that repeats a key; None if there is none."""
+    if isinstance(node, _RepeatedKey):
+        return pointer, node.key
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return None
+    for k, child in items:
+        hit = _first_repeat(child, "%s/%s" % (pointer, escape(str(k))))
+        if hit is not None:
+            return hit
+    return None
 
 
 def _pick(args, table, what):
@@ -371,16 +416,9 @@ def do_localize(args):
         name = args.preset
     else:
         data = validate(_load_json(args.input), "localize")
-
-        def part(name, step):
-            # errors inside a part carry its prefix, e.g. /fixed/d/e1
-            try:
-                return step(data[name])
-            except SchemaViolation as e:
-                raise SchemaViolation("mixed.v1", "/" + name + e.pointer,
-                                      e.message)
+        # errors inside a part carry its prefix, e.g. /fixed/d/e1
         for name in ("fixed", "total"):
-            part(name, lambda d: validate(d, "mixed.v1"))
+            nested("mixed.v1", data, name, validate, "mixed.v1")
         # the verdict is taken over Q[u]; the total space carries the
         # action, so its factor count is checked first
         for name in ("total", "fixed"):
@@ -389,22 +427,21 @@ def do_localize(args):
                 raise SchemaViolation(
                     "localize", "/%s/h" % name,
                     "%d torus factors; localize needs exactly one" % count)
-        NZ = part("fixed", MixedComplex.from_dict)
-        NX = part("total", MixedComplex.from_dict)
-        zpos = {t.name: i for i, t in enumerate(NZ.tokens)}
-        xpos = {t.name: i for i, t in enumerate(NX.tokens)}
+        NZ = nested("mixed.v1", data, "fixed", MixedComplex.from_dict)
+        NX = nested("mixed.v1", data, "total", MixedComplex.from_dict)
+        # from_dict has refused a token declared twice in either part
+        fixed = name_index([t.name for t in NZ.tokens], "fixed token",
+                           "localize", "/fixed/tokens/%d/name")
+        total = name_index([t.name for t in NX.tokens], "total token",
+                           "localize", "/total/tokens/%d/name")
         iota = {}
         for zn, col in data.get("map", {}).items():
-            if zn not in zpos:
-                raise InputError("map column %r is not a fixed token" % zn)
-            out = {}
-            for xn, c in col.items():
-                if xn not in xpos:
-                    raise InputError("map target %r is not a total token"
-                                     % xn)
-                out[xpos[xn]] = scalar_at(
-                    c, "localize", "/map/%s/%s" % (escape(zn), escape(xn)))
-            iota[zpos[zn]] = out
+            at = "/map/" + escape(zn)
+            z = fixed(zn, at)  # a column is refused before its targets
+            iota[z] = {
+                total(xn, at + "/" + escape(xn)):
+                scalar_at(c, "localize", at + "/" + escape(xn))
+                for xn, c in col.items()}
         invert = [scalar_at(f, "localize", "/invert/%d" % k)
                   for k, f in enumerate(data.get("invert", ["u"]))]
         for k, f in enumerate(invert):
@@ -590,10 +627,7 @@ def main(argv=None):
         return 2
     try:
         code, report = args.func(args)
-    except InputError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except SchemaViolation as e:
+    except (InputError, SchemaViolation) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except ValueError as e:

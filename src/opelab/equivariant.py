@@ -103,15 +103,8 @@ class MixedComplex:
         from .schemas import SchemaViolation, escape, name_index, scalar_at
         tokens = [BasisToken(t["name"], t["degree"])
                   for t in data["tokens"]]
-        pos = name_index([t.name for t in tokens], "mixed.v1",
-                         "/tokens/%d/name")
-
-        def token_index(name, pointer):
-            # a cross-reference the schema cannot see
-            if name not in pos:
-                raise SchemaViolation("mixed.v1", pointer,
-                                      "undeclared token %r" % name)
-            return pos[name]
+        token_index = name_index([t.name for t in tokens], "token",
+                                 "mixed.v1", "/tokens/%d/name")
 
         def entry(v, at):
             s = scalar_at(v, "mixed.v1", at)

@@ -187,14 +187,8 @@ class AlgebraInstance:
         # imported here for the reason given in VertexLieData.from_dict
         from .schemas import SchemaViolation, escape, name_index, scalar_at
         names = [b["name"] for b in data["basis"]]
-        pos = name_index(names, "alg.v1", "/basis/%d/name")
-
-        def index(name, pointer):
-            # a cross-reference the schema cannot see
-            if name not in pos:
-                raise SchemaViolation("alg.v1", pointer,
-                                      "undeclared basis element %r" % name)
-            return pos[name]
+        index = name_index(names, "basis element", "alg.v1",
+                           "/basis/%d/name")
         tables = {}
         for op, t in data.get("tables", {}).items():
             out = {}

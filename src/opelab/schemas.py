@@ -75,30 +75,6 @@ _VLA_BODY = {
 
 SCHEMAS = {
     "vla.v1": _VLA_BODY,
-    "voa.v1": {
-        # report shape emitted by the ope and envelope-dims verbs
-        "type": "object",
-        "properties": {
-            "format": {"const": "voa.v1"},
-            "verb": {"enum": ["ope", "envelope-dims"]},
-            "source": {"type": "string"},
-            "level": {"type": ["string", "null"]},
-            "a": {"type": "string"},
-            "b": {"type": "string"},
-            "poles": {
-                "type": "object",
-                "patternProperties": {r"^[0-9]+$": {"type": "string"}},
-                "additionalProperties": False,
-            },
-            "dims": {
-                "type": "object",
-                "additionalProperties": {"type": "integer"},
-            },
-            "charge": {"type": ["integer", "null"]},
-        },
-        "required": ["format", "verb"],
-        "additionalProperties": False,
-    },
     "brst.v1": {
         "type": "object",
         "properties": {
@@ -281,17 +257,37 @@ def escape(name):
     return name.replace("~", "~0").replace("/", "~1")
 
 
-def name_index(names, schema_name, pointer):
-    """{name: position} for a list of declared names.  A name declared
-    again at position k is refused at the JSON pointer ``pointer % k``:
-    every reference to it would resolve to one of the two."""
-    out = {}
+def name_index(names, what, schema_name, pointer):
+    """The resolver of references to a list of declared names: a
+    function (name, at) -> position of the name.  A name declared again
+    at position k is refused at the JSON pointer ``pointer % k``, since
+    every reference to it would resolve to one of the two; a reference
+    to a name never declared, which the schema cannot see, is refused at
+    its own pointer ``at`` as an undeclared ``what``."""
+    pos = {}
     for k, name in enumerate(names):
-        if name in out:
+        if name in pos:
             raise SchemaViolation(schema_name, pointer % k,
                                   "duplicate name %r" % name)
-        out[name] = k
-    return out
+        pos[name] = k
+
+    def resolve(name, at):
+        if name not in pos:
+            raise SchemaViolation(schema_name, at,
+                                  "undeclared %s %r" % (what, name))
+        return pos[name]
+    return resolve
+
+
+def nested(schema_name, data, key, step, *args):
+    """``step(data[key], *args)`` for a document nested in ``data``; a
+    refusal inside it is reported under ``schema_name`` at its pointer
+    re-rooted under /key, e.g. /matter/brackets/0/a."""
+    try:
+        return step(data[key], *args)
+    except SchemaViolation as e:
+        raise SchemaViolation(schema_name, "/" + escape(key) + e.pointer,
+                              e.message)
 
 
 def scalar_at(value, schema_name, pointer):

@@ -183,16 +183,8 @@ class VertexLieData:
                                       % g["weight"])
             gens.append(Gen(g["name"], weight, g.get("parity", 0),
                             g.get("charge", 0), g.get("ghost", 0)))
-        index = name_index([g.name for g in gens], "vla.v1",
-                           "/generators/%d/name")
-
-        def gen_index(name, pointer):
-            # a cross-reference the schema cannot see
-            if name not in index:
-                raise SchemaViolation("vla.v1", pointer,
-                                      "undeclared generator %r" % name)
-            return index[name]
-
+        gen_index = name_index([g.name for g in gens], "generator", "vla.v1",
+                               "/generators/%d/name")
         brackets = {}
         for r, b in enumerate(data.get("brackets", [])):
             at = "/brackets/%d/" % r

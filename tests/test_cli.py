@@ -250,6 +250,18 @@ def _bad_localize(part, field):
     return data
 
 
+def _repeated_key(data, at, key, value):
+    """The JSON text of ``data`` with ``key: value`` written again at
+    the start of the object that the key ``at`` holds (the whole
+    document when ``at`` is None): a parser that kept one of the two
+    values would read another input than the one written."""
+    text = json.dumps(data)
+    head = "{" if at is None else '"%s": {' % at
+    assert head in text
+    return text.replace(head, "%s%s: %s, " % (head, json.dumps(key),
+                                             json.dumps(value)), 1)
+
+
 def _bad_sl2(field):
     """The sl2 Lie algebra table with one bad entry, or with the basis
     element e declared twice."""
@@ -361,6 +373,15 @@ HOSTILE = [
      "duplicate name 'e' at /basis/3/name"),
     (["brst"], _bad_gl1("duplicate"), "duplicate name 'x' at /basis/1\n"),
     (["brst"], _bad_gl1("ghost-name"), "at /matter/generators/2/name"),
+    (["localize"], _bad_localize("map", {"zz": {"x": "1"}}),
+     "localize: undeclared fixed token 'zz' at /map/zz\n"),
+    (["localize"], _bad_localize("map", {"p": {"zz": "1"}}),
+     "localize: undeclared total token 'zz' at /map/p/zz\n"),
+    (["koszul"], _repeated_key(p1_rotation().to_dict(), "d", "e", {"x": "1"}),
+     "repeated key 'e' in the object at /d of "),
+    (["vla-check"], _repeated_key(virasoro(2).to_dict(), None, "generators",
+                                  []),
+     "repeated key 'generators' in the object at / of "),
 ]
 
 
@@ -389,12 +410,15 @@ HOSTILE = [
     "betagamma-charge-too-large", "mixed-duplicate-token",
     "localize-fixed-duplicate-token", "localize-total-duplicate-token",
     "vla-duplicate-generator", "alg-duplicate-basis",
-    "brst-duplicate-basis", "brst-matter-named-like-a-ghost"])
+    "brst-duplicate-basis", "brst-matter-named-like-a-ghost",
+    "localize-map-undeclared-column", "localize-map-undeclared-target",
+    "mixed-repeated-d-key", "vla-repeated-top-level-key"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
         p = tmp_path / "bad-input.json"
-        p.write_text(json.dumps(document))
+        p.write_text(document if isinstance(document, str)
+                     else json.dumps(document))
         argv = argv + ["--input", str(p)]
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -444,6 +444,30 @@ def test_two_factor_model_on_the_plane():
         assert out[key] == {"free_rank": 1, "torsion": []}
 
 
+# Affine space is equivariantly contractible, so whatever the weights its
+# Cartan model has the cohomology of a point: Q[u] in degree 0.  With
+# several factors each specialization of the other variables keeps that
+# one free class.
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+       st.integers(1, 6))
+def test_one_factor_cartan_model_is_a_point(weights, cutoff):
+    classes = cartan_model(weights, cutoff).cohomology()
+    assert [(c.degree, c.annihilator) for c in classes] == [(0, None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                min_size=1, max_size=3),
+       st.integers(1, 5))
+def test_two_factor_cartan_model_is_a_point(weights, cutoff):
+    M = cartan_model(weights, cutoff)
+    assert M.cohomology() == {
+        (label, val): {"free_rank": 1, "torsion": []}
+        for label in M.labels for val in (0, 1)}
+
+
 def test_cartan_differential_is_checked_on_construction():
     # construction itself validates d0 h + h d0 = 0 on invariants; a
     # quick independent check of one matrix identity
