@@ -26,14 +26,13 @@ calibrated.
 from __future__ import annotations
 
 from fractions import Fraction
-import functools
 import math
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 from .vla import (Gen, BrValue, VertexLieData, CheckReport, direct_sum,
                   heisenberg, weyl_pair, SL2_STRUCT)
 from .envelope import VertexAlgebra, build_envelope
-from .linalg import Matrix, graded_cohomology, vec_add, vec_scale
+from .linalg import Matrix, q_rank, vec_add, vec_scale
 
 
 def build_ghosts(names, charges=None) -> VertexLieData:
@@ -303,9 +302,10 @@ class BRSTDatum:
     # -- cohomology --------------------------------------------------------
 
     def brst_cohomology(self, W):
-        """{(weight, charge, ghost): {dim, reps}} for the blocks with
-        nonzero cohomology through weight W.  Refuses, naming the first
-        witness, when d^2 != 0 somewhere in range."""
+        """{(weight, charge, ghost): dim H} for the blocks with nonzero
+        cohomology through weight W, read off ranks over Q:
+        dim H^g = n_g - rank d_g - rank d_(g-1).  Refuses, naming the
+        first witness, when d^2 != 0 somewhere in range."""
         rep = self._d_squared_reports.get(W)
         if rep is None:
             rep, _ = self.check_d_squared(W)
@@ -315,20 +315,23 @@ class BRSTDatum:
         out = {}
         for w in range(W + 1):
             for q in self.charges():
-                H = graded_cohomology(self.ghost_range(w, q),
-                                      functools.partial(self.d_matrix, w, q))
-                for g, reps in H.items():
-                    if reps:
-                        out[(w, q, g)] = {
-                            "dim": len(reps),
-                            "reps": [self.V.format_state(r) for r in reps]}
+                # rank of d_(g-1): the rank taken last, or 0 when g - 1
+                # holds no states (the last d then maps into an empty block)
+                incoming = 0
+                for g in self.ghost_range(w, q):
+                    dg, _, _ = self.d_matrix(w, q, g)
+                    rank = q_rank(dg)
+                    dim = dg.ncols - rank - incoming
+                    if dim:
+                        out[(w, q, g)] = dim
+                    incoming = rank
         return out
 
     def cohomology_dims(self, W):
         """Collapse the charge direction: {(weight, ghost): dim}."""
         out = {}
-        for (w, q, g), data in self.brst_cohomology(W).items():
-            out[(w, g)] = out.get((w, g), 0) + data["dim"]
+        for (w, q, g), dim in self.brst_cohomology(W).items():
+            out[(w, g)] = out.get((w, g), 0) + dim
         return out
 
     def block_dims(self, W):

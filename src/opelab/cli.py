@@ -99,6 +99,8 @@ def _load_json(path):
     except json.JSONDecodeError as e:
         raise InputError("malformed JSON in %s at byte %d: %s"
                          % (path, e.pos, e.msg))
+    except RecursionError:
+        raise InputError("JSON nested too deeply in %s" % path)
     if repeats:
         pointer, key = _first_repeat(data, "")
         raise InputError("repeated key %r in the object at %s of %s"
@@ -290,12 +292,9 @@ def do_brst(args):
 
 
 def _class_entries(classes):
-    out = []
-    for c in sorted(classes, key=lambda c: (c.degree, str(c.annihilator))):
-        ann = None if c.annihilator is None \
-            else format_scalar(c.annihilator)
-        out.append({"degree": c.degree, "annihilator": ann})
-    return out
+    return [{"degree": c.degree,
+             "annihilator": None if c.annihilator is None
+             else format_scalar(c.annihilator)} for c in classes]
 
 
 def _summaries(entries, var):
@@ -381,14 +380,13 @@ def do_cartan(args):
         weights = [tuple(w) if isinstance(w, list) else w
                    for w in e["weights"]]
         cutoff, name = e["cutoff"], args.preset
-        if args.cutoff is not None:
-            cutoff = args.cutoff
     else:
         if args.weights is None:
             raise InputError("cartan needs --preset, --input, or --weights")
         weights = _parse_weights(args.weights)
-        cutoff = args.cutoff if args.cutoff is not None else 4
-        name = "weights=%s" % args.weights
+        cutoff, name = 4, "weights=%s" % args.weights
+    if args.cutoff is not None:
+        cutoff = args.cutoff
     m = len(weights)
     n = len(weights[0]) if isinstance(weights[0], tuple) else 1
     count = cartan_candidates(m, cutoff, MAX_CARTAN_CANDIDATES)
@@ -539,6 +537,7 @@ def _add_source_flags(p, with_level=True):
     if with_level:
         p.add_argument("--level", help="level value: a rational or a "
                                        "variable name")
+    return g
 
 
 def build_parser():
@@ -585,10 +584,9 @@ def build_parser():
 
     q = sub.add_parser("cartan", help="invariant-forms model for a "
                                       "diagonal torus action")
-    _add_source_flags(q, with_level=False)
-    q.add_argument("--weights",
-                   help="';' separates coordinate lines, ',' separates "
-                        "torus components: '1;-1' or '1,0;0,1'")
+    _add_source_flags(q, with_level=False).add_argument(
+        "--weights", help="';' separates coordinate lines, ',' separates "
+                          "torus components: '1;-1' or '1,0;0,1'")
     q.add_argument("--cutoff", type=_positive, default=None)
     q.set_defaults(func=do_cartan)
 

@@ -9,11 +9,10 @@ complexes, mixed-complex operators and chain maps all store one.
   cleared from another row by integer row operations that keep the row
   free of a common factor, and pivot rows are divided by their pivots
   only at the end, which gives the unique reduced row echelon form;
-  ``solve_and_rank`` gives the kernel and image of a matrix from one
-  reduction, and
-  ``graded_cohomology`` computes the cohomology of a complex given block
-  by block, reducing each block once and reusing it for the kernel in its
-  source degree and the image in its target degree;
+  ``q_rank`` reads the rank off that reduction, which is all ``brst``
+  needs: it takes dim H^g = n_g - rank d_g - rank d_(g-1) block by
+  block; ``solve_and_rank`` also gives the kernel and image of a matrix,
+  and ``quotient_reps`` representatives of one span modulo another;
 - Over Q[var], ``smith`` does the elimination on a homogeneous matrix:
   U M V diagonal, with U, V and V^-1 tracked and kept as sparse rows and
   columns.  ``presentation`` reads H = ker D / im D of a differential D
@@ -349,6 +348,11 @@ def solve_and_rank(M: Matrix):
     return rank, kernel, image
 
 
+def q_rank(M: Matrix) -> int:
+    """Rank of a matrix over Q, by one ``rref``."""
+    return rref(_to_frac_rows(M), M.ncols)[0]
+
+
 def q_solve(M: Matrix, b: dict):
     """One solution of M x = b over Q, or None."""
     rows = _to_frac_rows(M)
@@ -412,27 +416,6 @@ def quotient_reps(kernel_vecs, image_vecs):
         reps.append({keys[k]: Scalar.const(quo(c, p))
                      for k, c in row.items()})
     return reps
-
-
-def graded_cohomology(degrees, block):
-    """Cohomology over Q of a complex given block by block.
-
-    ``degrees`` lists, in increasing order, every degree that carries
-    basis vectors; ``block(g)`` returns (matrix of d from degree g to g + 1,
-    source keys, target keys).  Each block is built and reduced once: its
-    kernel gives the cocycles at g and its image the coboundaries at
-    g + 1.  Returns {g: representatives of ker / im, as dict vectors}.
-    """
-    out = {}
-    image = []
-    for g in degrees:
-        dg, src, tgt = block(g)
-        _, kern, img = solve_and_rank(dg)
-        kern_vecs = [{src[j]: v for j, v in vec.items()} for vec in kern]
-        out[g] = quotient_reps(kern_vecs, image)
-        # empty unless g + 1 is the next listed degree
-        image = [{tgt[i]: v for i, v in col.items()} for col in img]
-    return out
 
 
 # -- Smith normal form over Q[var] -------------------------------------

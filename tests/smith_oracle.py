@@ -4,9 +4,13 @@ over Q[u].  ``opelab.linalg.smith`` takes homogeneous matrices only, and
 ``smith_factors`` runs the same elimination with no transforms; this one
 returns the full sparse ``SmithResult`` plus the columns of U^-1, so the
 Smith form properties can be checked on matrices that are not
-homogeneous too."""
+homogeneous too.
 
-from opelab.linalg import Matrix, SmithResult
+``graded_cohomology`` is the reference cohomology over Q: it builds a
+representative of every class from the kernels and images of the
+blocks, where the library reads dimensions off ranks or pivots."""
+
+from opelab.linalg import Matrix, SmithResult, quotient_reps, solve_and_rank
 from opelab.scalars import ZERO, ONE, sc, quo
 
 
@@ -153,3 +157,24 @@ def general_smith(M: Matrix) -> OracleSmith:
 
     return OracleSmith(rows(U), cols(Uinv), cols(V), rows(Vinv),
                        [A[i][i] for i in range(t)])
+
+
+def graded_cohomology(degrees, block):
+    """Cohomology over Q of a complex given block by block.
+
+    ``degrees`` lists, in increasing order, every degree that carries
+    basis vectors; ``block(g)`` returns (matrix of d from degree g to g + 1,
+    source keys, target keys).  Each block is built and reduced once: its
+    kernel gives the cocycles at g and its image the coboundaries at
+    g + 1.  Returns {g: representatives of ker / im, as dict vectors}.
+    """
+    out = {}
+    image = []
+    for g in degrees:
+        dg, src, tgt = block(g)
+        _, kern, img = solve_and_rank(dg)
+        kern_vecs = [{src[j]: v for j, v in vec.items()} for vec in kern]
+        out[g] = quotient_reps(kern_vecs, image)
+        # empty unless g + 1 is the next listed degree
+        image = [{tgt[i]: v for i, v in col.items()} for col in img]
+    return out

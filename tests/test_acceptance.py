@@ -251,7 +251,7 @@ def test_free_field_datum_critical_level():
     rep, _ = Dc.check_d_squared(3)
     assert rep.ok
     H = Dc.brst_cohomology(2)
-    assert H[(0, 0, 0)]["dim"] == 1
+    assert H[(0, 0, 0)] == 1
     chi_h, chi_c = Dc.euler_characteristics(2)
     for w in range(3):
         assert chi_h.get(w, 0) == chi_c.get(w, 0), w

@@ -20,6 +20,7 @@ from opelab.brst import (build_ghosts, ghost_current_words, word_state,
                          BRSTDatum, abelian_datum, pure_ghost_datum,
                          bg_gl1_datum, bg_fundamental_sl2_datum,
                          wakimoto_datum, SL2_FUND)
+from smith_oracle import graded_cohomology
 
 
 # -- oracles ---------------------------------------------------------------
@@ -190,10 +191,9 @@ def test_bg_gl1_weight_zero_cohomology():
     D = bg_gl1_datum(cutoff=2, charge_window=(-4, 4))
     report, _ = D.check_d_squared(0)
     assert report.ok
+    assert [D.V.format_mono(m) for m in D.block(0, 0, 0)] == ["Ω"]
     H = D.brst_cohomology(0)
-    assert {k: v["dim"] for k, v in H.items()} == {
-        (0, 0, 0): 1, (0, 0, 1): 1}
-    assert H[(0, 0, 0)]["reps"] == ["Ω"]
+    assert H == {(0, 0, 0): 1, (0, 0, 1): 1}
 
 
 def test_bg_gl1_anomaly_appears_at_weight_one():
@@ -347,9 +347,7 @@ def test_wakimoto_weight_zero_cohomology(wak_critical):
     assert d(r) == {}
     assert d(D.V.gen_state("psi*_h")) != {}
     H = D.brst_cohomology(2)
-    assert {k: v["dim"] for k, v in H.items()} == {
-        (0, 0, 0): 1, (0, 0, 1): 1}
-    assert H[(0, 0, 0)]["reps"] == ["Ω"]
+    assert H == {(0, 0, 0): 1, (0, 0, 1): 1}
     chi_h, chi_c = D.euler_characteristics(2)
     for w in range(3):
         assert chi_h.get(w, 0) == chi_c.get(w, 0)
@@ -518,6 +516,32 @@ def test_charge_matches_the_mode_by_mode_cubic_term(build):
     assert D.brst_charge(cubic_coeff=q) == oracle_charge(D, q)
 
 
+# (id, datum whose d^2 vanishes through the weight, weight)
+CLOSED_DATA = [
+    ("abelian-0", lambda: abelian_datum(0, cutoff=4), 4),
+    ("bg-gl1", lambda: bg_gl1_datum(cutoff=2, charge_window=(-4, 4)), 0),
+    ("wakimoto-critical", lambda: wakimoto_datum(-4, cutoff=2), 2),
+    ("pure-ghost", lambda: pure_ghost_datum(cutoff=4), 4),
+]
+
+
+@pytest.mark.parametrize("build, W", [row[1:] for row in CLOSED_DATA],
+                         ids=[row[0] for row in CLOSED_DATA])
+def test_cohomology_ranks_match_the_representative_oracle(build, W):
+    """dim H read off ranks equals the number of representatives that
+    ``graded_cohomology`` builds from kernels and images of the same
+    d_matrix blocks."""
+    D = build()
+    want = {}
+    for w in range(W + 1):
+        for q in D.charges():
+            H = graded_cohomology(D.ghost_range(w, q),
+                                  lambda g: D.d_matrix(w, q, g))
+            want.update({(w, q, g): len(reps) for g, reps in H.items()
+                         if reps})
+    assert D.brst_cohomology(W) == want
+
+
 @pytest.fixture
 def d_squared_calls(monkeypatch):
     """The (W, states) arguments of every check_d_squared call."""
@@ -544,8 +568,7 @@ def test_cohomology_squares_d_once(d_squared_calls, monkeypatch):
     H = D.brst_cohomology(1)
     assert d_squared_calls == [(1, None)]
     assert products == []
-    assert {k: v["dim"] for k, v in H.items()} == {
-        (0, 0, 0): 1, (0, 0, 1): 1}
+    assert H == {(0, 0, 0): 1, (0, 0, 1): 1}
     # without a prior check, cohomology runs the whole-basis pass itself
     wakimoto_datum(-4, cutoff=2).brst_cohomology(1)
     assert d_squared_calls == [(1, None), (1, None)]

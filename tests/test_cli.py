@@ -262,6 +262,19 @@ def _repeated_key(data, at, key, value):
                                              json.dumps(value)), 1)
 
 
+def _nested(depth):
+    """A JSON array nested ``depth`` levels deep."""
+    return "[" * depth + "]" * depth
+
+
+def _deep_brackets(depth):
+    """The Virasoro vla.v1 file with ``brackets`` a ``depth``-deep array."""
+    text = json.dumps(dict(virasoro(2).to_dict(), format="vla.v1",
+                           brackets=None))
+    assert '"brackets": null' in text
+    return text.replace('"brackets": null', '"brackets": ' + _nested(depth))
+
+
 def _bad_sl2(field):
     """The sl2 Lie algebra table with one bad entry, or with the basis
     element e declared twice."""
@@ -382,6 +395,8 @@ HOSTILE = [
     (["vla-check"], _repeated_key(virasoro(2).to_dict(), None, "generators",
                                   []),
      "repeated key 'generators' in the object at / of "),
+    (["koszul"], _nested(100000), "JSON nested too deeply in "),
+    (["vla-check"], _deep_brackets(990), "JSON nested too deeply in "),
 ]
 
 
@@ -412,7 +427,8 @@ HOSTILE = [
     "vla-duplicate-generator", "alg-duplicate-basis",
     "brst-duplicate-basis", "brst-matter-named-like-a-ghost",
     "localize-map-undeclared-column", "localize-map-undeclared-target",
-    "mixed-repeated-d-key", "vla-repeated-top-level-key"])
+    "mixed-repeated-d-key", "vla-repeated-top-level-key",
+    "koszul-deeply-nested-file", "vla-deeply-nested-brackets"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
@@ -479,6 +495,36 @@ def test_koszul_strictness_failure(capsys, tmp_path):
     assert "d o d != 0" in rep["error"]
 
 
+def staircases(*ks):
+    """One staircase per k: tokens a_i, b_i (i = 1..k) of degrees
+    2(k - i) and 2(k - i) + 1, with h(b_i) = a_i and d(b_i) = a_(i-1).
+    In the Koszul dual, d + u h sends b_1 to u a_1 and b_i to
+    a_(i-1) + u a_i, so each a_i is +-u^(k-i) a_k in H, and
+    u^k a_k = +-u a_1 = 0: H = Q[u]/(u^k), spanned by a_k in degree 0."""
+    tokens, d, h = [], {}, {}
+    for s, k in enumerate(ks):
+        a = ["a%d_%d" % (s, i) for i in range(1, k + 1)]
+        b = ["b%d_%d" % (s, i) for i in range(1, k + 1)]
+        for i in range(k):
+            tokens += [{"name": a[i], "degree": 2 * (k - 1 - i)},
+                       {"name": b[i], "degree": 2 * (k - 1 - i) + 1}]
+            h[b[i]] = {a[i]: "1"}
+            if i:
+                d[b[i]] = {a[i - 1]: "1"}
+    return {"format": "mixed.v1", "tokens": tokens, "d": d, "h": [h]}
+
+
+def test_koszul_lists_torsion_by_exponent(capsys, tmp_path):
+    p = tmp_path / "staircases.json"
+    p.write_text(json.dumps(staircases(10, 2)))
+    code, rep, _ = run_json(capsys, "koszul", "--input", str(p))
+    assert code == 0
+    assert rep["classes"] == [{"degree": 0, "annihilator": "u^2"},
+                              {"degree": 0, "annihilator": "u^10"}]
+    assert rep["cohomology"] == ["Q[u]/(u^2) in degree 0",
+                                 "Q[u]/(u^10) in degree 0"]
+
+
 def test_localize_p1(capsys):
     code, rep, _ = run_json(capsys, "localize", "--preset", "p1")
     assert code == 0
@@ -543,6 +589,27 @@ def test_cartan_five_coordinates(capsys):
                             "--cutoff", "8")
     assert code == 0
     assert {"degree": 0, "annihilator": None} in rep["classes"]
+
+
+def test_cartan_cutoff_flag_overrides_the_file(capsys, tmp_path):
+    p = tmp_path / "cartan.json"
+    p.write_text(json.dumps({"format": "cartan.v1", "weights": [1, -1],
+                             "cutoff": 3}))
+    runs = [run_json(capsys, "cartan", "--input", str(p), *flag)
+            for flag in ([], ["--cutoff", "5"])]
+    assert [(code, rep["truncation"]) for code, rep, _ in runs] == [
+        (0, 3), (0, 5)]
+
+
+@pytest.mark.parametrize("source", [["--preset", "gm-line"],
+                                    ["--input", "cartan.json"]])
+def test_cartan_weights_beside_a_source_is_usage_error(capsys, source):
+    with pytest.raises(SystemExit) as refused:
+        main(["cartan", *source, "--weights", "1"])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --weights: not allowed with argument %s" % source[0] \
+        in err
 
 
 def test_cartan_many_coordinates_at_a_low_cutoff(capsys):

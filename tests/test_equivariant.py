@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from opelab.scalars import (Scalar, ZERO, ONE, sc, format_scalar,
                             parse_scalar)
 from opelab.linalg import (BasisToken, FiniteComplex, Matrix, presentation,
-                           graded_cohomology, vec_add, vec_scale,
-                           _smith_general)
+                           vec_add, vec_scale, _smith_general)
 from opelab.equivariant import (
     MixedComplex, koszul_t, koszul_h, ucomplex_from_finite,
     cartan_model, localize_check, check_mixed_map,
     _module_invariants, divides_power, regular_lambda, sphere_pair,
     zero_mixed, p1_rotation, p1_fixed_points, p1_inclusion)
-from smith_oracle import general_smith
+from smith_oracle import general_smith, graded_cohomology
 
 
 # -- oracles ---------------------------------------------------------------
