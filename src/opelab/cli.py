@@ -69,6 +69,13 @@ class _RepeatedKey(dict):
     __slots__ = ("key",)
 
 
+class _FloatLiteral(str):
+    """The text of a JSON number written with a fraction or an exponent.
+    Every number of the input formats is an integer, but the schemas'
+    "integer" type admits 2.0 and 1e300, so a file holding one is
+    refused."""
+
+
 def _load_json(path):
     target = None
     if os.path.exists(path):
@@ -80,7 +87,7 @@ def _load_json(path):
             target = ref.read_bytes()
     if target is None:
         raise InputError("no such file or packaged fixture: %s" % path)
-    repeats = []
+    marked = []
 
     def pairs_hook(pairs):
         obj = dict(pairs)
@@ -92,27 +99,37 @@ def _load_json(path):
                 seen.add(key)
             obj = _RepeatedKey(obj)
             obj.key = key
-            repeats.append(obj)
+            marked.append(obj)
         return obj
+
+    def float_hook(text):
+        # called for float literals only, so integer-only files pay nothing
+        marked.append(text)
+        return _FloatLiteral(text)
     try:
-        data = json.loads(target, object_pairs_hook=pairs_hook)
+        data = json.loads(target, object_pairs_hook=pairs_hook,
+                          parse_float=float_hook)
     except json.JSONDecodeError as e:
         raise InputError("malformed JSON in %s at byte %d: %s"
                          % (path, e.pos, e.msg))
     except RecursionError:
         raise InputError("JSON nested too deeply in %s" % path)
-    if repeats:
-        pointer, key = _first_repeat(data, "")
-        raise InputError("repeated key %r in the object at %s of %s"
-                         % (key, pointer or "/", path))
+    if marked:
+        pointer, node = _first_marked(data, "")
+        if isinstance(node, _RepeatedKey):
+            raise InputError("repeated key %r in the object at %s of %s"
+                             % (node.key, pointer or "/", path))
+        raise InputError("number %s at %s of %s is not an integer literal"
+                         % (node, pointer or "/", path))
     return data
 
 
-def _first_repeat(node, pointer):
-    """(JSON pointer, key) of the first object, in document order, at or
-    under ``node`` that repeats a key; None if there is none."""
-    if isinstance(node, _RepeatedKey):
-        return pointer, node.key
+def _first_marked(node, pointer):
+    """(JSON pointer, node) of the first object that repeats a key, or
+    of the first float literal, in document order, at or under ``node``;
+    None if there is none."""
+    if isinstance(node, (_RepeatedKey, _FloatLiteral)):
+        return pointer, node
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
@@ -120,7 +137,7 @@ def _first_repeat(node, pointer):
     else:
         return None
     for k, child in items:
-        hit = _first_repeat(child, "%s/%s" % (pointer, escape(str(k))))
+        hit = _first_marked(child, "%s/%s" % (pointer, escape(str(k))))
         if hit is not None:
             return hit
     return None

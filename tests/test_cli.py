@@ -183,7 +183,8 @@ def _bad_gl1(field):
     a current naming something its tables never declare, a matter
     bracket naming an undeclared generator, a current coefficient
     with too high a power, a basis element declared twice, or a matter
-    generator with the name of a ghost."""
+    generator with the name of a ghost, or a derivative power written
+    as a float."""
     data = bg_gl1_datum().to_dict()
     current = data["currents"][0]
     if field == "duplicate":
@@ -208,13 +209,16 @@ def _bad_gl1(field):
         current["terms"][0]["coeff"] = TOO_HIGH
     elif field == "ghost_charges":
         data["ghost_charges"] = {"zz": 3}
+    elif field == "float-dpow":
+        current["terms"][0]["factors"][0]["dpow"] = 1.0
     return data
 
 
 def _bad_mixed(field):
     """The P^1 rotation complex with one bad entry: an h or d entry
     naming an undeclared token, a coefficient that is not a number, or
-    the token f declared again in another degree."""
+    the token f declared again in another degree, or a token degree
+    written as a float."""
     data = p1_rotation().to_dict()
     if field == "duplicate":
         data["tokens"].append({"name": "f", "degree": 5})
@@ -226,6 +230,8 @@ def _bad_mixed(field):
         data["d"]["e"]["y"] = "1/0"
     elif field == "polynomial":
         data["d"]["e"]["y"] = "u"
+    elif field in (0.0, 1e300):
+        data["tokens"][0]["degree"] = field
     return data
 
 
@@ -276,8 +282,8 @@ def _deep_brackets(depth):
 
 
 def _bad_sl2(field):
-    """The sl2 Lie algebra table with one bad entry, or with the basis
-    element e declared twice."""
+    """The sl2 Lie algebra table with one bad entry, with the basis
+    element e declared twice, or with no degree for its bracket."""
     data = sl2_lie().to_dict()
     pi = data["tables"]["pi"]
     if field == "duplicate":
@@ -292,7 +298,16 @@ def _bad_sl2(field):
         pi["zz,f"] = {"h": "1"}
     elif field == "coeff":
         pi["e,f"]["h"] = "1/0"
+    elif field == "no-pi-degree":
+        del data["pi_degree"]
     return data
+
+
+def _contradicting_entry(degree, parity):
+    """m(a, a) = b, where b has the given degree and parity."""
+    return {"basis": [{"name": "a", "degree": 0},
+                      {"name": "b", "degree": degree, "parity": parity}],
+            "tables": {"m": {"a,a": {"b": "1"}}}}
 
 
 def _wide_gl1(lo, hi):
@@ -397,6 +412,21 @@ HOSTILE = [
      "repeated key 'generators' in the object at / of "),
     (["koszul"], _nested(100000), "JSON nested too deeply in "),
     (["vla-check"], _deep_brackets(990), "JSON nested too deeply in "),
+    (["cartan"], {"weights": [1, -1, 0, 2, 3], "cutoff": 2.0},
+     "number 2.0 at /cutoff of "),
+    (["brst"], _bad_gl1("float-dpow"),
+     "number 1.0 at /currents/0/terms/0/factors/0/dpow of "),
+    (["brst"], _wide_gl1(-1.0, 1.0), "number -1.0 at /charge_window/0 of "),
+    (["koszul"], _bad_mixed(0.0), "number 0.0 at /tokens/0/degree of "),
+    (["koszul"], _bad_mixed(1e300), "number 1e+300 at /tokens/0/degree of "),
+    (["operad-check", "--suite", "Lie"], _bad_sl2("no-pi-degree"),
+     "alg.v1: a pi table needs a pi_degree at /tables/pi\n"),
+    (["operad-check", "--suite", "Comm"], _contradicting_entry(1, 0),
+     "alg.v1: an entry of wrong degree (b has 1, the entry needs 0) at "
+     "/tables/m/a,a/b\n"),
+    (["operad-check", "--suite", "Comm"], _contradicting_entry(0, 1),
+     "alg.v1: an entry of wrong parity (b has 1, the entry needs 0) at "
+     "/tables/m/a,a/b\n"),
 ]
 
 
@@ -428,7 +458,10 @@ HOSTILE = [
     "brst-duplicate-basis", "brst-matter-named-like-a-ghost",
     "localize-map-undeclared-column", "localize-map-undeclared-target",
     "mixed-repeated-d-key", "vla-repeated-top-level-key",
-    "koszul-deeply-nested-file", "vla-deeply-nested-brackets"])
+    "koszul-deeply-nested-file", "vla-deeply-nested-brackets",
+    "cartan-float-cutoff", "brst-float-dpow", "brst-float-charge-window",
+    "mixed-float-degree", "mixed-exponent-degree", "alg-pi-without-degree",
+    "alg-entry-of-wrong-degree", "alg-entry-of-wrong-parity"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opelab.operads import (
     AlgebraInstance,
@@ -18,6 +19,9 @@ from opelab.operads import (
     sl2_lie,
     truncated_polynomial_poisson,
 )
+from opelab.scalars import Scalar
+
+import operads_oracle
 
 
 # -- an independent model for the odd-pair fixtures ------------------------
@@ -123,6 +127,18 @@ def test_heisenberg_is_bd1():
     assert check_relations(heisenberg_rank4(), "BD_1")["passed"]
 
 
+def test_specialize_keeps_the_bracket_parity():
+    # an hbar family on the exterior pair, whose bracket is even though
+    # its degree is odd
+    E = exterior_bv_pair()
+    A = AlgebraInstance(E.names, E.degrees, E.parities, E.tables,
+                        ring="hbar", pi_degree=1, pi_parity=0,
+                        delta_parity=0)
+    B = A.specialize(0)
+    assert B.pi_parity == 0
+    assert check_relations(B, "BV")["passed"]
+
+
 def test_bd1_specializations():
     H = heisenberg_rank4()
     assert check_relations(H.specialize(0), "P_1")["passed"]
@@ -213,6 +229,77 @@ def test_symmetrized_bracket_is_not_lie():
     assert rep["violations"][0]["relation"] == "bracket symmetry"
 
 
+# -- the suites against the reference loops ------------------------------
+
+STOCK = [truncated_polynomial_poisson, matrix_2x2, heisenberg_rank4,
+         odd_symplectic_bv, odd_symplectic_p2, odd_symplectic_bd0,
+         odd_symplectic_bd0u, exterior_bv_pair, sl2_lie]
+SUITES = ["Comm", "Ass", "Lie", "P_-1", "P_0", "P_1", "P_2", "P_3", "BV",
+          "BD_0", "BD_1", "BD_0^u"]
+
+
+def _outcome(check, A, suite):
+    try:
+        return check(A, suite)
+    except ValueError as e:
+        return "raised: %s" % e
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("build", STOCK, ids=lambda b: b.__name__)
+def test_stock_suites_match_the_oracle(build, suite):
+    assert _outcome(check_relations, build(), suite) == \
+        _outcome(operads_oracle.check_relations, build(), suite)
+
+
+COEFFS = [0, 0, 1, -1, 2, Fraction(1, 2)]
+
+
+@st.composite
+def random_instances(draw):
+    """Tables over at most 4 basis elements with random degrees and
+    parities; every entry the degree and parity rules allow is drawn
+    from constants and polynomials in one ring variable, so that the
+    hbar and u suite parameters meet entries they cannot mix with."""
+    n = draw(st.integers(1, 4))
+    parities = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    degrees = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    pi_degree = draw(st.integers(-1, 1))
+    pi_parity = draw(st.sampled_from([None, 0, 1]))
+    delta_parity = draw(st.integers(0, 1))
+    var = draw(st.sampled_from(["hbar", "u"]))
+    x = Scalar.variable(var)
+    coeffs = st.sampled_from(COEFFS + [x, -x, x + 1, x * x])
+    ops = draw(st.sets(st.sampled_from(sorted(AlgebraInstance.OP_ARITY)),
+                       min_size=1))
+    shift = {"m": 0, "pi": pi_degree, "delta": 1, "d": -1}
+    parity = {"m": 0, "pi": pi_degree if pi_parity is None else pi_parity,
+              "delta": delta_parity, "d": 1}
+    tables = {}
+    for op in sorted(ops):
+        table = tables[op] = {}
+        for key in itertools.product(range(n),
+                                     repeat=AlgebraInstance.OP_ARITY[op]):
+            deg = sum(degrees[i] for i in key) + shift[op]
+            par = sum(parities[i] for i in key) + parity[op]
+            for k in range(n):
+                if degrees[k] == deg and parities[k] == par % 2:
+                    c = draw(coeffs)
+                    if c != 0:
+                        table.setdefault(key, {})[k] = c
+    return AlgebraInstance(["e%d" % i for i in range(n)], degrees,
+                           parities, tables, ring=var, pi_degree=pi_degree,
+                           pi_parity=pi_parity, delta_parity=delta_parity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_instances())
+def test_random_suites_match_the_oracle(A):
+    for suite in SUITES:
+        assert _outcome(check_relations, A, suite) == \
+            _outcome(operads_oracle.check_relations, A, suite), suite
+
+
 # -- instance plumbing -----------------------------------------------------
 
 def test_missing_table_is_named():
@@ -221,8 +308,10 @@ def test_missing_table_is_named():
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(ValueError, match="unknown preset"):
-        check_relations(sl2_lie(), "frobenius")
+    for preset in ("P_", "P_x", "frobenius"):
+        with pytest.raises(ValueError) as e:
+            check_relations(sl2_lie(), preset)
+        assert str(e.value) == "unknown preset %r" % preset
 
 
 def test_entry_degree_enforced():
