@@ -114,6 +114,10 @@ def _load_json(path):
                          % (path, e.pos, e.msg))
     except RecursionError:
         raise InputError("JSON nested too deeply in %s" % path)
+    except ValueError as e:
+        # an integer literal past Python's digit limit, or bytes that are
+        # not UTF-8
+        raise InputError("unreadable JSON in %s: %s" % (path, e))
     if marked:
         pointer, node = _first_marked(data, "")
         if isinstance(node, _RepeatedKey):
@@ -144,11 +148,14 @@ def _first_marked(node, pointer):
 
 
 def _pick(args, table, what):
+    """(table entry, name) for --preset, or (None, path) for --input."""
     if args.preset is not None:
         if args.preset not in table:
             raise InputError("unknown %s preset %r (try the presets verb)"
                              % (what, args.preset))
         return table[args.preset], args.preset
+    if args.input is None:
+        raise InputError("%s needs --preset or --input" % args.verb)
     return None, args.input
 
 
@@ -391,12 +398,10 @@ def do_cartan(args):
                                       "factor")
         weights = [tuple(w) if isinstance(w, list) else w for w in weights]
     elif args.preset is not None:
-        if args.preset not in presets.CARTAN_PRESETS:
-            raise InputError("unknown cartan preset %r" % args.preset)
-        e = presets.CARTAN_PRESETS[args.preset]
+        e, name = _pick(args, presets.CARTAN_PRESETS, "cartan")
         weights = [tuple(w) if isinstance(w, list) else w
                    for w in e["weights"]]
-        cutoff, name = e["cutoff"], args.preset
+        cutoff = e["cutoff"]
     else:
         if args.weights is None:
             raise InputError("cartan needs --preset, --input, or --weights")
@@ -423,12 +428,9 @@ def do_cartan(args):
 
 
 def do_localize(args):
-    if args.preset is not None:
-        if args.preset not in presets.LOCALIZE_PRESETS:
-            raise InputError("unknown localize preset %r" % args.preset)
-        NZ, NX, iota, invert = presets.LOCALIZE_PRESETS[
-            args.preset]["build"]()
-        name = args.preset
+    entry, name = _pick(args, presets.LOCALIZE_PRESETS, "localize")
+    if entry is not None:
+        NZ, NX, iota, invert = entry["build"]()
     else:
         data = validate(_load_json(args.input), "localize")
         # errors inside a part carry its prefix, e.g. /fixed/d/e1
@@ -633,13 +635,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "preset", None) is None and \
-            getattr(args, "input", None) is None and \
-            args.verb in ("vla-check", "ope", "envelope-dims", "brst",
-                          "koszul", "localize", "operad-check"):
-        print("error: %s needs --preset or --input" % args.verb,
-              file=sys.stderr)
-        return 2
     try:
         code, report = args.func(args)
     except (InputError, SchemaViolation) as e:

@@ -4,14 +4,15 @@ Vectors are dicts mapping basis keys to nonzero ``Scalar`` values; a
 ``Matrix`` is a sparse dict keyed by (row, col), and it is the one map type:
 complexes, mixed-complex operators and chain maps all store one.
 
-- Over Q, ``rref`` does the elimination fraction-free, as Bareiss
-  (1968) does over Z: each row is cleared of denominators, a pivot is
-  cleared from another row by integer row operations that keep the row
-  free of a common factor, and pivot rows are divided by their pivots
-  only at the end, which gives the unique reduced row echelon form;
-  ``q_rank`` reads the rank off that reduction, which is all ``brst``
-  needs: it takes dim H^g = n_g - rank d_g - rank d_(g-1) block by
-  block; ``solve_and_rank`` also gives the kernel and image of a matrix,
+- One elimination, ``_forward``, serves Q and Q[var].  It is
+  fraction-free, as Bareiss (1968) is over Z: rows are cleared of
+  denominators, and a pivot is cleared from the unused rows by integer
+  row operations that keep each row free of a common factor.  ``rref``
+  adds a back-substitution and divides each pivot row by its pivot at
+  the end, which gives the unique reduced row echelon form; ``q_rank``
+  is the pivot count, which is all ``brst`` needs: it takes
+  dim H^g = n_g - rank d_g - rank d_(g-1) block by block;
+  ``solve_and_rank`` also gives the kernel and image of a matrix,
   and ``quotient_reps`` representatives of one span modulo another;
 - Over Q[var], ``smith`` does the elimination on a homogeneous matrix:
   U M V diagonal, with U, V and V^-1 tracked and kept as sparse rows and
@@ -37,12 +38,11 @@ Two things keep the Smith forms small and cheap:
   the multidegree of its forms);
 - a matrix whose entries are monomials c*u^(cw[j] - rw[i]) for some row
   and column weights (every homogeneous differential is one) is reduced
-  by Q-elimination on its coefficients, pivots taken in increasing order
-  of the exponent, as in the persistence algorithm for graded
-  Q[t]-modules; kernel bases come out homogeneous, and so are the
-  coordinate matrices built from them.  ``smith`` refuses any other
-  matrix, and ``smith_factors`` takes it through the general polynomial
-  elimination, which gives the invariant factors alone.
+  by ``_forward`` on its coefficients, columns in increasing cw, as in
+  the persistence algorithm for graded Q[t]-modules; kernel bases come
+  out homogeneous, and so are the coordinate matrices built from them.
+  ``smith`` refuses any other matrix; ``smith_factors`` gives its
+  invariant factors by the general polynomial elimination.
 """
 
 from __future__ import annotations
@@ -241,7 +241,9 @@ def _to_frac_rows(M: Matrix):
 
 
 def _primitive(row: dict) -> dict:
-    """A row of rationals scaled to integers with no common factor."""
+    """A row of rationals, zeros dropped, scaled to integers with no
+    common factor."""
+    row = {k: v for k, v in row.items() if v}
     dens = [v.denominator for v in row.values() if type(v) is not int]
     if dens:
         m = lcm(*dens)
@@ -276,50 +278,59 @@ def _reduce(row: dict, piv: dict, j) -> dict:
     return _divide_content(row) if a != 1 and row else row
 
 
-def _eliminate(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of integer dict rows in
-    place: each pivot is cleared from every other row by
-    ``_reduce``, so the rows stay integral.  Returns (rank, pivots); row
-    r holds pivot pivots[r] and vanishes at every other pivot, and the
-    rows past the rank are empty."""
+def _forward(rows, order, rw=None):
+    """Fraction-free forward elimination of integer dict rows in place.
+
+    For each column j of ``order`` the pivot is the unused row with an
+    entry at j of largest ``rw`` (when given), then fewest entries, then
+    least |entry|; the other unused rows are cleared at j by ``_reduce``,
+    and a row once taken is never touched again.  Returns the pivots
+    [(row, column)] in the order taken: each pivot row vanishes at every
+    column taken before its own."""
+    live = [i for i, row in enumerate(rows) if row]
     pivots = []
-    r = 0
-    for j in range(ncols):
+    for j in order:
         pr, best = None, None
-        for i in range(r, len(rows)):
+        for i in live:
             v = rows[i].get(j)
             if v is not None:
-                key = (len(rows[i]), abs(v))
+                key = (-rw[i] if rw else 0, len(rows[i]), abs(v))
                 if best is None or key < best:
                     pr, best = i, key
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r]
-        for i in range(len(rows)):
-            if i != r and j in rows[i]:
-                rows[i] = _reduce(rows[i], piv, j)
-        pivots.append(j)
-        r += 1
-        if r == len(rows):
-            break
-    return r, pivots
+        piv = rows[pr]
+        rest = []
+        for i in live:
+            if i != pr:
+                if j in rows[i]:
+                    rows[i] = _reduce(rows[i], piv, j)
+                if rows[i]:
+                    rest.append(i)
+        live = rest
+        pivots.append((pr, j))
+    return pivots
 
 
 def rref(rows, ncols):
     """Row-reduce dict rows of rationals in place to the reduced row
     echelon form; returns (rank, pivot column list).
 
-    The elimination runs on integers (``_eliminate``) and each pivot row
-    is divided by its pivot only at the end; the reduced form is unique,
-    so it is the same as Gauss-Jordan elimination over Q would give."""
-    ints = [_primitive({k: v for k, v in row.items() if v}) for row in rows]
-    rank, pivots = _eliminate(ints, ncols)
-    for r, j in enumerate(pivots):
-        p = ints[r][j]
-        rows[r] = {k: quo(v, p) for k, v in ints[r].items()}
-    rows[rank:] = [{} for _ in range(len(rows) - rank)]
-    return rank, pivots
+    ``_forward`` over the columns in order, then each pivot column
+    cleared from the pivot rows above it, all on integers; each pivot
+    row is divided by its pivot only at the end.  The reduced form is
+    unique, so it is the one Gauss-Jordan elimination over Q gives."""
+    ints = list(map(_primitive, rows))
+    pivots = _forward(ints, range(ncols))
+    piv_rows = [ints[p] for p, _ in pivots]
+    for t, (_, j) in enumerate(pivots):
+        for s in range(t):
+            if j in piv_rows[s]:
+                piv_rows[s] = _reduce(piv_rows[s], piv_rows[t], j)
+    for r, (row, (_, j)) in enumerate(zip(piv_rows, pivots)):
+        rows[r] = {k: quo(v, row[j]) for k, v in row.items()}
+    rows[len(pivots):] = [{} for _ in range(len(rows) - len(pivots))]
+    return len(pivots), [j for _, j in pivots]
 
 
 def solve_and_rank(M: Matrix):
@@ -349,8 +360,9 @@ def solve_and_rank(M: Matrix):
 
 
 def q_rank(M: Matrix) -> int:
-    """Rank of a matrix over Q, by one ``rref``."""
-    return rref(_to_frac_rows(M), M.ncols)[0]
+    """Rank of a matrix over Q: the pivot count of ``_forward``."""
+    rows = list(map(_primitive, _to_frac_rows(M)))
+    return len(_forward(rows, range(M.ncols)))
 
 
 def q_solve(M: Matrix, b: dict):
@@ -376,10 +388,9 @@ def span_rank(vectors) -> int:
     """Rank of a list of dict vectors over Q."""
     keys = sorted({k for v in vectors for k in v.keys()})
     idx = {k: i for i, k in enumerate(keys)}
-    rows = [{idx[k]: sc(c).const_value() for k, c in v.items()}
+    rows = [_primitive({idx[k]: sc(c).const_value() for k, c in v.items()})
             for v in vectors]
-    rank, _ = rref(rows, len(keys))
-    return rank
+    return len(_forward(rows, range(len(keys))))
 
 
 def quotient_reps(kernel_vecs, image_vecs):
@@ -548,52 +559,41 @@ def _smith_graded(M: Matrix, rw, cw, var, transforms=True):
 
     Row i may take a multiple of row k when rw[k] >= rw[i], and column j
     of column l when cw[j] >= cw[l]: these are the operations that stay
-    polynomial.  A pivot of least exponent e = cw[q] - rw[p] clears its
-    column and its row with such operations alone, so the elimination
-    runs on the coefficients C, the pivots come out in increasing order
-    of e, and the factors var^e form a divisibility chain.  The
-    transforms found for C are lifted by the same conjugation,
-    U = diag(var^-rw) U_C diag(var^rw) and V = diag(var^-cw) V_C
-    diag(var^cw); nothing is swapped until the end, where the pivots
-    are moved to the diagonal.  Without ``transforms`` only the pivots
-    [(p, q, e)] are returned, in the order they were taken: each pairs
-    row p with column q by the invariant factor var^e."""
+    polynomial.  ``_forward`` takes the columns of C in increasing cw,
+    and in each the row of largest rw, so its row operations are such;
+    U_C rides along as columns m + i of the same rows.  A pivot row
+    (p, q) vanishes at every column taken before q, so the column
+    operations that clear it, applied in the order taken, add column q
+    to columns of cw >= cw[q] and change no other row: they give V_C and
+    V_C^-1.  Both are lifted by conjugation, U = diag(var^-rw) U_C
+    diag(var^rw) and V = diag(var^-cw) V_C diag(var^cw).  The pivots
+    [(p, q, e)], each pairing row p with column q by the factor var^e,
+    e = cw[q] - rw[p], are sorted by e, so the factors form a
+    divisibility chain; without ``transforms`` only they are returned."""
     n, m = M.nrows, M.ncols
     A = [dict() for _ in range(n)]
     for (i, j), v in M.data.items():
         A[i][j] = v.coeffs[-1]
     if transforms:
-        U = [{i: 1} for i in range(n)]       # rows of U_C
-        V = [{j: 1} for j in range(m)]       # columns of V_C
-        Vinv = [{j: 1} for j in range(m)]    # rows of V_C^-1
-    live = {i for i in range(n) if A[i]}
-    pivots = []
-    while live:
-        e, p, q = min((cw[j] - rw[i], i, j) for i in live for j in A[i])
-        live.remove(p)
+        for i in range(n):
+            A[i][m + i] = 1
+    A = list(map(_primitive, A))
+    taken = _forward(A, sorted(range(m), key=cw.__getitem__), rw)
+    pivots = sorted(((p, q, cw[q] - rw[p]) for p, q in taken),
+                    key=lambda t: t[2])
+    if not transforms:
+        return pivots
+    U = [{k - m: x for k, x in row.items() if k >= m} for row in A]
+    V = [{j: 1} for j in range(m)]       # columns of V_C
+    Vinv = [{j: 1} for j in range(m)]    # rows of V_C^-1
+    for p, q in taken:
         row, c = A[p], A[p][q]
-        for i in list(live):
-            f = A[i].get(q)
-            if f is not None:
-                f = quo(f, c)
-                _axpy(A[i], row, -f)
-                if transforms:
-                    _axpy(U[i], U[p], -f)
-                if not A[i]:
-                    live.remove(i)
-        pivots.append((p, q, e))
-        if not transforms:
-            continue
-        # the column operations leave every live row as it is
+        U[p] = {k: quo(x, c) for k, x in U[p].items()}
         for j, g in row.items():
-            if j != q:
+            if j != q and j < m:
                 g = quo(g, c)
                 _axpy(V[j], V[q], -g)
                 _axpy(Vinv[q], Vinv[j], g)
-        U[p] = {k: quo(x, c) for k, x in U[p].items()}
-
-    if not transforms:
-        return pivots
     mono = Scalar.monomial
     prow = [p for p, _, _ in pivots]
     pcol = [q for _, q, _ in pivots]

@@ -342,9 +342,17 @@ class _Tok:
         return t
 
 
-# largest exponent ``parse_scalar`` accepts: the power is taken by repeated
-# multiplication, so a file must not be able to ask for c^99999999
+# largest exponent, and largest degree of a power or product, that
+# ``parse_scalar`` accepts: the power is taken by repeated multiplication,
+# so a file must not be able to ask for c^99999999 or ((1+c)^64)^64
 MAX_EXPONENT = 64
+
+
+def _check_degree(degree):
+    """Refuse a power or product of this degree before it is computed."""
+    if degree > MAX_EXPONENT:
+        raise ValueError("degree %d is above the bound %d"
+                         % (degree, MAX_EXPONENT))
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -371,6 +379,7 @@ def _parse_product(tk):
         op = tk.take()
         rhs = _parse_atom(tk)
         if op == "*":
+            _check_degree(out.degree() + rhs.degree())
             out = out * rhs
         else:
             if not rhs.is_const() or rhs.is_zero():
@@ -406,5 +415,6 @@ def _parse_atom(tk):
         if int(e) > MAX_EXPONENT:
             raise ValueError("exponent %s is above the bound %d"
                              % (e, MAX_EXPONENT))
+        _check_degree(base.degree() * int(e))
         base = base ** int(e)
     return base

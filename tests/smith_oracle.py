@@ -8,9 +8,19 @@ homogeneous too.
 
 ``graded_cohomology`` is the reference cohomology over Q: it builds a
 representative of every class from the kernels and images of the
-blocks, where the library reads dimensions off ranks or pivots."""
+blocks, where the library reads dimensions off ranks or pivots.
 
-from opelab.linalg import Matrix, SmithResult, quotient_reps, solve_and_rank
+``gauss_jordan_rref`` and ``min_search_pivots`` are the two eliminations
+that ``opelab.linalg._forward`` replaced: Gauss-Jordan on integer rows,
+and the graded loop that takes each pivot by least exponent over every
+live entry and updates the rows with rationals.  ``oracle_classes``
+reads cohomology classes off the second one."""
+
+from collections import Counter
+
+from opelab.linalg import (Matrix, SmithResult, quotient_reps,
+                           solve_and_rank, _axpy, _grading, _primitive,
+                           _reduce)
 from opelab.scalars import ZERO, ONE, sc, quo
 
 
@@ -178,3 +188,77 @@ def graded_cohomology(degrees, block):
         # empty unless g + 1 is the next listed degree
         image = [{tgt[i]: v for i, v in col.items()} for col in img]
     return out
+
+
+def gauss_jordan_rref(rows, ncols):
+    """``rref`` by fraction-free Gauss-Jordan elimination: each pivot,
+    the row of fewest entries and then least |entry| below the rank, is
+    cleared from every other row by ``_reduce`` as soon as it is taken.
+    Same contract as ``opelab.linalg.rref``."""
+    ints = [_primitive({k: v for k, v in row.items() if v}) for row in rows]
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        pr, best = None, None
+        for i in range(r, len(ints)):
+            v = ints[i].get(j)
+            if v is not None:
+                key = (len(ints[i]), abs(v))
+                if best is None or key < best:
+                    pr, best = i, key
+        if pr is None:
+            continue
+        ints[r], ints[pr] = ints[pr], ints[r]
+        piv = ints[r]
+        for i in range(len(ints)):
+            if i != r and j in ints[i]:
+                ints[i] = _reduce(ints[i], piv, j)
+        pivots.append(j)
+        r += 1
+        if r == len(ints):
+            break
+    for t, j in enumerate(pivots):
+        rows[t] = {k: quo(v, ints[t][j]) for k, v in ints[t].items()}
+    rows[r:] = [{} for _ in range(len(rows) - r)]
+    return r, pivots
+
+
+def min_search_pivots(M: Matrix, rw, cw):
+    """The pivots [(p, q, e)] of a homogeneous M, weighted as ``_grading``
+    gives, in increasing e: each pivot is the least (e, row, column) over
+    every live entry, and it clears its column from the live rows by
+    rational row updates."""
+    A = [dict() for _ in range(M.nrows)]
+    for (i, j), v in M.data.items():
+        A[i][j] = v.coeffs[-1]
+    live = {i for i in range(M.nrows) if A[i]}
+    pivots = []
+    while live:
+        e, p, q = min((cw[j] - rw[i], i, j) for i in live for j in A[i])
+        live.remove(p)
+        row, c = A[p], A[p][q]
+        for i in list(live):
+            f = A[i].get(q)
+            if f is not None:
+                _axpy(A[i], row, -quo(f, c))
+                if not A[i]:
+                    live.remove(i)
+        pivots.append((p, q, e))
+    return pivots
+
+
+def oracle_classes(C):
+    """(degree, exponent e of the annihilator u^e, 0 when free) of every
+    class of a ``FiniteComplex``, sorted, read off ``min_search_pivots``
+    one block of its differential at a time."""
+    found = []
+    for idx, B in C.D.blocks():
+        degree = [C.tokens[k].degree for k in idx]
+        free = Counter(degree)
+        for p, q, e in min_search_pivots(B, *_grading(B)[:2]):
+            free[degree[p]] -= 1
+            free[degree[q]] -= 1
+            if e:
+                found.append((degree[p], e))
+        found += [(g, 0) for g in free.elements()]
+    return sorted(found)

@@ -232,6 +232,8 @@ def _bad_mixed(field):
         data["d"]["e"]["y"] = "u"
     elif field in (0.0, 1e300):
         data["tokens"][0]["degree"] = field
+    elif field == "huge-power":
+        data["d"]["e"]["y"] = "((1+x)^64)^64"
     return data
 
 
@@ -427,6 +429,15 @@ HOSTILE = [
     (["operad-check", "--suite", "Comm"], _contradicting_entry(0, 1),
      "alg.v1: an entry of wrong parity (b has 1, the entry needs 0) at "
      "/tables/m/a,a/b\n"),
+    (["koszul"], _bad_mixed("huge-power"),
+     "mixed.v1: degree 4096 is above the bound 64 at /d/e/y\n"),
+    (["cartan"], '{"weights": [1, -1], "cutoff": %s}' % ("1" * 5000),
+     "unreadable JSON in "),
+    (["koszul"], b'{"tokens": "\xff"}', "unreadable JSON in "),
+    (["cartan", "--preset", "x"], None,
+     "unknown cartan preset 'x' (try the presets verb)"),
+    (["localize", "--preset", "x"], None,
+     "unknown localize preset 'x' (try the presets verb)"),
 ]
 
 
@@ -461,13 +472,19 @@ HOSTILE = [
     "koszul-deeply-nested-file", "vla-deeply-nested-brackets",
     "cartan-float-cutoff", "brst-float-dpow", "brst-float-charge-window",
     "mixed-float-degree", "mixed-exponent-degree", "alg-pi-without-degree",
-    "alg-entry-of-wrong-degree", "alg-entry-of-wrong-parity"])
+    "alg-entry-of-wrong-degree", "alg-entry-of-wrong-parity",
+    "mixed-power-past-the-degree-bound", "cartan-integer-past-digit-limit",
+    "mixed-file-not-utf-8",
+    "cartan-unknown-preset", "localize-unknown-preset"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
         p = tmp_path / "bad-input.json"
-        p.write_text(document if isinstance(document, str)
-                     else json.dumps(document))
+        if isinstance(document, bytes):
+            p.write_bytes(document)
+        else:
+            p.write_text(document if isinstance(document, str)
+                         else json.dumps(document))
         argv = argv + ["--input", str(p)]
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from opelab.scalars import (Scalar, ZERO, ONE, sc, format_scalar,
                             parse_scalar)
 from opelab.linalg import (BasisToken, FiniteComplex, Matrix, presentation,
-                           vec_add, vec_scale, _smith_general)
+                           smith_factors, vec_add, vec_scale, _grading,
+                           _smith_general)
 from opelab.equivariant import (
     MixedComplex, koszul_t, koszul_h, ucomplex_from_finite,
     cartan_model, localize_check, check_mixed_map,
     _module_invariants, divides_power, regular_lambda, sphere_pair,
     zero_mixed, p1_rotation, p1_fixed_points, p1_inclusion)
-from smith_oracle import general_smith, graded_cohomology
+from smith_oracle import (general_smith, graded_cohomology,
+                          min_search_pivots, oracle_classes)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -322,6 +324,20 @@ def test_random_two_factor_complexes():
         M = koszul_t(N)
         out = M.cohomology()
         assert set(out) == {("u1", 0), ("u1", 1), ("u2", 0), ("u2", 1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_koszul_dual_classes_match_the_min_search_oracle(rng):
+    C = koszul_t(random_strict(rng)).complex()
+    got = [(c.degree, c.annihilator.degree() if c.annihilator else 0)
+           for c in C.cohomology()]
+    assert got == oracle_classes(C)
+    for _, B in C.D.blocks():
+        rw, cw, var = _grading(B)
+        want = min_search_pivots(B, rw, cw)
+        assert smith_factors(B) == (len(want), [Scalar.monomial(1, e, var)
+                                                for _, _, e in want])
 
 
 # -- specialization at u = 0 -----------------------------------------------

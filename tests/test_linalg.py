@@ -8,8 +8,9 @@ from opelab.scalars import Scalar, ZERO, ONE, sc
 from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
                            q_solve, smith, smith_solve, quotient_reps,
                            span_rank, rref, vec_add, vec_scale, vec_sub,
-                           smith_factors, _grading, _smith_general)
-from smith_oracle import general_smith
+                           smith_factors, _grading, _smith_general,
+                           _smith_graded, q_rank)
+from smith_oracle import general_smith, gauss_jordan_rref, min_search_pivots
 
 
 # Independent rank oracle: fraction-free Bareiss elimination on dense rows.
@@ -249,6 +250,25 @@ def test_smith_factors_match_the_smith_form(M):
     assert _smith_general(M) == (G.rank, G.factors)
     S = G if _grading(M) is None else smith(M)
     assert smith_factors(M) == (S.rank, S.factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_matrices())
+def test_graded_pivots_against_the_min_search(M):
+    rw, cw, var = _grading(M)
+    want = min_search_pivots(M, rw, cw)
+    got = _smith_graded(M, rw, cw, var, transforms=False)
+    assert [e for _, _, e in got] == [e for _, _, e in want]
+    if all(v.is_const() for v in M.data.values()):
+        assert q_rank(M) == len(want)
+
+
+def test_graded_pivot_is_the_row_of_largest_weight():
+    # rows of weight 0 and 1 meet a column of weight 1 in u and 1: the
+    # pivot must be the unit, or the factor would come out u
+    M = Matrix(2, 1, {(0, 0): Scalar.variable("u"), (1, 0): ONE})
+    assert _grading(M)[:2] == ([0, 1], [1])
+    assert smith_factors(M) == (1, [ONE])
 
 
 def test_grading_refuses_what_has_no_weights():
@@ -556,8 +576,11 @@ def test_rref_against_the_fraction_elimination(case):
     got, want = dict_rows(rows), dict_rows(rows)
     rank, pivots = rref(got, m)
     assert (rank, pivots) == fraction_rref(want, m)
-    assert rank == bareiss_rank(rows)
+    assert rank == bareiss_rank(rows) == span_rank(dict_vectors(rows))
     assert got == want
+    jordan = dict_rows(rows)
+    assert gauss_jordan_rref(jordan, m) == (rank, pivots)
+    assert jordan == got
     assert all(_normal(x) for row in got for x in row.values())
     assert all(got[r][j] == 1 for r, j in enumerate(pivots))
 

@@ -179,6 +179,16 @@ def test_exponent_bound():
         parse_scalar("c^%d" % (MAX_EXPONENT + 1))
 
 
+@pytest.mark.parametrize("text, degree", [
+    ("((1+u)^64)^64", 4096), ("(c^2)^33", 66), ("c^64*c", 65),
+    ("(1+c)^40*(1-c)^40", 80)])
+def test_degree_bound_refuses_before_computing(text, degree):
+    with pytest.raises(ValueError, match="degree %d is above the bound"
+                       % degree):
+        parse_scalar(text)
+    assert parse_scalar("c^%d" % MAX_EXPONENT).degree() == MAX_EXPONENT
+
+
 def test_format():
     t = Scalar.variable("t")
     assert format_scalar(2 * t ** 3 - t + ONE.scale(Fraction(1, 2))) \
