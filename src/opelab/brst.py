@@ -21,6 +21,13 @@ equivalent to kappa_matter + kappa_ghost = 0.  When the matter level is
 a polynomial variable, d^2 comes out as a matrix of polynomials and one
 can solve for the critical level; that is how the presets below were
 calibrated.
+
+Since Q is odd, the commutator formula gives 2 d^2 = (Q_(0)Q)_(0), so the
+one state Q_(0)Q decides d^2 = 0 on the whole envelope (Frenkel-Garland-
+Zuckerman).  That needs the envelope to be a vertex algebra, which is why
+a brst.v1 file whose matter fails skew-symmetry or the Jacobi identity is
+refused.  Only when Q_(0)Q != 0 is d squared on basis states, in
+enumeration order, up to the first one it does not kill.
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ from fractions import Fraction
 import math
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
-from .vla import (Gen, BrValue, VertexLieData, CheckReport, direct_sum,
-                  heisenberg, weyl_pair, SL2_STRUCT)
+from .vla import (Gen, BrValue, VertexLieData, CheckReport, check_jacobi,
+                  check_skew_symmetry, direct_sum, heisenberg, weyl_pair,
+                  SL2_STRUCT)
 from .envelope import VertexAlgebra, build_envelope
 from .linalg import Matrix, q_rank, vec_add, vec_scale
 
@@ -112,8 +120,6 @@ class BRSTDatum:
         self._Q = None
         self._dgen_cache = {}
         self._d_cache = {}
-        # W -> report of the whole-basis d^2 pass
-        self._d_squared_reports = {}
 
     # -- levels ----------------------------------------------------------
 
@@ -271,33 +277,57 @@ class BRSTDatum:
                                 % self.V.format_mono(mono)})
         return CheckReport(bad)
 
+    def _basis_states(self, W):
+        """(label, state) for every basis state through weight W, by
+        weight, then charge, then ``basis`` order."""
+        for w in range(W + 1):
+            for q in self.charges():
+                for m in self.V.basis(w, q):
+                    yield self.V.format_mono(m), {m: ONE}
+
+    def _d_squared_violation(self, label, dd):
+        return {"witness": label,
+                "message": "d^2 != 0 on %s: equals %s"
+                % (label, self.V.format_state(dd))}
+
     def check_d_squared(self, W, states=None):
         """Apply d twice to every basis state through weight W, or to the
         given (label, state) pairs.  Returns (report, entries): the report
         lists failures in enumeration order, so its first violation is the
         first bad basis state; entries collects every scalar d^2 produced
         (per state in monomial order), which is the raw material for
-        solving for a critical level.  The whole-basis report is kept for
-        ``brst_cohomology``."""
+        solving for a critical level.  ``first_d_squared_violation`` gives
+        the same first violation without the whole pass."""
         d = self.differential()
         bad, entries = [], []
-        whole = states is None
-        if whole:
-            states = [(self.V.format_mono(m), {m: ONE})
-                      for w in range(W + 1)
-                      for q in self.charges()
-                      for m in self.V.basis(w, q)]
-        for label, s in states:
+        for label, s in (self._basis_states(W) if states is None
+                         else states):
             dd = d(d(s))
             if dd:
-                bad.append({"witness": label,
-                            "message": "d^2 != 0 on %s: equals %s"
-                            % (label, self.V.format_state(dd))})
+                bad.append(self._d_squared_violation(label, dd))
                 entries.extend(dd[m] for m in sorted(dd))
-        report = CheckReport(bad)
-        if whole:
-            self._d_squared_reports[W] = report
-        return report, entries
+        return CheckReport(bad), entries
+
+    def first_d_squared_violation(self, W):
+        """The first violation of ``check_d_squared(W)``, or None when d^2
+        vanishes through weight W.  Q_(0)Q = 0 settles d^2 = 0 with no
+        sweep; otherwise d is squared on the basis states in the sweep's
+        order until the first one it does not kill.  What the sweep's
+        ``basis`` calls refuse is refused first, in the sweep's order:
+        charge blocks that are infinite-dimensional, then a W past the
+        envelope cutoff."""
+        q0 = self.charges()[0]
+        self.V.basis(0, q0)
+        if W > self.V.cutoff:
+            self.V.basis(math.floor(self.V.cutoff) + 1, q0)
+        if not self.V.nth_product(self.Q, 0, self.Q):
+            return None
+        d = self.differential()
+        for label, s in self._basis_states(W):
+            dd = d(d(s))
+            if dd:
+                return self._d_squared_violation(label, dd)
+        return None
 
     # -- cohomology --------------------------------------------------------
 
@@ -306,12 +336,9 @@ class BRSTDatum:
         cohomology through weight W, read off ranks over Q:
         dim H^g = n_g - rank d_g - rank d_(g-1).  Refuses, naming the
         first witness, when d^2 != 0 somewhere in range."""
-        rep = self._d_squared_reports.get(W)
-        if rep is None:
-            rep, _ = self.check_d_squared(W)
-        if not rep.ok:
-            raise ValueError("cohomology refused: %s"
-                             % rep.violations[0]["message"])
+        bad = self.first_d_squared_violation(W)
+        if bad is not None:
+            raise ValueError("cohomology refused: %s" % bad["message"])
         out = {}
         for w in range(W + 1):
             for q in self.charges():
@@ -433,6 +460,13 @@ class BRSTDatum:
         ghost_charges = data.get("ghost_charges")
         for name in ghost_charges or ():
             basis_index(name, "/ghost_charges/" + escape(name))
+        # d^2 = (Q_(0)Q)_(0) / 2 holds on a vertex algebra only
+        for check in (check_skew_symmetry, check_jacobi):
+            rep = check(matter)
+            if not rep.ok:
+                raise SchemaViolation(
+                    "brst.v1", "/matter", "matter is not a vertex Lie "
+                    "algebra: %s" % rep.violations[0]["message"])
         cw = data.get("charge_window")
         return cls(names, struct, matter, words, data["cutoff"],
                    tuple(cw) if cw is not None else None, ghost_charges)

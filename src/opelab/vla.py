@@ -190,12 +190,21 @@ class VertexLieData:
             at = "/brackets/%d/" % r
             key = (gen_index(b["a"], at + "a"), gen_index(b["b"], at + "b"),
                    b["n"])
+            want = gens[key[0]].weight + gens[key[1]].weight - key[2] - 1
             terms = {}
             for k, t in enumerate(b.get("value", [])):
                 vt = at + "value/%d/" % k
                 g = gen_index(t["gen"], vt + "gen")
-                terms[(g, t.get("dpow", 0))] = scalar_at(t["coeff"], "vla.v1",
-                                                         vt + "coeff")
+                e = t.get("dpow", 0)
+                # a term of another weight is no bracket, and a large e in
+                # one would recurse e times in ``bracket``
+                if gens[g].weight + e != want:
+                    raise SchemaViolation(
+                        "vla.v1", vt[:-1],
+                        "%s_(%d)%s has a term T^%d %s of weight %s, "
+                        "expected %s" % (b["a"], key[2], b["b"], e, t["gen"],
+                                         gens[g].weight + e, want))
+                terms[(g, e)] = scalar_at(t["coeff"], "vla.v1", vt + "coeff")
             central = scalar_at(b.get("central_coeff", "0"), "vla.v1",
                                 at + "central_coeff")
             if not data.get("central", False) and not central.is_zero():

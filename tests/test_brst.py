@@ -7,13 +7,22 @@ the Koszul dimensions come from a subset count, and the critical levels
 come from polynomial gcds of computed obstructions.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from opelab import presets
+from opelab.cli import _level, main
 from opelab.scalars import Scalar, ZERO, ONE, sc, sc_gcd, format_scalar
-from opelab.vla import direct_sum, heisenberg, weyl_pair, SL2_STRUCT
+from opelab.vla import (VertexLieData, check_jacobi, check_sesquilinearity,
+                        check_skew_symmetry, direct_sum, heisenberg,
+                        weyl_pair, SL2_STRUCT)
 from opelab.envelope import build_envelope
 from opelab.linalg import vec_add as add_states, vec_scale as scale_state
 from opelab.brst import (build_ghosts, ghost_current_words, word_state,
@@ -556,27 +565,245 @@ def d_squared_calls(monkeypatch):
     return calls
 
 
-def test_cohomology_squares_d_once(d_squared_calls, monkeypatch):
-    """After the whole-basis d^2 check, cohomology neither re-runs it nor
-    computes d again: the d_matrix columns come out of the same memo."""
+class _WriteLog(dict):
+    """A memo that appends the key of every write to ``writes``."""
+
+    def __init__(self, data, writes):
+        super().__init__(data)
+        self.writes = writes
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.fixture
+def d_cache_writes(monkeypatch):
+    """Every monomial written into any datum's memo of d, in order: d is
+    computed afresh on a monomial exactly when it is written there."""
+    writes = []
+    differential = BRSTDatum.differential
+
+    def logged(self):
+        if not isinstance(self._d_cache, _WriteLog):
+            self._d_cache = _WriteLog(self._d_cache, writes)
+        return differential(self)
+
+    monkeypatch.setattr(BRSTDatum, "differential", logged)
+    return writes
+
+
+def test_cohomology_computes_d_once_per_monomial(d_squared_calls,
+                                                 d_cache_writes):
+    """At a closed level cohomology runs no d^2 sweep (Q_(0)Q = 0
+    decides it), and the d_matrix blocks compute d on each basis monomial
+    once."""
     D = wakimoto_datum(-4, cutoff=2)
-    assert D.check_d_squared(1)[0].ok
-    products = []
-    product = D.V.nth_product
-    monkeypatch.setattr(D.V, "nth_product",
-                        lambda *a: products.append(a) or product(*a))
-    H = D.brst_cohomology(1)
-    assert d_squared_calls == [(1, None)]
-    assert products == []
-    assert H == {(0, 0, 0): 1, (0, 0, 1): 1}
-    # without a prior check, cohomology runs the whole-basis pass itself
-    wakimoto_datum(-4, cutoff=2).brst_cohomology(1)
-    assert d_squared_calls == [(1, None), (1, None)]
+    assert D.brst_cohomology(1) == {(0, 0, 0): 1, (0, 0, 1): 1}
+    assert d_squared_calls == []
+    assert len(d_cache_writes) == len(set(d_cache_writes))
+    basis = {m for w in range(2) for q in D.charges()
+             for m in D.V.basis(w, q)}
+    assert basis - {()} <= set(d_cache_writes)
 
 
-def test_cli_cohomology_runs_one_d_squared_pass(d_squared_calls, capsys):
-    from opelab.cli import main
+def test_cli_cohomology_runs_no_d_squared_pass(d_squared_calls,
+                                               d_cache_writes, capsys):
     assert main(["brst", "--preset", "wakimoto", "--level", "-4",
                  "--cutoff", "1", "--cohomology"]) == 0
     assert json.loads(capsys.readouterr().out)["cohomology_dims"]
-    assert d_squared_calls == [(1, None)]
+    assert d_squared_calls == []
+    assert d_cache_writes
+    assert len(d_cache_writes) == len(set(d_cache_writes))
+
+
+# -- Q_(0)Q against the sweep ---------------------------------------------
+
+LEVELS = st.one_of(st.sampled_from([0, -4, "t", "k"]),
+                   st.fractions(-6, 6, max_denominator=4))
+
+
+@st.composite
+def stock_datums(draw):
+    """A stock datum at a drawn level, and a weight W to check through."""
+    kind = draw(st.sampled_from(["abelian", "wakimoto", "pure-ghost",
+                                 "bg-gl1"]))
+    if kind == "abelian":
+        rank = draw(st.integers(1, 3))
+        top = 4 - rank
+        D = abelian_datum(draw(LEVELS), rank, cutoff=top)
+    elif kind == "wakimoto":
+        top = 1
+        D = wakimoto_datum(draw(LEVELS), cutoff=2)
+    elif kind == "pure-ghost":
+        top = 3
+        D = pure_ghost_datum(draw(st.integers(1, 2)), cutoff=top)
+    else:
+        top = 2
+        D = bg_gl1_datum(cutoff=top)
+    return D, draw(st.integers(0, top))
+
+
+def _gram_file(draw):
+    """Abelian rank 1-3 over Heisenberg matter with a drawn symmetric
+    Gram matrix, the currents being the matter generators."""
+    rank = draw(st.integers(1, 3))
+    data = abelian_datum(0, rank, cutoff=4 - rank).to_dict()
+    names = data["basis"]
+    entry = st.sampled_from(["0", "0", "1", "-1", "2", "1/2", "t"])
+    brackets = []
+    for i in range(rank):
+        for j in range(i, rank):
+            g = draw(entry)
+            if g != "0":
+                brackets += [{"a": names[i], "b": names[j], "n": 1,
+                              "value": [], "central_coeff": g},
+                             {"a": names[j], "b": names[i], "n": 1,
+                              "value": [], "central_coeff": g}]
+    data["matter"]["brackets"] = brackets
+    return data
+
+
+def _sl2_fundamentals_file(draw):
+    """sl2 on 1 or 2 copies of the fundamental, with charges under which
+    every weight-0 generator counts +1, so every charge block is finite;
+    one current coefficient may be drawn anew."""
+    D = bg_fundamental_sl2_datum(draw(st.integers(1, 2)), cutoff=1,
+                                 charge_window=(-2, 2))
+    data = D.to_dict()
+    for g in data["matter"]["generators"]:
+        g["charge"] = -1 if g["weight"] == 1 else 1
+    del data["ghost_charges"]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(data["currents"]))
+        draw(st.sampled_from(row["terms"]))["coeff"] = draw(
+            st.sampled_from(["1", "-1", "2", "1/2"]))
+    return data
+
+
+def _wakimoto_file(draw):
+    """Wakimoto at a drawn level, with the coefficient of T phi* in f
+    drawn anew half of the time."""
+    data = wakimoto_datum(draw(LEVELS), cutoff=1).to_dict()
+    if draw(st.booleans()):
+        f = next(r for r in data["currents"] if r["gen"] == "f")
+        term = next(t for t in f["terms"]
+                    if t["factors"] == [{"gen": "phi_star", "dpow": 1}])
+        term["coeff"] = format_scalar(sc(draw(
+            st.fractions(-6, 6, max_denominator=4))))
+    return data
+
+
+@st.composite
+def brst_files(draw):
+    """A brst.v1 document whose matter is a vertex Lie algebra."""
+    make = draw(st.sampled_from([_gram_file, _sl2_fundamentals_file,
+                                 _wakimoto_file]))
+    return make(draw)
+
+
+def assert_first_violation_is_the_sweeps(D, W):
+    first = D.first_d_squared_violation(W)
+    report, _ = D.check_d_squared(W)
+    assert (first is None) == report.ok
+    if first is not None:
+        assert first == report.violations[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stock_datums())
+def test_first_violation_is_the_sweeps_on_stock_data(datum):
+    assert_first_violation_is_the_sweeps(*datum)
+
+
+@settings(max_examples=40, deadline=None)
+@given(brst_files(), st.data())
+def test_first_violation_is_the_sweeps_on_generated_files(data, draw):
+    D = BRSTDatum.from_dict(data)
+    assert_first_violation_is_the_sweeps(
+        D, draw.draw(st.integers(0, data["cutoff"])))
+
+
+def _perturb_matter(draw, data):
+    """Add one weight-homogeneous term to one matter bracket a_(n)b: a
+    T^e g with wt g + e = wt a + wt b - n - 1, or a central part when
+    that weight is 0."""
+    matter = data["matter"]
+    weight = {g["name"]: Fraction(g["weight"])
+              for g in matter["generators"]}
+    names = sorted(weight)
+    a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    bound = int(weight[a] + weight[b]) - 1
+    if bound < 0:
+        a = b = next(g for g in names if weight[g] >= 1)
+        bound = int(2 * weight[a]) - 1
+    n = draw(st.integers(0, bound))
+    want = weight[a] + weight[b] - n - 1
+    terms = [(g, int(want - weight[g])) for g in names
+             if want >= weight[g] and (want - weight[g]).denominator == 1]
+    terms += [None] if want == 0 else []
+    term = draw(st.sampled_from(terms))
+    coeff = draw(st.sampled_from(["1", "-1", "2", "1/2"]))
+    row = next((r for r in matter["brackets"]
+                if (r["a"], r["b"], r["n"]) == (a, b, n)), None)
+    if row is None:
+        row = {"a": a, "b": b, "n": n, "value": []}
+        matter["brackets"].append(row)
+    if term is None:
+        row["central_coeff"] = "(%s)+(%s)" % (row.get("central_coeff", "0"),
+                                              coeff)
+        return
+    g, e = term
+    old = next((t for t in row["value"]
+                if (t["gen"], t.get("dpow", 0)) == (g, e)), None)
+    if old is None:
+        row["value"].append({"gen": g, "dpow": e, "coeff": coeff})
+    else:
+        old["coeff"] = "(%s)+(%s)" % (old["coeff"], coeff)
+
+
+def run_brst_file(data, *argv):
+    """``brst --input`` on the document: (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "datum.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["brst", "--input", path] + list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(brst_files(), st.data())
+def test_matter_is_refused_exactly_when_not_a_vertex_lie_algebra(data,
+                                                                 draw):
+    """A matter table given one more weight-homogeneous term is refused
+    with exit 2 at /matter when it fails skew-symmetry or the Jacobi
+    identity, and is read otherwise; either way with no traceback."""
+    _perturb_matter(draw.draw, data)
+    L = VertexLieData.from_dict(data["matter"])
+    broken = not (check_skew_symmetry(L).ok and check_jacobi(L).ok)
+    event("refused" if broken else "accepted")
+    code, out, err = run_brst_file(data, "--cutoff", "0")
+    assert "Traceback" not in err
+    if broken:
+        assert code == 2 and out == ""
+        assert err.startswith("error: brst.v1: matter is not a vertex Lie "
+                              "algebra: ")
+        assert err.endswith(" at /matter\n")
+    else:
+        assert code in (0, 1)
+        assert_first_violation_is_the_sweeps(BRSTDatum.from_dict(data), 0)
+
+
+@pytest.mark.parametrize("preset", sorted(presets.BRST_PRESETS))
+@pytest.mark.parametrize("level", ["stock", "k"])
+def test_preset_matter_is_a_vertex_lie_algebra(preset, level):
+    """Presets build their matter in code, where no loader checks it."""
+    entry = presets.BRST_PRESETS[preset]
+    D = entry["build"](_level(entry["level"] if level == "stock"
+                              else level), 0)
+    assert check_sesquilinearity(D.matter).ok
+    assert check_skew_symmetry(D.matter).ok
+    assert check_jacobi(D.matter).ok

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from opelab.brst import bg_gl1_datum
+from opelab.brst import abelian_datum, bg_gl1_datum
 from opelab.cli import MAX_ENVELOPE_STATES, main
 from opelab.equivariant import p1_fixed_points, p1_rotation
 from opelab.operads import sl2_lie
+from opelab.presets import fixture_path
 from opelab.scalars import MAX_EXPONENT
-from opelab.vla import virasoro
+from opelab.vla import BrValue, Gen, VertexLieData, virasoro
 
 
 def run(capsys, *argv):
@@ -317,6 +319,37 @@ def _wide_gl1(lo, hi):
     return dict(bg_gl1_datum().to_dict(), charge_window=[lo, hi])
 
 
+def _sl2_with_dpow(dpow):
+    """The packaged sl2 vla.v1 file with e_(0)f = T^dpow h, a term of
+    weight 1 + dpow where e_(0)f has weight 1."""
+    data = json.loads(fixture_path("kacmoody-sl2.json").read_text())
+    row = data["brackets"][1]
+    assert (row["a"], row["b"], row["n"]) == ("e", "f", 0)
+    row["value"][0]["dpow"] = dpow
+    return data
+
+
+def _not_vertex_lie(check):
+    """A brst.v1 file whose matter fails one check: the gl_1 datum with
+    phi_(0)phi_star = 2, so that it no longer mirrors phi_star_(0)phi =
+    -1, or an abelian datum over the currents b, y, z with the
+    antisymmetric bracket [b, y] = y, [y, z] = b, which fails Jacobi on
+    (z, b, y)."""
+    if check == "skew":
+        data = bg_gl1_datum().to_dict()
+        row = data["matter"]["brackets"][0]
+        assert (row["a"], row["b"]) == ("phi", "phi_star")
+        row["central_coeff"] = "2"
+        return data
+    data = abelian_datum(0).to_dict()
+    data["matter"] = VertexLieData(
+        [Gen("b", 1), Gen("y", 1), Gen("z", 1)],
+        {(0, 1, 0): BrValue({(1, 0): 1}), (1, 0, 0): BrValue({(1, 0): -1}),
+         (1, 2, 0): BrValue({(0, 0): 1}), (2, 1, 0): BrValue({(0, 0): -1})},
+        central=True).to_dict()
+    return data
+
+
 TOO_MANY = "more than %d monomials" % MAX_ENVELOPE_STATES
 
 # argv, file to pass as --input (or None), text stderr must show
@@ -438,6 +471,17 @@ HOSTILE = [
      "unknown cartan preset 'x' (try the presets verb)"),
     (["localize", "--preset", "x"], None,
      "unknown localize preset 'x' (try the presets verb)"),
+    (["vla-check"], _sl2_with_dpow(10 ** 6),
+     "vla.v1: e_(0)f has a term T^1000000 h of weight 1000001, expected 1 "
+     "at /brackets/1/value/0\n"),
+    (["ope", "--a", "e", "--b", "f"], _sl2_with_dpow(40),
+     "vla.v1: e_(0)f has a term T^40 h of weight 41, expected 1 at "
+     "/brackets/1/value/0\n"),
+    (["brst"], _not_vertex_lie("skew"),
+     "brst.v1: matter is not a vertex Lie algebra: skew-symmetry fails for "
+     "phi_(0)phi_star at /matter\n"),
+    (["brst"], _not_vertex_lie("jacobi"),
+     "brst.v1: matter is not a vertex Lie algebra: Jacobi fails for "),
 ]
 
 
@@ -475,7 +519,10 @@ HOSTILE = [
     "alg-entry-of-wrong-degree", "alg-entry-of-wrong-parity",
     "mixed-power-past-the-degree-bound", "cartan-integer-past-digit-limit",
     "mixed-file-not-utf-8",
-    "cartan-unknown-preset", "localize-unknown-preset"])
+    "cartan-unknown-preset", "localize-unknown-preset",
+    "vla-derivative-past-the-bracket-weight",
+    "ope-derivative-past-the-bracket-weight", "brst-matter-not-skew",
+    "brst-matter-not-jacobi"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
@@ -491,6 +538,34 @@ def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
     assert out == ""
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err
+
+
+# brst reports pinned as the sha256 of the exit code and stdout, from
+# the whole-basis d^2 sweep that Q_(0)Q replaced
+SLOW_BRST = [
+    (["--preset", "wakimoto", "--cutoff", "2", "--level=-4"],
+     "9b3fdb2a6fe55fc690ebe46632d155ca1b139c708c1194a81ae2fe34684a2c56"),
+    (["--preset", "wakimoto", "--cutoff", "2", "--level=-4",
+      "--cohomology"],
+     "0821d3ed2a1acc4af0f3eeda6c5b25a3866c1a197c0c4549ec0625b366f17de2"),
+    (["--preset", "wakimoto", "--cutoff", "2", "--level=t"],
+     "bdeb59d287fdf74cd20715059ba489af0a7296f4fcacc63d74267d80c7481585"),
+    (["--preset", "wakimoto", "--cutoff", "2", "--level=t",
+      "--cohomology"],
+     "bdeb59d287fdf74cd20715059ba489af0a7296f4fcacc63d74267d80c7481585"),
+    (["--preset", "abelian", "--level", "0", "--cutoff", "10",
+      "--cohomology"],
+     "63fccb125d5106ccdfecf27125780a8db51d99196eaccddd3f5ff41f702f85c0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SLOW_BRST, ids=[
+    "wakimoto-critical", "wakimoto-critical-cohomology", "wakimoto-t",
+    "wakimoto-t-cohomology", "abelian-10-cohomology"])
+def test_slow_brst_reports_keep_their_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, "brst", *argv)
+    assert hashlib.sha256(b"%d\n" % code + out.encode()).hexdigest() \
+        == digest
 
 
 def test_brst_critical_level_clean(capsys):
