@@ -450,13 +450,27 @@ class BRSTDatum:
         words = {}
         for r, row in enumerate(data.get("currents", [])):
             at = "/currents/%d/" % r
-            words[names[basis_index(row["gen"], at + "gen")]] = [
-                (scalar_at(t["coeff"], "brst.v1",
-                           at + "terms/%d/coeff" % k),
-                 [(matter_names[matter_index(
-                     f["gen"], at + "terms/%d/factors/%d/gen" % (k, i))],
-                   f.get("dpow", 0)) for i, f in enumerate(t["factors"])])
-                for k, t in enumerate(row["terms"])]
+            name = names[basis_index(row["gen"], at + "gen")]
+            words[name] = []
+            for k, t in enumerate(row["terms"]):
+                tt = at + "terms/%d/" % k
+                coeff = scalar_at(t["coeff"], "brst.v1", tt + "coeff")
+                factors = [(matter_index(f["gen"], tt + "factors/%d/gen" % i),
+                            f.get("dpow", 0))
+                           for i, f in enumerate(t["factors"])]
+                # d = Q_(0) keeps the weight only if every current has
+                # weight 1, and a large dpow would translate dpow times in
+                # ``word_state``: refused before any state is built
+                word = [(matter_names[g], e) for g, e in factors]
+                weight = sum(matter.gens[g].weight + e for g, e in factors)
+                if weight != 1:
+                    shown = " ".join("T^%d %s" % (e, n) if e else n
+                                     for n, e in word)
+                    raise SchemaViolation(
+                        "brst.v1", tt[:-1],
+                        "current %s has a term %s of weight %s, expected 1"
+                        % (name, shown or "1", weight))
+                words[name].append((coeff, word))
         ghost_charges = data.get("ghost_charges")
         for name in ghost_charges or ():
             basis_index(name, "/ghost_charges/" + escape(name))

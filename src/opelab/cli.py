@@ -7,6 +7,7 @@ byte offset, or a schema violation with a JSON-pointer path).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -558,6 +559,8 @@ def _add_source_flags(p, with_level=True):
     return g
 
 
+# one parser per process: parse_args gives each call its own Namespace
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="opelab",

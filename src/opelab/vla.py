@@ -181,6 +181,10 @@ class VertexLieData:
                 raise SchemaViolation("vla.v1", "/generators/%d/weight" % k,
                                       "weight %r is not a rational number"
                                       % g["weight"])
+            if weight < 0:
+                raise SchemaViolation("vla.v1", "/generators/%d/weight" % k,
+                                      "generator %r has negative weight %s"
+                                      % (g["name"], weight))
             gens.append(Gen(g["name"], weight, g.get("parity", 0),
                             g.get("charge", 0), g.get("ghost", 0)))
         gen_index = name_index([g.name for g in gens], "generator", "vla.v1",

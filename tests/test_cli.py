@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -162,8 +163,8 @@ def _bad_virasoro(field):
     declares (in a's or b's slot of bracket 1, or in bracket 0's value),
     whose generator weight is not a rational number, whose central
     coefficient has too high a power, that keeps its central
-    coefficient while declaring itself not central, or that declares l
-    again with another weight."""
+    coefficient while declaring itself not central, that declares l
+    again with another weight, or that gives l a negative weight."""
     data = dict(virasoro(2).to_dict(), format="vla.v1")
     if field == "not-central":
         data["central"] = False
@@ -173,6 +174,8 @@ def _bad_virasoro(field):
         data["brackets"][0]["value"][0]["gen"] = "x"
     elif field == "weight":
         data["generators"][0]["weight"] = "1/0"
+    elif field == "negative-weight":
+        data["generators"][0]["weight"] = -1
     elif field == "central_coeff":
         data["brackets"][2]["central_coeff"] = TOO_HIGH
     else:
@@ -185,8 +188,9 @@ def _bad_gl1(field):
     a current naming something its tables never declare, a matter
     bracket naming an undeclared generator, a current coefficient
     with too high a power, a basis element declared twice, or a matter
-    generator with the name of a ghost, or a derivative power written
-    as a float."""
+    generator with the name of a ghost, a derivative power written as
+    a float, or a current term of weight other than 1 (``"dpow-N"``: T^N
+    on the first factor of :phi phi_star:)."""
     data = bg_gl1_datum().to_dict()
     current = data["currents"][0]
     if field == "duplicate":
@@ -213,6 +217,8 @@ def _bad_gl1(field):
         data["ghost_charges"] = {"zz": 3}
     elif field == "float-dpow":
         current["terms"][0]["factors"][0]["dpow"] = 1.0
+    elif field.startswith("dpow-"):
+        current["terms"][0]["factors"][0]["dpow"] = int(field[5:])
     return data
 
 
@@ -482,6 +488,15 @@ HOSTILE = [
      "phi_(0)phi_star at /matter\n"),
     (["brst"], _not_vertex_lie("jacobi"),
      "brst.v1: matter is not a vertex Lie algebra: Jacobi fails for "),
+    (["brst", "--cutoff", "0"], _bad_gl1("dpow-1000000"),
+     "brst.v1: current x has a term T^1000000 phi phi_star of weight "
+     "1000001, expected 1 at /currents/0/terms/0\n"),
+    (["brst"], _bad_gl1("dpow-1"),
+     "brst.v1: current x has a term T^1 phi phi_star of weight 2, "
+     "expected 1 at /currents/0/terms/0\n"),
+    (["envelope-dims"], _bad_virasoro("negative-weight"),
+     "vla.v1: generator 'l' has negative weight -1 at "
+     "/generators/0/weight\n"),
 ]
 
 
@@ -522,7 +537,8 @@ HOSTILE = [
     "cartan-unknown-preset", "localize-unknown-preset",
     "vla-derivative-past-the-bracket-weight",
     "ope-derivative-past-the-bracket-weight", "brst-matter-not-skew",
-    "brst-matter-not-jacobi"])
+    "brst-matter-not-jacobi", "brst-current-derivative-past-weight-1",
+    "brst-current-of-weight-2", "vla-negative-weight"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
@@ -844,3 +860,66 @@ def test_closed_pipe_keeps_the_exit_code(argv, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+VERBS = ["vla-check", "ope", "envelope-dims", "brst", "koszul", "cartan",
+         "localize", "operad-check", "conf", "presets"]
+
+# argv that argparse answers itself, ending in SystemExit: every --help
+# text and every kind of usage error, with the exit code and a line the
+# text must hold
+PARSER_TEXTS = [(["--help"], 0, "usage: opelab [-h]")] + [
+    ([verb, "--help"], 0, "usage: opelab %s [-h]" % verb)
+    for verb in VERBS] + [
+    ([], 2, "the following arguments are required: verb"),
+    (["no-such-verb"], 2, "argument verb: invalid choice: 'no-such-verb'"),
+    (["presets", "--no-such-flag"], 2,
+     "unrecognized arguments: --no-such-flag"),
+    (["conf", "--d", "2"], 2, "the following arguments are required: --n"),
+    (["ope", "--preset", "virasoro", "--input", "x.json"], 2,
+     "argument --input: not allowed with argument --preset"),
+]
+
+
+@pytest.mark.parametrize("argv, code, needle", PARSER_TEXTS, ids=[
+    "help"] + ["%s-help" % verb for verb in VERBS] + [
+    "no-verb", "unknown-verb", "unknown-flag", "conf-without-n",
+    "preset-with-input"])
+def test_parser_texts_repeat_in_process_and_match_a_new_process(
+        capsys, monkeypatch, argv, code, needle):
+    # argparse wraps its text to the terminal width, so fix the width
+    width = {"COLUMNS": "80", "LINES": "24"}
+    for key, value in width.items():
+        monkeypatch.setenv(key, value)
+    runs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        out = capsys.readouterr()
+        runs.append((stop.value.code, out.out, out.err))
+    proc = subprocess.run([sys.executable, "-m", "opelab.cli"] + argv,
+                          capture_output=True, text=True,
+                          env=dict(_child_env(), **width))
+    runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1] == runs[2]
+    got, out, err = runs[0]
+    assert got == code
+    assert needle in (out if code == 0 else err)
+    assert (err if code == 0 else out) == ""
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    main(["presets"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["conf", "--n", "3", "--d", "2"],
+                 ["cartan", "--preset", "gm-line"],
+                 ["koszul", "--preset", "sphere-pair"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []
