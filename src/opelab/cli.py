@@ -15,14 +15,14 @@ from fractions import Fraction
 
 from . import presets
 from .brst import BRSTDatum
-from .envelope import build_envelope
+from .envelope import VertexAlgebra
 from .equivariant import (MixedComplex, cartan_candidates, cartan_model,
                           koszul_t, localize_check)
 from .operads import AlgebraInstance, check_relations, conf_ring, \
     homology_p_d_bridge
 from .scalars import Scalar, format_scalar
 from .schemas import (SchemaViolation, escape, name_index, nested,
-                      scalar_at, validate)
+                      rational_at, scalar_at, validate)
 from .vla import (VertexLieData, check_jacobi, check_sesquilinearity,
                   check_skew_symmetry)
 
@@ -212,7 +212,7 @@ def do_ope(args):
             raise InputError("no generator %r in %s" % (g, name))
     wsum = L.gens[L.gen(a)].weight + L.gens[L.gen(b)].weight
     cutoff = args.cutoff if args.cutoff is not None else int(wsum) + 1
-    V = build_envelope(L, cutoff=cutoff)
+    V = VertexAlgebra(L, cutoff)
     poles = V.singular_ope(V.gen_state(a), V.gen_state(b))
     report = {"format": "voa.v1", "verb": "ope", "source": name,
               "a": a, "b": b,
@@ -275,7 +275,7 @@ def do_envelope_dims(args):
                          % ", ".join(zero_even))
     if args.charge is not None:
         _check_charge(L, args.charge)
-    V = build_envelope(L, cutoff=args.cutoff)
+    V = VertexAlgebra(L, args.cutoff)
     _check_envelope_size(V, args.cutoff)
     dims = V.graded_dimensions(args.charge)
     report = {"format": "voa.v1", "verb": "envelope-dims", "source": name,
@@ -457,7 +457,7 @@ def do_localize(args):
             z = fixed(zn, at)  # a column is refused before its targets
             iota[z] = {
                 total(xn, at + "/" + escape(xn)):
-                scalar_at(c, "localize", at + "/" + escape(xn))
+                rational_at(c, "localize", at + "/" + escape(xn))
                 for xn, c in col.items()}
         invert = [scalar_at(f, "localize", "/invert/%d" % k)
                   for k, f in enumerate(data.get("invert", ["u"]))]

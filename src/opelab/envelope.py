@@ -27,10 +27,6 @@ first mode of a monomial and memoized per monomial (so per suffix R):
 
 where [T, g_(k)] = -k g_(k-1), and a derivation with D g = coeff T^e g2
 has [D, g_(k)] = coeff (-1)^e (k)_e g2_(k-e), (k)_e a falling factorial.
-
-The optional central element acts as (1b)_(p) = c delta_{p,-1} for the
-chosen central value c, which realizes the envelope at that central
-specialization.
 """
 
 from __future__ import annotations
@@ -53,15 +49,13 @@ def _acc(out: dict, key, val: Scalar):
 
 
 class VertexAlgebra:
-    def __init__(self, L: VertexLieData, cutoff, central_value=ONE,
-                 charge_window=None):
+    def __init__(self, L: VertexLieData, cutoff, charge_window=None):
         if cutoff is None:
             raise ValueError(
-                "build_envelope requires an explicit weight cutoff; "
+                "VertexAlgebra requires an explicit weight cutoff; "
                 "pass cutoff=<max weight>")
         self.L = L
         self.cutoff = Fraction(cutoff)
-        self.central_value = sc(central_value)
         self.charge_window = charge_window
         self._mode_cache = {}
         self._prod_cache = {}
@@ -173,9 +167,9 @@ class VertexAlgebra:
                         for m3, c3 in self._apply_mode_mono(
                                 g2, p - e, rest).items():
                             _acc(res, m3, coeff * c3)
+                    # the central element acts as 1: (1b)_(p) = delta_{p,-1}
                     if not br.central.is_zero() and p == -1:
-                        _acc(res, rest,
-                             br.central.scale(cb) * self.central_value)
+                        _acc(res, rest, br.central.scale(cb))
         self._mode_cache[key] = res
         return res
 
@@ -622,18 +616,21 @@ class VertexAlgebra:
         head, cache = partial(self._rule_head, terms), {}
         return lambda state: self._derive(state, head, op_parity, cache)
 
-    def check_topological(self, d_rule, g_minus_rule, g_zero_rule=None,
-                          cutoff=2) -> CheckReport:
+    def check_topological(self, d_rule, g_minus_rule,
+                          g_zero_rule=None) -> CheckReport:
         """Check the differential graded structure: d and g_{-1} odd
         derivations with [d, g_{-1}] = T and [T, g_{-1}] = 0; in the
-        framed variant also [d, g_0] = L_0 and [T, g_0] = -g_{-1}."""
+        framed variant also [d, g_0] = L_0 and [T, g_0] = -g_{-1}.  The
+        identities are checked on the sample states through weight 2,
+        and the derivation rule of g_{-1} on their n-th products for
+        -2 <= n <= 2."""
         bad = []
         d = self.derivation(d_rule, 1)
         gm = self.derivation(g_minus_rule, 1)
         g0 = None
         if g_zero_rule is not None:
             g0 = self.derivation(g_zero_rule, 1, extra_rule=g_minus_rule)
-        states = self._sample_states(cutoff)
+        states = self._sample_states(2)
 
         for lbl, s in states:
             lhs = vec_add(d(gm(s)), gm(d(s)))
@@ -665,7 +662,7 @@ class VertexAlgebra:
             if pa is None:
                 continue
             for lb, b in states:
-                for n in range(-2, cutoff + 1):
+                for n in range(-2, 3):
                     lhs = gm(self.nth_product(a, n, b))
                     rhs = vec_add(
                         self.nth_product(gm(a), n, b),
@@ -721,8 +718,3 @@ class VertexAlgebra:
             else:
                 out += " + " + p
         return out
-
-
-def build_envelope(L: VertexLieData, cutoff=None, central_value=ONE,
-                   charge_window=None) -> VertexAlgebra:
-    return VertexAlgebra(L, cutoff, central_value, charge_window)

@@ -10,9 +10,10 @@ what makes the output square to zero, so t wraps the validated mixed
 complex and checks nothing again.
 
 The inverse-direction functor h reads the u-linear part of a polynomial
-differential back off as the operators h_i.  For differentials produced
-by t this is literally an inverse: h returns the mixed complex that t
-wrapped, which is the reason the round-trip cohomology comparison in the
+differential back off as the operators h_i (``ucomplex_from_finite``).
+For differentials produced by t this is literally an inverse: h of t(N)
+is the mixed complex N that t wrapped, kept as its ``mixed`` attribute,
+which is the reason the round-trip cohomology comparison in the
 contract holds on the nose here.
 
 Cartan models for diagonal torus actions on affine space are spanned by
@@ -30,6 +31,19 @@ import itertools
 from .scalars import Scalar, ONE, sc, sc_gcd, format_scalar
 from .linalg import (Matrix, BasisToken, FiniteComplex, smith,
                      smith_factors, smith_solve, presentation)
+
+
+def _check_degree(op: Matrix, shift, name, src, tgt):
+    """Refuse a polynomial entry of op, or one that does not raise the
+    degree by shift, the first in the order the map was given, naming it
+    by the source and target tokens."""
+    for (i, j), v in op.data.items():
+        if not v.is_const():
+            raise ValueError("%s has a polynomial entry" % name)
+        if tgt[i].degree != src[j].degree + shift:
+            raise ValueError("%s is not of degree %s: %r -> %r"
+                             % (name, "%+d" % shift if shift else "0",
+                                src[j], tgt[i]))
 
 
 def _check_zero(M: Matrix, what, src, tgt):
@@ -56,21 +70,11 @@ class MixedComplex:
     def nfactors(self):
         return len(self.hs)
 
-    def _check_degree(self, op, shift, name):
-        # the first bad entry in the order the map was given
-        for (i, j), v in op.data.items():
-            if not v.is_const():
-                raise ValueError("%s has a polynomial entry" % name)
-            if self.tokens[i].degree != self.tokens[j].degree + shift:
-                raise ValueError(
-                    "%s is not of degree %+d: %r -> %r"
-                    % (name, shift, self.tokens[j], self.tokens[i]))
-
     def validate(self):
-        self._check_degree(self.d, 1, "d")
-        for a, h in enumerate(self.hs):
-            self._check_degree(h, -1, "h_%d" % (a + 1))
         toks, d = self.tokens, self.d
+        _check_degree(d, 1, "d", toks, toks)
+        for a, h in enumerate(self.hs):
+            _check_degree(h, -1, "h_%d" % (a + 1), toks, toks)
         _check_zero(d.mul(d), "d o d != 0", toks, toks)
         for a, h in enumerate(self.hs):
             _check_zero(d.mul(h).add(h.mul(d)),
@@ -100,18 +104,11 @@ class MixedComplex:
     @staticmethod
     def from_dict(data) -> "MixedComplex":
         # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import SchemaViolation, escape, name_index, scalar_at
+        from .schemas import escape, name_index, rational_at
         tokens = [BasisToken(t["name"], t["degree"])
                   for t in data["tokens"]]
         token_index = name_index([t.name for t in tokens], "token",
                                  "mixed.v1", "/tokens/%d/name")
-
-        def entry(v, at):
-            s = scalar_at(v, "mixed.v1", at)
-            if not s.is_const():
-                raise SchemaViolation("mixed.v1", at,
-                                      "entry %r is not a rational number" % v)
-            return s
 
         def rd(op, at):
             out = {}
@@ -119,7 +116,7 @@ class MixedComplex:
                 at_j = at + "/" + escape(j)
                 out[token_index(j, at_j)] = {
                     token_index(i, at_j + "/" + escape(i)):
-                    entry(v, at_j + "/" + escape(i))
+                    rational_at(v, "mixed.v1", at_j + "/" + escape(i))
                     for i, v in col.items()}
             return out
         return MixedComplex(tokens, rd(data.get("d", {}), "/d"),
@@ -135,7 +132,7 @@ class UComplex:
     an honest single-variable complex; with several, Smith computations
     follow the one-variable-at-a-time policy in ``cohomology``."""
 
-    def __init__(self, N: MixedComplex, labels=None, truncation=None):
+    def __init__(self, N: MixedComplex, labels=None):
         self.mixed = N
         self.tokens = N.tokens
         n = N.nfactors
@@ -143,7 +140,6 @@ class UComplex:
             labels = ("u",) if n == 1 else tuple(
                 "u%d" % (i + 1) for i in range(n))
         self.labels = tuple(labels)
-        self.truncation = truncation
 
     @property
     def nfactors(self):
@@ -156,10 +152,6 @@ class UComplex:
         return FiniteComplex._square_zero(
             self.tokens, self.mixed.d.add(self.mixed.hs[0].scale(u)),
             var=self.labels[0])
-
-    def at_zero(self) -> FiniteComplex:
-        """Specialize every u_i to 0: the underlying Q complex."""
-        return self.mixed.q_complex()
 
     def _specialized_matrix(self, keep, others):
         u = Scalar.variable(self.labels[keep])
@@ -233,15 +225,11 @@ def _torsion(factors):
 
 # -- duality functors ------------------------------------------------------
 
-def koszul_t(N: MixedComplex, labels=None) -> UComplex:
-    """S tensor N with differential d + sum u_i h_i."""
-    return UComplex(N, labels=labels)
-
-
-def koszul_h(M: UComplex) -> MixedComplex:
-    """Read the operators back off the u-linear parts of the
-    differential: the mixed complex M was built from."""
-    return M.mixed
+def koszul_t(N: MixedComplex) -> UComplex:
+    """S tensor N with differential d + sum u_i h_i.  Its inverse h, which
+    reads the operators back off the u-linear parts of the differential,
+    is the ``mixed`` attribute of the result."""
+    return UComplex(N)
 
 
 def ucomplex_from_finite(C: FiniteComplex) -> UComplex:
@@ -353,8 +341,7 @@ def cartan_model(weights, D) -> UComplex:
                 if invariant(alpha, beta):
                     forms.append((alpha, beta))
     forms.sort(key=lambda ab: (sum(ab[0]) + len(ab[1]), len(ab[1]), ab))
-    tokens = [BasisToken(_form_name(a, b), len(b), aux=(a, b))
-              for a, b in forms]
+    tokens = [BasisToken(_form_name(a, b), len(b)) for a, b in forms]
     pos = {ab: i for i, ab in enumerate(forms)}
 
     # each (k, form) pair hits a different target form, so no entry is
@@ -382,24 +369,19 @@ def cartan_model(weights, D) -> UComplex:
                     u_parts[f][(pos[key], j)] = ((-1) ** r) * ws[k][f]
     N = len(forms)
     return UComplex(MixedComplex(tokens, Matrix(N, N, d0),
-                                 [Matrix(N, N, h) for h in u_parts]),
-                    truncation=D)
+                                 [Matrix(N, N, h) for h in u_parts]))
 
 
 # -- localization ----------------------------------------------------------
 
 def check_mixed_map(NZ: MixedComplex, NX: MixedComplex, iota):
     """iota is the map from source to target tokens, as a Matrix or a
-    column dict; it must have degree 0 and commute with d and with every
-    h_i.  Returns it as a Matrix."""
+    column dict; it must have rational entries, degree 0 and commute
+    with d and with every h_i.  Returns it as a Matrix."""
     if NZ.nfactors != NX.nfactors:
         raise ValueError("mixed complexes have different torus ranks")
     iota = Matrix.of_columns(len(NX.tokens), len(NZ.tokens), iota)
-    for (i, j), v in iota.data.items():
-        if NX.tokens[i].degree != NZ.tokens[j].degree:
-            raise ValueError(
-                "map is not of degree 0: %r -> %r"
-                % (NZ.tokens[j], NX.tokens[i]))
+    _check_degree(iota, 0, "map", NZ.tokens, NX.tokens)
     pairs = [("d", NZ.d, NX.d)]
     pairs += [("h_%d" % (a + 1), NZ.hs[a], NX.hs[a])
               for a in range(NZ.nfactors)]

@@ -79,18 +79,16 @@ def vec_sub(a: dict, b: dict) -> dict:
 
 
 class BasisToken:
-    """Opaque basis label carrying its gradings."""
+    """Opaque basis label carrying its degree."""
 
-    __slots__ = ("name", "degree", "parity", "aux")
+    __slots__ = ("name", "degree")
 
-    def __init__(self, name, degree=0, parity=0, aux=0):
+    def __init__(self, name, degree=0):
         self.name = name
         self.degree = degree
-        self.parity = parity
-        self.aux = aux
 
     def _key(self):
-        return (self.name, self.degree, self.parity, self.aux)
+        return (self.name, self.degree)
 
     def __eq__(self, other):
         return isinstance(other, BasisToken) and self._key() == other._key()

@@ -78,7 +78,7 @@ class AlgebraInstance:
 
     def __init__(self, names, degrees, parities, tables, ring=None,
                  ring_degree=0, pi_degree=None, pi_parity=None,
-                 delta_parity=1, label=None):
+                 delta_parity=1):
         self.names = list(names)
         self.degrees = list(degrees)
         self.parities = [p % 2 for p in parities]
@@ -90,7 +90,6 @@ class AlgebraInstance:
         self.pi_degree = pi_degree
         self.pi_parity = pi_parity
         self.delta_parity = delta_parity % 2
-        self.label = label
         self.tables = {}
         for op, raw in tables.items():
             if op not in self.OP_ARITY:
@@ -180,8 +179,7 @@ class AlgebraInstance:
                                tables, ring=None, ring_degree=0,
                                pi_degree=self.pi_degree,
                                pi_parity=self.pi_parity,
-                               delta_parity=self.delta_parity,
-                               label=self.label)
+                               delta_parity=self.delta_parity)
 
     def to_dict(self):
         def ser(table):
@@ -424,8 +422,7 @@ def truncated_polynomial_poisson():
         if i + j <= 2:
             m[(i, j)] = {i + j: 1}
     return AlgebraInstance(names, [0, 0, 0], [0, 0, 0],
-                           {"m": m, "pi": {}}, pi_degree=0,
-                           label="truncated polynomial line")
+                           {"m": m, "pi": {}}, pi_degree=0)
 
 
 def matrix_2x2():
@@ -436,8 +433,7 @@ def matrix_2x2():
         for (c, e), j in pos.items():
             if b == c:
                 m[(i, j)] = {pos[(a, e)]: 1}
-    return AlgebraInstance(names, [0] * 4, [0] * 4, {"m": m},
-                           label="2x2 matrices")
+    return AlgebraInstance(names, [0] * 4, [0] * 4, {"m": m})
 
 
 def heisenberg_rank4():
@@ -454,7 +450,7 @@ def heisenberg_rank4():
     pi = {(1, 2): {3: 1}, (2, 1): {3: -1}}
     return AlgebraInstance(names, [0] * 4, [0] * 4,
                            {"m": m, "pi": pi}, ring="hbar",
-                           pi_degree=0, label="rank-4 Heisenberg")
+                           pi_degree=0)
 
 
 def _odd_pair_tables(unary_coeff=None):
@@ -495,14 +491,14 @@ def odd_symplectic_bv():
     parities = [0, 0, 0, 1, 1, 1]
     return AlgebraInstance(names, degrees, parities,
                            {"m": m, "pi": pi, "delta": delta},
-                           pi_degree=1, label="odd symplectic pair")
+                           pi_degree=1)
 
 
 def odd_symplectic_p2():
     names, m, pi, _ = _odd_pair_tables()
     return AlgebraInstance(names, [0, 0, 0, -1, -1, -1],
                            [0, 0, 0, 1, 1, 1], {"m": m, "pi": pi},
-                           pi_degree=1, label="odd symplectic pair")
+                           pi_degree=1)
 
 
 def odd_symplectic_bd0():
@@ -514,8 +510,7 @@ def odd_symplectic_bd0():
     parities = [0, 0, 0, 1, 1, 1]
     return AlgebraInstance(names, degrees, parities,
                            {"m": m, "pi": pi, "d": d},
-                           ring="hbar", pi_degree=-1,
-                           label="hbar quantization of the odd pair")
+                           ring="hbar", pi_degree=-1)
 
 
 def odd_symplectic_bd0u():
@@ -524,8 +519,7 @@ def odd_symplectic_bd0u():
     parities = [0, 0, 0, 1, 1, 1]
     return AlgebraInstance(names, degrees, parities,
                            {"m": m, "pi": pi, "d": d},
-                           ring="u", ring_degree=-2, pi_degree=1,
-                           label="u-family quantization of the odd pair")
+                           ring="u", ring_degree=-2, pi_degree=1)
 
 
 def exterior_bv_pair():
@@ -548,8 +542,7 @@ def exterior_bv_pair():
     parities = [0, 1, 1, 0]
     return AlgebraInstance(names, degrees, parities,
                            {"m": m, "pi": pi, "delta": delta},
-                           pi_degree=1, pi_parity=0, delta_parity=0,
-                           label="exterior pair with cross derivative")
+                           pi_degree=1, pi_parity=0, delta_parity=0)
 
 
 def sl2_lie():
@@ -558,7 +551,7 @@ def sl2_lie():
           (1, 0): {0: 2}, (0, 1): {0: -2},
           (1, 2): {2: -2}, (2, 1): {2: 2}}
     return AlgebraInstance(names, [0] * 3, [0] * 3, {"pi": pi},
-                           pi_degree=0, label="sl2")
+                           pi_degree=0)
 
 
 # -- configuration rings ---------------------------------------------------

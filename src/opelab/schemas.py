@@ -299,6 +299,16 @@ def scalar_at(value, schema_name, pointer):
         raise SchemaViolation(schema_name, pointer, str(e))
 
 
+def rational_at(value, schema_name, pointer):
+    """``scalar_at`` of an entry of a map over Q: a polynomial entry is
+    refused with its JSON pointer too."""
+    s = scalar_at(value, schema_name, pointer)
+    if not s.is_const():
+        raise SchemaViolation(schema_name, pointer,
+                              "entry %r is not a rational number" % value)
+    return s
+
+
 def validate(data, schema_name):
     """Check data against the named schema; raise SchemaViolation with a
     JSON-pointer path to the first offending spot."""

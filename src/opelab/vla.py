@@ -366,19 +366,16 @@ def _act(L, ia, m, val: BrValue) -> BrValue:
 # -- builders ----------------------------------------------------------
 
 
-def current_algebra(names, struct, kappa, level, ring=None,
-                    charges=None) -> VertexLieData:
+def current_algebra(names, struct, kappa, level) -> VertexLieData:
     """Currents of weight 1 with [x_i, x_j] structure constants and a
-    central extension by level * kappa(i, j) at the first pole.
+    central extension by level * kappa(i, j) at the first pole, over the
+    ring of the level's variable.
 
     ``struct`` maps (i, j) to a list of (k, coeff); ``kappa`` maps (i, j)
     to a Scalar-coercible pairing value.
     """
     level = sc(level)
-    if ring is None:
-        ring = level.var
-    gens = [Gen(n, 1, 0, 0 if charges is None else charges[i], 0)
-            for i, n in enumerate(names)]
+    gens = [Gen(n, 1) for n in names]
     brackets = {}
     for (i, j), terms in struct.items():
         val = {(k, 0): sc(c) for k, c in terms}
@@ -388,12 +385,12 @@ def current_algebra(names, struct, kappa, level, ring=None,
         if not v.is_zero():
             brackets[(i, j, 1)] = brackets.get((i, j, 1), ZERO_BR).add(
                 BrValue({}, v))
-    return VertexLieData(gens, brackets, ring=ring, central=True)
+    return VertexLieData(gens, brackets, ring=level.var, central=True)
 
 
-def heisenberg(level, rank=1, names=None) -> VertexLieData:
-    names = names or (["b"] if rank == 1 else
-                      ["b%d" % i for i in range(1, rank + 1)])
+def heisenberg(level, rank=1) -> VertexLieData:
+    names = (["b"] if rank == 1 else
+             ["b%d" % i for i in range(1, rank + 1)])
     kappa = {(i, i): ONE for i in range(rank)}
     return current_algebra(names, {}, kappa, level)
 
@@ -408,9 +405,8 @@ SL2_STRUCT = {
 SL2_KAPPA = {(0, 2): ONE, (2, 0): ONE, (1, 1): sc(2)}
 
 
-def kac_moody_sl2(level, names=("e", "h", "f"), charges=None):
-    return current_algebra(list(names), SL2_STRUCT, SL2_KAPPA, level,
-                           charges=charges)
+def kac_moody_sl2(level):
+    return current_algebra(["e", "h", "f"], SL2_STRUCT, SL2_KAPPA, level)
 
 
 def virasoro(central_charge) -> VertexLieData:
@@ -425,7 +421,7 @@ def virasoro(central_charge) -> VertexLieData:
 
 
 def weyl_pair(odd=False, names=("phi", "phi_star"), charges=(1, -1),
-              ghosts=(0, 0), ring=None) -> VertexLieData:
+              ghosts=(0, 0)) -> VertexLieData:
     """One symplectic (even) or orthogonal (odd) pair of free fields with
     weights (1, 0); the even case is a beta-gamma system, the odd case a
     bc/Clifford pair.  Zero-pole signs are forced by skew-symmetry."""
@@ -437,7 +433,7 @@ def weyl_pair(odd=False, names=("phi", "phi_star"), charges=(1, -1),
         (0, 1, 0): BrValue({}, ONE),
         (1, 0, 0): BrValue({}, minus),
     }
-    return VertexLieData(gens, brackets, ring=ring, central=True)
+    return VertexLieData(gens, brackets, central=True)
 
 
 def direct_sum(*parts) -> VertexLieData:
@@ -462,13 +458,13 @@ def direct_sum(*parts) -> VertexLieData:
     return VertexLieData(gens, brackets, ring=ring, central=central)
 
 
-def poisson_limit(L: VertexLieData, hbar=None) -> VertexLieData:
+def poisson_limit(L: VertexLieData) -> VertexLieData:
     """Divide every bracket by the ring variable and set it to zero.
 
     Demands that all brackets vanish at the central fibre; otherwise the
     limit is not commutative and the offending bracket is reported.
     """
-    var = hbar or L.ring
+    var = L.ring
     if var is None:
         raise ValueError("poisson_limit needs a ring variable")
     h = Scalar.variable(var)

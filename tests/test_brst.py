@@ -23,7 +23,7 @@ from opelab.scalars import Scalar, ZERO, ONE, sc, sc_gcd, format_scalar
 from opelab.vla import (VertexLieData, check_jacobi, check_sesquilinearity,
                         check_skew_symmetry, direct_sum, heisenberg,
                         weyl_pair, SL2_STRUCT)
-from opelab.envelope import build_envelope
+from opelab.envelope import VertexAlgebra
 from opelab.linalg import vec_add as add_states, vec_scale as scale_state
 from opelab.brst import (build_ghosts, ghost_current_words, word_state,
                          BRSTDatum, abelian_datum, pure_ghost_datum,
@@ -98,7 +98,7 @@ def test_ghost_pair_shape():
 
 def test_ghost_current_adjoint_and_coadjoint_action():
     G = build_ghosts(["e", "h", "f"])
-    V = build_envelope(G, cutoff=2)
+    V = VertexAlgebra(G, cutoff=2)
     words = ghost_current_words(["e", "h", "f"], SL2_STRUCT)
     eta = {a: word_state(V, words[a]) for a in ("e", "h", "f")}
 
@@ -255,7 +255,7 @@ def test_fundamental_copies_validate_and_refuse_full_enumeration():
 def _wak_matter_states():
     t = Scalar.variable("t")
     M = direct_sum(weyl_pair(odd=False, charges=(2, -2)), heisenberg(t))
-    V = build_envelope(M, cutoff=3)
+    V = VertexAlgebra(M, cutoff=3)
     phi, phis, b = (V.gen_state(n) for n in ("phi", "phi_star", "b"))
     A = V.normal_order(phi, phis, phis)
     B = V.translate(phis)
@@ -795,6 +795,56 @@ def test_matter_is_refused_exactly_when_not_a_vertex_lie_algebra(data,
     else:
         assert code in (0, 1)
         assert_first_violation_is_the_sweeps(BRSTDatum.from_dict(data), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_current_term_is_refused_exactly_when_it_breaks_a_grading(draw):
+    """One current term of the gl_1 or the Wakimoto file, with or without
+    its charge window, becomes a drawn product of matter generators and
+    derivatives: one generator, then up to 18 weight-0 generators, in a
+    drawn order.  The file is refused with exit 2 at that term exactly
+    when the term has a weight other than 1, more than 16 factors, or,
+    under a charge window, a charge other than that of the ghost psi_a;
+    either way with no traceback."""
+    draw = draw.draw
+    if draw(st.booleans()):
+        data = bg_gl1_datum(cutoff=1).to_dict()
+    else:
+        data = wakimoto_datum(draw(LEVELS), cutoff=1).to_dict()
+    if draw(st.booleans()):
+        del data["charge_window"]
+    gens = {g["name"]: g for g in data["matter"]["generators"]}
+    zero = sorted(n for n, g in gens.items() if g["weight"] == 0)
+    one = sorted(n for n, g in gens.items() if g["weight"] == 1)
+    head = draw(st.one_of(st.tuples(st.sampled_from(one), st.just(0)),
+                          st.tuples(st.sampled_from(zero), st.just(1)),
+                          st.tuples(st.sampled_from(sorted(gens)),
+                                    st.integers(0, 2))))
+    tail = [(n, 0) for n in draw(st.lists(st.sampled_from(zero),
+                                          max_size=18))]
+    factors = draw(st.permutations([head] + tail))
+    r = draw(st.integers(0, len(data["currents"]) - 1))
+    row = data["currents"][r]
+    k = draw(st.integers(0, len(row["terms"]) - 1))
+    row["terms"][k]["factors"] = [{"gen": n, "dpow": e} for n, e in factors]
+
+    weight = sum(Fraction(gens[n]["weight"]) + e for n, e in factors)
+    charge = sum(gens[n].get("charge", 0) for n, _ in factors)
+    want = data.get("ghost_charges", {}).get(row["gen"], 0)
+    refused = (weight != 1 or len(factors) > 16
+               or ("charge_window" in data and charge != want))
+    event("refused" if refused else "accepted")
+    code, out, err = run_brst_file(data, "--cutoff", "0")
+    assert "Traceback" not in err
+    if refused:
+        assert code == 2 and out == ""
+        assert err.startswith("error: brst.v1: current %s has a term "
+                              % row["gen"])
+        assert err.endswith(" at /currents/%d/terms/%d\n" % (r, k))
+    else:
+        assert code in (0, 1)
+        assert "/currents/" not in err
 
 
 @pytest.mark.parametrize("preset", sorted(presets.BRST_PRESETS))

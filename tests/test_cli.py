@@ -189,8 +189,10 @@ def _bad_gl1(field):
     bracket naming an undeclared generator, a current coefficient
     with too high a power, a basis element declared twice, or a matter
     generator with the name of a ghost, a derivative power written as
-    a float, or a current term of weight other than 1 (``"dpow-N"``: T^N
-    on the first factor of :phi phi_star:)."""
+    a float, a current term of weight other than 1 (``"dpow-N"``: T^N
+    on the first factor of :phi phi_star:), a current term of N + 1
+    factors (``"factors-N"``: :phi phi_star^N:), or the current phi,
+    whose charge 1 is not the charge 0 of psi_x."""
     data = bg_gl1_datum().to_dict()
     current = data["currents"][0]
     if field == "duplicate":
@@ -219,6 +221,11 @@ def _bad_gl1(field):
         current["terms"][0]["factors"][0]["dpow"] = 1.0
     elif field.startswith("dpow-"):
         current["terms"][0]["factors"][0]["dpow"] = int(field[5:])
+    elif field.startswith("factors-"):
+        current["terms"][0]["factors"] = (
+            [{"gen": "phi"}] + [{"gen": "phi_star"}] * int(field[8:]))
+    elif field == "charge":
+        current["terms"][0]["factors"] = [{"gen": "phi"}]
     return data
 
 
@@ -497,6 +504,19 @@ HOSTILE = [
     (["envelope-dims"], _bad_virasoro("negative-weight"),
      "vla.v1: generator 'l' has negative weight -1 at "
      "/generators/0/weight\n"),
+    (["localize"], _bad_localize("map", {"p": {"x": "u"}, "q": {"y": "1"}}),
+     "localize: entry 'u' is not a rational number at /map/p/x\n"),
+    (["localize"], _bad_localize("map", {"p": {"x": "t"}, "q": {"y": "1"}}),
+     "localize: entry 't' is not a rational number at /map/p/x\n"),
+    (["brst", "--cutoff", "0"], _bad_gl1("factors-16"),
+     "brst.v1: current x has a term of 17 factors, at most 16 at "
+     "/currents/0/terms/0\n"),
+    (["brst", "--cutoff", "0"], _bad_gl1("factors-1000"),
+     "brst.v1: current x has a term of 1001 factors, at most 16 at "
+     "/currents/0/terms/0\n"),
+    (["brst", "--cutoff", "1", "--cohomology"], _bad_gl1("charge"),
+     "brst.v1: current x has a term phi of charge 1, expected 0 at "
+     "/currents/0/terms/0\n"),
 ]
 
 
@@ -538,7 +558,10 @@ HOSTILE = [
     "vla-derivative-past-the-bracket-weight",
     "ope-derivative-past-the-bracket-weight", "brst-matter-not-skew",
     "brst-matter-not-jacobi", "brst-current-derivative-past-weight-1",
-    "brst-current-of-weight-2", "vla-negative-weight"])
+    "brst-current-of-weight-2", "vla-negative-weight",
+    "localize-map-entry-in-u", "localize-map-entry-in-t",
+    "brst-current-of-17-factors", "brst-current-of-1001-factors",
+    "brst-current-of-wrong-charge"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

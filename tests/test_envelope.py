@@ -7,7 +7,7 @@ from opelab.scalars import Scalar, ONE, sc, falling
 from opelab.vla import (Gen, BrValue, VertexLieData, current_algebra,
                         heisenberg, kac_moody_sl2, virasoro, weyl_pair,
                         direct_sum, SL2_KAPPA)
-from opelab.envelope import build_envelope, _acc
+from opelab.envelope import VertexAlgebra, _acc
 from opelab.linalg import vec_add as add_states, vec_scale as scale_state
 
 
@@ -41,29 +41,29 @@ def dims_of(V, W, q=None):
 
 
 def test_virasoro_dimensions():
-    V = build_envelope(virasoro(Scalar.variable("c")), cutoff=6)
+    V = VertexAlgebra(virasoro(Scalar.variable("c")), cutoff=6)
     got = dims_of(V, 6)
     assert got == pbw_dims([(2, 0)], 6)
     assert got == [1, 0, 1, 1, 2, 2, 4]
 
 
 def test_sl2_dimensions():
-    V = build_envelope(kac_moody_sl2(Scalar.variable("k")), cutoff=3)
+    V = VertexAlgebra(kac_moody_sl2(Scalar.variable("k")), cutoff=3)
     got = dims_of(V, 3)
     assert got == pbw_dims([(1, 0)] * 3, 3)
     assert got == [1, 3, 9, 22]
 
 
 def test_heisenberg_dimensions():
-    V = build_envelope(heisenberg(Scalar.variable("t")), cutoff=4)
+    V = VertexAlgebra(heisenberg(Scalar.variable("t")), cutoff=4)
     got = dims_of(V, 4)
     assert got == pbw_dims([(1, 0)], 4)
     assert got == [1, 1, 2, 3, 5]
 
 
 def test_bc_pair_dimensions():
-    V = build_envelope(weyl_pair(odd=True, names=("psi", "psi_star")),
-                       cutoff=3)
+    V = VertexAlgebra(weyl_pair(odd=True, names=("psi", "psi_star")),
+                      cutoff=3)
     assert dims_of(V, 3) == pbw_dims([(1, 1), (0, 1)], 3)
 
 
@@ -76,7 +76,7 @@ def test_bc_pair_dimensions():
                     Gen("b", 1, 0)], {}), Fraction(9, 2)),
 ], ids=["heisenberg-2", "virasoro", "sl2", "bc", "half-integer"])
 def test_pbw_count_is_the_size_of_the_enumerated_basis(L, cutoff):
-    V = build_envelope(L, cutoff=cutoff)
+    V = VertexAlgebra(L, cutoff=cutoff)
     total = sum(V.graded_dimensions().values())
     assert V.pbw_count(cutoff) == total
     # counting stops past the bound, and only past it
@@ -86,7 +86,7 @@ def test_pbw_count_is_the_size_of_the_enumerated_basis(L, cutoff):
 
 
 def test_betagamma_needs_charge_window():
-    V = build_envelope(weyl_pair(odd=False), cutoff=2)
+    V = VertexAlgebra(weyl_pair(odd=False), cutoff=2)
     with pytest.raises(ValueError, match="charge"):
         V.basis(0)
     assert len(V.basis(0, 0)) == 1            # the vacuum
@@ -98,8 +98,8 @@ def test_betagamma_needs_charge_window():
 
 def test_cutoff_is_mandatory_and_enforced():
     with pytest.raises(ValueError, match="cutoff"):
-        build_envelope(virasoro(sc(0)))
-    V = build_envelope(virasoro(sc(0)), cutoff=2)
+        VertexAlgebra(virasoro(sc(0)), None)
+    V = VertexAlgebra(virasoro(sc(0)), cutoff=2)
     with pytest.raises(ValueError, match="cutoff"):
         V.basis(3)
 
@@ -107,7 +107,7 @@ def test_cutoff_is_mandatory_and_enforced():
 def test_modes_and_products_agree():
     # (x_(-1)|0>)_(n) = x_(n) as operators: the iterate recursion must
     # reproduce single-mode application on both sides of -1
-    V = build_envelope(kac_moody_sl2(sc(2)), cutoff=3)
+    V = VertexAlgebra(kac_moody_sl2(sc(2)), cutoff=3)
     e = V.gen_state("e")
     for name in ("e", "h", "f"):
         b = V.gen_state(name)
@@ -117,7 +117,7 @@ def test_modes_and_products_agree():
 
 
 def test_translation_facts():
-    V = build_envelope(virasoro(Scalar.variable("c")), cutoff=4)
+    V = VertexAlgebra(virasoro(Scalar.variable("c")), cutoff=4)
     l = V.gen_state("l")
     tl = V.translate(l)
     assert tl == {((-2, 0),): ONE}
@@ -127,7 +127,7 @@ def test_translation_facts():
 
 
 def test_virasoro_ope():
-    V = build_envelope(virasoro(Scalar.variable("c")), cutoff=4)
+    V = VertexAlgebra(virasoro(Scalar.variable("c")), cutoff=4)
     l = V.gen_state("l")
     ope = V.singular_ope(l, l)
     c = Scalar.variable("c")
@@ -139,7 +139,7 @@ def test_virasoro_ope():
 
 def test_sl2_ope():
     k = Scalar.variable("k")
-    V = build_envelope(kac_moody_sl2(k), cutoff=2)
+    V = VertexAlgebra(kac_moody_sl2(k), cutoff=2)
     e, h, f = (V.gen_state(n) for n in ("e", "h", "f"))
     assert V.nth_product(e, 0, f) == h
     assert V.nth_product(e, 1, f) == {(): k}
@@ -150,12 +150,12 @@ def test_sl2_ope():
 
 
 def test_weyl_pair_zero_modes():
-    V = build_envelope(weyl_pair(odd=False), cutoff=2)
+    V = VertexAlgebra(weyl_pair(odd=False), cutoff=2)
     phi, phis = V.gen_state("phi"), V.gen_state("phi_star")
     assert V.nth_product(phi, 0, phis) == {(): ONE}
     assert V.nth_product(phis, 0, phi) == {(): sc(-1)}
-    W = build_envelope(weyl_pair(odd=True, names=("psi", "psi_star")),
-                       cutoff=2)
+    W = VertexAlgebra(weyl_pair(odd=True, names=("psi", "psi_star")),
+                      cutoff=2)
     psi, psis = W.gen_state("psi"), W.gen_state("psi_star")
     assert W.nth_product(psi, 0, psis) == {(): ONE}
     assert W.nth_product(psis, 0, psi) == {(): ONE}
@@ -165,13 +165,13 @@ def test_wick_level_of_bilinear_currents():
     # The gl1 current J = :phi phi*: of a symplectic (even) pair has
     # self-level -1; the odd-pair current has self-level +1.  These two
     # numbers are the anchors for every ghost-level computation.
-    V = build_envelope(weyl_pair(odd=False), cutoff=3)
+    V = VertexAlgebra(weyl_pair(odd=False), cutoff=3)
     J = V.normal_order(V.gen_state("phi"), V.gen_state("phi_star"))
     assert V.nth_product(J, 0, J) == {}
     assert V.nth_product(J, 1, J) == {(): sc(-1)}
 
-    W = build_envelope(weyl_pair(odd=True, names=("psi", "psi_star")),
-                       cutoff=3)
+    W = VertexAlgebra(weyl_pair(odd=True, names=("psi", "psi_star")),
+                      cutoff=3)
     eta = W.normal_order(W.gen_state("psi"), W.gen_state("psi_star"))
     assert W.nth_product(eta, 0, eta) == {}
     assert W.nth_product(eta, 1, eta) == {(): ONE}
@@ -183,7 +183,7 @@ def test_wick_level_of_bilinear_currents():
 
 def test_current_action_on_matter():
     # :phi phi*:_(0) phi = -phi and  :phi phi*:_(0) phi* = +phi*
-    V = build_envelope(weyl_pair(odd=False), cutoff=3)
+    V = VertexAlgebra(weyl_pair(odd=False), cutoff=3)
     J = V.normal_order(V.gen_state("phi"), V.gen_state("phi_star"))
     assert V.nth_product(J, 0, V.gen_state("phi")) == \
         scale_state(V.gen_state("phi"), -1)
@@ -192,24 +192,24 @@ def test_current_action_on_matter():
 
 
 def test_axioms_virasoro():
-    V = build_envelope(virasoro(Scalar.variable("c")), cutoff=4)
+    V = VertexAlgebra(virasoro(Scalar.variable("c")), cutoff=4)
     assert V.check_vertex_axioms(cutoff=3).ok
 
 
 def test_axioms_sl2():
-    V = build_envelope(kac_moody_sl2(Scalar.variable("k")), cutoff=2)
+    V = VertexAlgebra(kac_moody_sl2(Scalar.variable("k")), cutoff=2)
     assert V.check_vertex_axioms(cutoff=2).ok
 
 
 def test_axioms_betagamma():
-    V = build_envelope(weyl_pair(odd=False), cutoff=2,
-                       charge_window=(-2, 2))
+    V = VertexAlgebra(weyl_pair(odd=False), cutoff=2,
+                      charge_window=(-2, 2))
     assert V.check_vertex_axioms(cutoff=2).ok
 
 
 def test_axioms_bc():
-    V = build_envelope(weyl_pair(odd=True, names=("psi", "psi_star")),
-                       cutoff=2)
+    V = VertexAlgebra(weyl_pair(odd=True, names=("psi", "psi_star")),
+                      cutoff=2)
     assert V.check_vertex_axioms(cutoff=2).ok
 
 
@@ -222,16 +222,16 @@ def test_axioms_catch_inconsistent_table():
         (0, 2): [(1, 1)], (2, 0): [(1, -1)],
     }
     L = current_algebra(["e", "h", "f"], bad_struct, SL2_KAPPA, sc(1))
-    V = build_envelope(L, cutoff=2)
+    V = VertexAlgebra(L, cutoff=2)
     rep = V.check_vertex_axioms(cutoff=2)
     assert not rep.ok
 
 
 def test_is_commutative():
-    assert build_envelope(heisenberg(sc(0)), cutoff=2).is_commutative()
-    assert not build_envelope(heisenberg(sc(1)), cutoff=2).is_commutative()
+    assert VertexAlgebra(heisenberg(sc(0)), cutoff=2).is_commutative()
+    assert not VertexAlgebra(heisenberg(sc(1)), cutoff=2).is_commutative()
     pair = VertexLieData([Gen("x", 1), Gen("theta", 1, 1)], {})
-    assert build_envelope(pair, cutoff=2).is_commutative()
+    assert VertexAlgebra(pair, cutoff=2).is_commutative()
 
 
 # -- topological structure ---------------------------------------------
@@ -239,7 +239,7 @@ def test_is_commutative():
 
 def _de_rham_pair():
     L = VertexLieData([Gen("x", 1), Gen("theta", 1, 1)], {})
-    return build_envelope(L, cutoff=3)
+    return VertexAlgebra(L, cutoff=3)
 
 
 def test_topological_pair_passes():
@@ -355,18 +355,18 @@ def _half_integer():
 # (id, envelope, (d, g_{-1}, g_0) rules or None for _neighbour_rules,
 #  sampled weight: Virasoro has only l and Tl through weight 3)
 DERIVATION_CASES = [
-    ("virasoro", lambda: build_envelope(
+    ("virasoro", lambda: VertexAlgebra(
         virasoro(Scalar.variable("c")), cutoff=5), None, 5),
-    ("sl2", lambda: build_envelope(
+    ("sl2", lambda: VertexAlgebra(
         kac_moody_sl2(Scalar.variable("k")), cutoff=3), None, 3),
-    ("even-pair", lambda: build_envelope(
+    ("even-pair", lambda: VertexAlgebra(
         weyl_pair(odd=False), cutoff=3, charge_window=(-4, 4)), None, 3),
-    ("odd-pair", lambda: build_envelope(
+    ("odd-pair", lambda: VertexAlgebra(
         weyl_pair(odd=True, names=("psi", "psi_star")), cutoff=3), None, 3),
     ("de-rham-pair", _de_rham_pair,
      ({"theta": [("x", 0, 1)]}, {"x": [("theta", 1, 1)]},
       {"x": [("theta", 0, 1)]}), 3),
-    ("half-integer", lambda: build_envelope(_half_integer(), cutoff=3),
+    ("half-integer", lambda: VertexAlgebra(_half_integer(), cutoff=3),
      None, 3),
 ]
 
@@ -409,7 +409,7 @@ def test_derivations_match_sequence_reevaluation(build, rules, wmax):
 
 
 def test_format_state():
-    V = build_envelope(virasoro(Scalar.variable("c")), cutoff=4)
+    V = VertexAlgebra(virasoro(Scalar.variable("c")), cutoff=4)
     l = V.gen_state("l")
     assert V.format_state(l) == "l"
     assert V.format_state(V.translate(l)) == "Tl"
@@ -455,15 +455,15 @@ def _free_fermion():
 
 
 @pytest.mark.parametrize("V, weights, charges", [
-    (build_envelope(virasoro(Scalar.variable("c")), cutoff=4),
+    (VertexAlgebra(virasoro(Scalar.variable("c")), cutoff=4),
      range(5), [None]),
-    (build_envelope(kac_moody_sl2(Scalar.variable("k")), cutoff=2),
+    (VertexAlgebra(kac_moody_sl2(Scalar.variable("k")), cutoff=2),
      range(3), [None]),
-    (build_envelope(weyl_pair(odd=True, names=("b", "c")), cutoff=2),
+    (VertexAlgebra(weyl_pair(odd=True, names=("b", "c")), cutoff=2),
      range(3), [None]),
-    (build_envelope(weyl_pair(odd=False), cutoff=2, charge_window=(-2, 2)),
+    (VertexAlgebra(weyl_pair(odd=False), cutoff=2, charge_window=(-2, 2)),
      range(3), range(-2, 3)),
-    (build_envelope(_free_fermion(), cutoff=3),
+    (VertexAlgebra(_free_fermion(), cutoff=3),
      [Fraction(i, 2) for i in range(7)], [None]),
 ], ids=["virasoro", "sl2", "bc", "betagamma", "free-fermion"])
 def test_integer_weights_match_the_fraction_recursion(V, weights, charges):
@@ -486,7 +486,7 @@ def test_integer_weights_match_the_fraction_recursion(V, weights, charges):
 
 def test_samples_cover_every_weight_block():
     # the weight-1/2 free fermion has states at 3/2 and 5/2 beyond psi
-    V = build_envelope(_free_fermion(), cutoff=3)
+    V = VertexAlgebra(_free_fermion(), cutoff=3)
     weights = {V.state_weight(s) for _, s in V._sample_states(3)}
     assert {Fraction(3, 2), Fraction(5, 2)} <= weights
     assert weights == {w for w, dim in V.graded_dimensions().items() if dim}
