@@ -36,10 +36,10 @@ from fractions import Fraction
 import math
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
-from .vla import (Gen, BrValue, VertexLieData, CheckReport, check_jacobi,
+from .vla import (Gen, VertexLieData, CheckReport, check_jacobi,
                   check_skew_symmetry, direct_sum, heisenberg, weyl_pair,
                   SL2_STRUCT)
-from .envelope import VertexAlgebra
+from .envelope import VertexAlgebra, infinite_block_cause
 from .linalg import Matrix, q_rank, vec_add, vec_scale
 
 
@@ -53,8 +53,8 @@ def build_ghosts(names, charges=None) -> VertexLieData:
         q = 0 if charges is None else charges.get(name, 0)
         gens.append(Gen("psi_%s" % name, 1, 1, q, -1))
         gens.append(Gen("psi*_%s" % name, 0, 1, -q, 1))
-        brackets[(2 * i, 2 * i + 1, 0)] = BrValue({}, ONE)
-        brackets[(2 * i + 1, 2 * i, 0)] = BrValue({}, ONE)
+        brackets[(2 * i, 2 * i + 1, 0)] = {(): ONE}
+        brackets[(2 * i + 1, 2 * i, 0)] = {(): ONE}
     return VertexLieData(gens, brackets, central=True)
 
 
@@ -495,6 +495,12 @@ class BRSTDatum:
                 words[name].append((coeff, word))
         for name in ghost_charges or ():
             basis_index(name, "/ghost_charges/" + escape(name))
+        cause = infinite_block_cause(matter.gens, cw is not None)
+        if cause is not None:
+            raise SchemaViolation(
+                "brst.v1", "/matter/generators/%d" % cause[0],
+                cause[1] if cw is not None else
+                cause[1] + "; give a charge_window")
         # d^2 = (Q_(0)Q)_(0) / 2 holds on a vertex algebra only
         for check in (check_skew_symmetry, check_jacobi):
             rep = check(matter)
@@ -507,13 +513,9 @@ class BRSTDatum:
 
 
 def _substitute_vla(L: VertexLieData, value) -> VertexLieData:
-    brackets = {}
-    for key, val in L.brackets.items():
-        terms = {k: (v.subs(value) if v.var is not None else v)
-                 for k, v in val.terms.items()}
-        central = (val.central.subs(value)
-                   if val.central.var is not None else val.central)
-        brackets[key] = BrValue(terms, central)
+    brackets = {key: {k: (v.subs(value) if v.var is not None else v)
+                      for k, v in val.items()}
+                for key, val in L.brackets.items()}
     return VertexLieData(list(L.gens), brackets, ring=None,
                          central=L.central)
 

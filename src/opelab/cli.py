@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import presets
 from .brst import BRSTDatum
-from .envelope import VertexAlgebra
+from .envelope import VertexAlgebra, infinite_block_cause
 from .equivariant import (MixedComplex, cartan_candidates, cartan_model,
                           koszul_t, localize_check)
 from .operads import AlgebraInstance, check_relations, conf_ring, \
@@ -268,11 +268,10 @@ def _check_charge(L, charge):
 
 def do_envelope_dims(args):
     L, name, level = _vla_source(args)
-    zero_even = [g.name for g in L.gens if g.weight == 0 and g.parity == 0]
-    if args.charge is None and zero_even:
-        raise InputError("weight blocks are infinite-dimensional (weight-0 "
-                         "even generators: %s); pass --charge"
-                         % ", ".join(zero_even))
+    cause = infinite_block_cause(L.gens, args.charge is not None)
+    if cause is not None:
+        raise InputError(cause[1] if args.charge is not None else
+                         cause[1] + "; pass --charge")
     if args.charge is not None:
         _check_charge(L, args.charge)
     V = VertexAlgebra(L, args.cutoff)

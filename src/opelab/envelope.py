@@ -48,6 +48,29 @@ def _acc(out: dict, key, val: Scalar):
         out[key] = cur
 
 
+def infinite_block_cause(gens, by_charge):
+    """(k, reason) for the first generator gens[k] that makes a block of
+    the envelope infinite-dimensional, or None when every block is finite.
+
+    Only weight-0 even generators can: their modes add no weight and may
+    repeat.  Weight blocks are finite only without them, and charge blocks
+    only when they all carry charges of one strict sign."""
+    zero_even = [k for k, g in enumerate(gens)
+                 if g.weight == 0 and g.parity == 0]
+    if not zero_even:
+        return None
+    if not by_charge:
+        return zero_even[0], (
+            "weight blocks are infinite-dimensional (weight-0 even "
+            "generators: %s)" % ", ".join(gens[k].name for k in zero_even))
+    sign = gens[zero_even[0]].charge
+    for k in zero_even:
+        if gens[k].charge * sign <= 0:
+            return k, ("weight-0 even generators with mixed or zero charges "
+                       "make charge blocks infinite-dimensional")
+    return None
+
+
 class VertexAlgebra:
     def __init__(self, L: VertexLieData, cutoff, charge_window=None):
         if cutoff is None:
@@ -154,13 +177,16 @@ class VertexAlgebra:
                 bound = self._pole_bound[g][g1]
                 for l in range(max(bound, 0) + 1):
                     br = L.stored(g, g1, l)
-                    if br.is_zero():
+                    if not br:
                         continue
                     cb = binom(k, l)
                     if cb == 0:
                         continue
                     p = k + k1 - l
-                    for (g2, e), s in br.terms.items():
+                    for key, s in br.items():
+                        if not key:
+                            continue
+                        g2, e = key
                         coeff = s.scale(cb * falling(p, e) * (-1) ** e)
                         if coeff.is_zero():
                             continue
@@ -168,8 +194,8 @@ class VertexAlgebra:
                                 g2, p - e, rest).items():
                             _acc(res, m3, coeff * c3)
                     # the central element acts as 1: (1b)_(p) = delta_{p,-1}
-                    if not br.central.is_zero() and p == -1:
-                        _acc(res, rest, br.central.scale(cb))
+                    if () in br and p == -1:
+                        _acc(res, rest, br[()].scale(cb))
         self._mode_cache[key] = res
         return res
 
@@ -306,11 +332,10 @@ class VertexAlgebra:
         if w > self.cutoff:
             raise ValueError("weight %s beyond the envelope cutoff %s"
                              % (w, self.cutoff))
-        if q is None and self._zero_even:
-            names = ", ".join(self.L.gens[i].name for i in self._zero_even)
-            raise ValueError(
-                "weight blocks are infinite-dimensional (weight-0 even "
-                "generators: %s); enumerate per charge instead" % names)
+        cause = infinite_block_cause(self.L.gens, q is not None)
+        if cause is not None:
+            raise ValueError(cause[1] if q is not None else
+                             cause[1] + "; enumerate per charge instead")
         positive = self._positive_modes(w)
         out = []
         self._dfs(positive, 0, w, [], q, out)
@@ -374,21 +399,11 @@ class VertexAlgebra:
     def _even_zero_combos(self, need):
         """Multisets of weight-0 even generators with total charge `need`.
 
-        Requires every such generator to carry a charge of one strict
-        sign, which is what keeps the enumeration finite."""
+        ``basis`` has checked that every such generator carries a charge
+        of one strict sign, which is what keeps the enumeration finite."""
         gens = self._zero_even
         charges = [self.L.gens[g].charge for g in gens]
-        if need is None:
-            if gens:
-                raise ValueError("charge window required")
-            yield ()
-            return
-        if any(c == 0 for c in charges) or (any(c > 0 for c in charges)
-                                            and any(c < 0 for c in charges)):
-            raise ValueError(
-                "weight-0 even generators with mixed or zero charges make "
-                "charge blocks infinite-dimensional")
-        sign = 1 if all(c > 0 for c in charges) else -1
+        sign = 1 if charges[0] > 0 else -1
         if need * sign < 0:
             return
         target = need * sign

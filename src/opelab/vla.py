@@ -11,6 +11,11 @@ on demand from the translation rules
 
 which is what makes the finite table a complete presentation.
 
+A bracket value lies in R[T] gens + R K and is a dict vector on
+``linalg``'s helpers: {(g, e): c} for the terms c T^e g, and the central
+part c K under the key ``()``.  ``()`` is the key of the vacuum |0> in the
+envelope, on which K acts as 1, and it sorts before every (g, e).
+
 Generators carry a conformal weight (nonnegative rational), a parity, and
 two auxiliary integer gradings (charge, ghost) used downstream to slice
 enveloping algebras into finite blocks.
@@ -21,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
+from .linalg import vec_add, vec_scale, vec_sub
 
 
 class Gen:
@@ -41,56 +47,6 @@ class Gen:
         return "Gen(%s, wt=%s, p=%d)" % (self.name, self.weight, self.parity)
 
 
-class BrValue:
-    """Value of a bracket: sum of c * T^e g plus a central part."""
-
-    __slots__ = ("terms", "central")
-
-    def __init__(self, terms=None, central=ZERO):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                v = sc(v)
-                if not v.is_zero():
-                    self.terms[k] = v
-        self.central = sc(central)
-
-    def is_zero(self):
-        return not self.terms and self.central.is_zero()
-
-    def add(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, ZERO) + v
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return BrValue(out, self.central + other.central)
-
-    def scale(self, s):
-        s = sc(s)
-        if s.is_zero():
-            return BrValue()
-        return BrValue({k: v * s for k, v in self.terms.items()},
-                       self.central * s)
-
-    def translate(self):
-        """Apply T: raise every derivative power; T kills the center."""
-        return BrValue({(g, e + 1): v for (g, e), v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, BrValue) and self.terms == other.terms
-                and self.central == other.central)
-
-    def __repr__(self):
-        return "BrValue(%r, central=%s)" % (self.terms,
-                                            format_scalar(self.central))
-
-
-ZERO_BR = BrValue()
-
-
 class VertexLieData:
     def __init__(self, gens, brackets, ring=None, central=False):
         self.gens = list(gens)
@@ -105,11 +61,10 @@ class VertexLieData:
         for (ia, ib, n), val in brackets.items():
             if n < 0:
                 raise ValueError("bracket mode must be nonnegative")
-            if not isinstance(val, BrValue):
-                val = BrValue(val)
-            if val.is_zero():
+            val = {k: c for k, c in ((k, sc(v)) for k, v in val.items()) if c}
+            if not val:
                 continue
-            if not central and not val.central.is_zero():
+            if not central and () in val:
                 raise ValueError("central coefficient in a non-central table")
             self.brackets[(ia, ib, n)] = val
 
@@ -124,29 +79,32 @@ class VertexLieData:
         s = self.gens[ia].weight + self.gens[ib].weight
         return int(s) - 1
 
-    def stored(self, ia, ib, n) -> BrValue:
-        return self.brackets.get((ia, ib, n), ZERO_BR)
+    def stored(self, ia, ib, n) -> dict:
+        return self.brackets.get((ia, ib, n), {})
 
-    def bracket(self, ia, ea, n, ib, eb) -> BrValue:
+    def bracket(self, ia, ea, n, ib, eb) -> dict:
         """(T^ea a)_(n) (T^eb b), derived from the generator table."""
         if n < 0:
-            return ZERO_BR
+            return {}
         if ea > 0:
             if n == 0:
-                return ZERO_BR
-            return self.bracket(ia, ea - 1, n - 1, ib, eb).scale(-n)
+                return {}
+            return vec_scale(self.bracket(ia, ea - 1, n - 1, ib, eb), -n)
         if eb > 0:
-            out = self.bracket(ia, 0, n, ib, eb - 1).translate()
+            out = _translate(self.bracket(ia, 0, n, ib, eb - 1))
             if n > 0:
-                out = out.add(self.bracket(ia, 0, n - 1, ib, eb - 1).scale(n))
+                out = vec_add(out, vec_scale(
+                    self.bracket(ia, 0, n - 1, ib, eb - 1), n))
             return out
         return self.stored(ia, ib, n)
 
-    def bracket_value(self, val: BrValue, n: int, ib, eb) -> BrValue:
+    def bracket_value(self, val: dict, n: int, ib, eb) -> dict:
         """(sum of T^e g)_(n) applied to T^eb b; the center acts by zero."""
-        out = ZERO_BR
-        for (g, e), s in val.terms.items():
-            out = out.add(self.bracket(g, e, n, ib, eb).scale(s))
+        out = {}
+        for key, s in val.items():
+            if key:
+                out = vec_add(out, vec_scale(
+                    self.bracket(*key, n, ib, eb), s))
         return out
 
     # -- serialization ---------------------------------------------------
@@ -159,11 +117,11 @@ class VertexLieData:
         for (ia, ib, n) in sorted(self.brackets):
             val = self.brackets[(ia, ib, n)]
             entry = {"a": self.gens[ia].name, "b": self.gens[ib].name, "n": n,
-                     "value": [{"gen": self.gens[g].name, "dpow": e,
-                                "coeff": format_scalar(c)}
-                               for (g, e), c in sorted(val.terms.items())]}
-            if not val.central.is_zero():
-                entry["central_coeff"] = format_scalar(val.central)
+                     "value": [{"gen": self.gens[key[0]].name,
+                                "dpow": key[1], "coeff": format_scalar(c)}
+                               for key, c in sorted(val.items()) if key]}
+            if () in val:
+                entry["central_coeff"] = format_scalar(val[()])
             brs.append(entry)
         return {"ring": self.ring, "central": self.central,
                 "generators": gens, "brackets": brs}
@@ -189,6 +147,22 @@ class VertexLieData:
                             g.get("charge", 0), g.get("ghost", 0)))
         gen_index = name_index([g.name for g in gens], "generator", "vla.v1",
                                "/generators/%d/name")
+        var = data.get("ring")
+
+        def coeff_at(value, pointer):
+            # every coefficient is over the ring's variable, or else over
+            # the first one's: two variables would meet only in arithmetic
+            nonlocal var
+            s = scalar_at(value, "vla.v1", pointer)
+            if s.var is not None and s.var != var:
+                if var is not None:
+                    raise SchemaViolation(
+                        "vla.v1", pointer, "coefficient %r is a polynomial "
+                        "in %r, but the table is over %r"
+                        % (value, s.var, var))
+                var = s.var
+            return s
+
         brackets = {}
         for r, b in enumerate(data.get("brackets", [])):
             at = "/brackets/%d/" % r
@@ -208,14 +182,15 @@ class VertexLieData:
                         "%s_(%d)%s has a term T^%d %s of weight %s, "
                         "expected %s" % (b["a"], key[2], b["b"], e, t["gen"],
                                          gens[g].weight + e, want))
-                terms[(g, e)] = scalar_at(t["coeff"], "vla.v1", vt + "coeff")
-            central = scalar_at(b.get("central_coeff", "0"), "vla.v1",
-                                at + "central_coeff")
-            if not data.get("central", False) and not central.is_zero():
+                terms[(g, e)] = coeff_at(t["coeff"], vt + "coeff")
+            central = coeff_at(b.get("central_coeff", "0"),
+                               at + "central_coeff")
+            if not data.get("central", False) and central:
                 raise SchemaViolation("vla.v1", at + "central_coeff",
                                       "central coefficient in a table "
                                       "that is not central")
-            brackets[key] = BrValue(terms, central)
+            terms[()] = central
+            brackets[key] = terms
         return VertexLieData(gens, brackets, ring=data.get("ring"),
                              central=data.get("central", False))
 
@@ -263,7 +238,7 @@ def check_sesquilinearity(L: VertexLieData) -> CheckReport:
                         "%s_(%d)%s exceeds the weight pole bound"
                         % (a.name, n, b.name)})
             continue
-        for (g, e), c in sorted(val.terms.items()):
+        for g, e in sorted(k for k in val if k):
             got = L.gens[g].weight + e
             if got != want:
                 bad.append({"pair": pair, "message":
@@ -274,7 +249,7 @@ def check_sesquilinearity(L: VertexLieData) -> CheckReport:
                 bad.append({"pair": pair, "message":
                             "%s_(%d)%s has a term of wrong parity"
                             % (a.name, n, b.name)})
-        if not val.central.is_zero():
+        if () in val:
             if want != 0:
                 bad.append({"pair": pair, "message":
                             "central part of %s_(%d)%s sits in weight %s"
@@ -296,18 +271,18 @@ def check_skew_symmetry(L: VertexLieData) -> CheckReport:
             sign_ab = (-1) ** (L.gens[ia].parity * L.gens[ib].parity)
             for n in range(bound + 1):
                 lhs = L.bracket(ia, 0, n, ib, 0)
-                rhs = ZERO_BR
+                rhs = {}
                 j = 0
                 while n + j <= bound:
                     term = L.bracket(ib, 0, n + j, ia, 0)
                     for _ in range(j):
-                        term = term.translate()
+                        term = _translate(term)
                     coeff = Fraction((-1) ** (n + j + 1) * sign_ab)
                     for f in range(1, j + 1):
                         coeff /= f
-                    rhs = rhs.add(term.scale(coeff))
+                    rhs = vec_add(rhs, vec_scale(term, coeff))
                     j += 1
-                if lhs.add(rhs.scale(-1)).is_zero():
+                if not vec_sub(lhs, rhs):
                     continue
                 bad.append({"pair": (L.gens[ia].name, L.gens[ib].name, n),
                             "message": "skew-symmetry fails for "
@@ -335,15 +310,15 @@ def check_jacobi(L: VertexLieData, cutoff=None) -> CheckReport:
                     for k in range(k_max + 1):
                         lhs = _act(L, ia, m, L.bracket(ib, 0, k, ic, 0))
                         rhs1 = _act(L, ib, k, L.bracket(ia, 0, m, ic, 0))
-                        rhs2 = ZERO_BR
+                        rhs2 = {}
                         for n in range(m + 1):
                             ab = L.bracket(ia, 0, n, ib, 0)
-                            rhs2 = rhs2.add(
-                                L.bracket_value(ab, m + k - n, ic, 0)
-                                .scale(binom(m, n)))
-                        diff = lhs.add(rhs1.scale(-sign_ab)) \
-                                  .add(rhs2.scale(-1))
-                        if not diff.is_zero():
+                            rhs2 = vec_add(rhs2, vec_scale(
+                                L.bracket_value(ab, m + k - n, ic, 0),
+                                binom(m, n)))
+                        diff = vec_sub(vec_add(lhs, vec_scale(rhs1, -sign_ab)),
+                                       rhs2)
+                        if diff:
                             bad.append({
                                 "witness": (L.gens[ia].name,
                                             L.gens[ib].name,
@@ -355,12 +330,18 @@ def check_jacobi(L: VertexLieData, cutoff=None) -> CheckReport:
     return CheckReport(bad)
 
 
-def _act(L, ia, m, val: BrValue) -> BrValue:
+def _act(L, ia, m, val: dict) -> dict:
     """a_(m) applied to a bracket value; the center is annihilated."""
-    out = ZERO_BR
-    for (g, e), s in val.terms.items():
-        out = out.add(L.bracket(ia, 0, m, g, e).scale(s))
+    out = {}
+    for key, s in val.items():
+        if key:
+            out = vec_add(out, vec_scale(L.bracket(ia, 0, m, *key), s))
     return out
+
+
+def _translate(val: dict) -> dict:
+    """Apply T: raise every derivative power; T kills the center."""
+    return {(k[0], k[1] + 1): c for k, c in val.items() if k}
 
 
 # -- builders ----------------------------------------------------------
@@ -378,13 +359,9 @@ def current_algebra(names, struct, kappa, level) -> VertexLieData:
     gens = [Gen(n, 1) for n in names]
     brackets = {}
     for (i, j), terms in struct.items():
-        val = {(k, 0): sc(c) for k, c in terms}
-        brackets[(i, j, 0)] = BrValue(val)
+        brackets[(i, j, 0)] = {(k, 0): c for k, c in terms}
     for (i, j), v in kappa.items():
-        v = sc(v) * level
-        if not v.is_zero():
-            brackets[(i, j, 1)] = brackets.get((i, j, 1), ZERO_BR).add(
-                BrValue({}, v))
+        brackets[(i, j, 1)] = {(): sc(v) * level}
     return VertexLieData(gens, brackets, ring=level.var, central=True)
 
 
@@ -413,9 +390,9 @@ def virasoro(central_charge) -> VertexLieData:
     c = sc(central_charge)
     gens = [Gen("l", 2)]
     brackets = {
-        (0, 0, 0): BrValue({(0, 1): ONE}),
-        (0, 0, 1): BrValue({(0, 0): sc(2)}),
-        (0, 0, 3): BrValue({}, c.scale(Fraction(1, 2))),
+        (0, 0, 0): {(0, 1): ONE},
+        (0, 0, 1): {(0, 0): sc(2)},
+        (0, 0, 3): {(): c.scale(Fraction(1, 2))},
     }
     return VertexLieData(gens, brackets, ring=c.var, central=True)
 
@@ -430,8 +407,8 @@ def weyl_pair(odd=False, names=("phi", "phi_star"), charges=(1, -1),
             Gen(names[1], 0, p, charges[1], ghosts[1])]
     minus = ONE if odd else sc(-1)
     brackets = {
-        (0, 1, 0): BrValue({}, ONE),
-        (1, 0, 0): BrValue({}, minus),
+        (0, 1, 0): {(): ONE},
+        (1, 0, 0): {(): minus},
     }
     return VertexLieData(gens, brackets, central=True)
 
@@ -450,10 +427,9 @@ def direct_sum(*parts) -> VertexLieData:
     for L in parts:
         gens.extend(L.gens)
         for (ia, ib, n), val in L.brackets.items():
-            shifted = BrValue({(g + offset, e): c
-                               for (g, e), c in val.terms.items()},
-                              val.central)
-            brackets[(ia + offset, ib + offset, n)] = shifted
+            brackets[(ia + offset, ib + offset, n)] = {
+                (k[0] + offset, k[1]) if k else (): c
+                for k, c in val.items()}
         offset += len(L.gens)
     return VertexLieData(gens, brackets, ring=ring, central=central)
 
@@ -481,8 +457,7 @@ def poisson_limit(L: VertexLieData) -> VertexLieData:
                     "%s = 0" % (names[0], n, names[1], var))
             return s.div_exact(h).subs(0)
 
-        terms = {k: reduce(v) for k, v in val.terms.items()}
-        brackets[(ia, ib, n)] = BrValue(terms, reduce(val.central))
+        brackets[(ia, ib, n)] = {k: reduce(v) for k, v in val.items()}
     gens = [Gen(g.name, g.weight, g.parity, g.charge, g.ghost)
             for g in L.gens]
     return VertexLieData(gens, brackets, ring=None, central=L.central)

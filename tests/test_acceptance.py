@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from opelab.scalars import Scalar, ZERO, ONE, sc, sc_gcd, format_scalar
-from opelab.vla import (Gen, BrValue, VertexLieData, current_algebra,
+from opelab.vla import (Gen, VertexLieData, current_algebra,
                         heisenberg, kac_moody_sl2, virasoro, weyl_pair,
                         check_jacobi, check_sesquilinearity,
                         check_skew_symmetry, SL2_KAPPA)
@@ -160,7 +160,7 @@ def test_envelope_axioms(name, build):
 
 def test_inhomogeneous_bracket_caught_with_witness():
     L = VertexLieData([Gen("x", 1)],
-                      {(0, 0, 0): BrValue({(0, 1): ONE})})
+                      {(0, 0, 0): {(0, 1): ONE}})
     rep = check_sesquilinearity(L)
     assert not rep.ok
     assert "weight" in rep.violations[0]["message"]
@@ -168,7 +168,7 @@ def test_inhomogeneous_bracket_caught_with_witness():
 
 def test_broken_skew_symmetry_caught_with_witness():
     L = VertexLieData([Gen("b", 1)],
-                      {(0, 0, 0): BrValue({(0, 0): ONE})})
+                      {(0, 0, 0): {(0, 0): ONE}})
     assert check_sesquilinearity(L).ok
     rep = check_skew_symmetry(L)
     assert not rep.ok

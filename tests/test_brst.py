@@ -805,8 +805,10 @@ def test_current_term_is_refused_exactly_when_it_breaks_a_grading(draw):
     derivatives: one generator, then up to 18 weight-0 generators, in a
     drawn order.  The file is refused with exit 2 at that term exactly
     when the term has a weight other than 1, more than 16 factors, or,
-    under a charge window, a charge other than that of the ghost psi_a;
-    either way with no traceback."""
+    under a charge window, a charge other than that of the ghost psi_a.
+    Otherwise a file without its charge window is refused with exit 2 at
+    its first weight-0 even matter generator, whose powers make the
+    weight blocks infinite-dimensional.  Either way with no traceback."""
     draw = draw.draw
     if draw(st.booleans()):
         data = bg_gl1_datum(cutoff=1).to_dict()
@@ -842,6 +844,13 @@ def test_current_term_is_refused_exactly_when_it_breaks_a_grading(draw):
         assert err.startswith("error: brst.v1: current %s has a term "
                               % row["gen"])
         assert err.endswith(" at /currents/%d/terms/%d\n" % (r, k))
+    elif "charge_window" not in data:
+        first = min(k for k, g in enumerate(data["matter"]["generators"])
+                    if g["weight"] == 0 and g.get("parity", 0) == 0)
+        assert code == 2 and out == ""
+        assert err.startswith("error: brst.v1: weight blocks are "
+                              "infinite-dimensional (weight-0 even ")
+        assert err.endswith(" at /matter/generators/%d\n" % first)
     else:
         assert code in (0, 1)
         assert "/currents/" not in err

@@ -9,13 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from opelab.brst import abelian_datum, bg_gl1_datum
+from opelab.brst import abelian_datum, bg_gl1_datum, wakimoto_datum
 from opelab.cli import MAX_ENVELOPE_STATES, main
 from opelab.equivariant import p1_fixed_points, p1_rotation
 from opelab.operads import sl2_lie
 from opelab.presets import fixture_path
 from opelab.scalars import MAX_EXPONENT
-from opelab.vla import BrValue, Gen, VertexLieData, virasoro
+from opelab.scalars import Scalar
+from opelab.vla import (Gen, VertexLieData, kac_moody_sl2, virasoro,
+                        weyl_pair)
 
 
 def run(capsys, *argv):
@@ -357,9 +359,40 @@ def _not_vertex_lie(check):
     data = abelian_datum(0).to_dict()
     data["matter"] = VertexLieData(
         [Gen("b", 1), Gen("y", 1), Gen("z", 1)],
-        {(0, 1, 0): BrValue({(1, 0): 1}), (1, 0, 0): BrValue({(1, 0): -1}),
-         (1, 2, 0): BrValue({(0, 0): 1}), (2, 1, 0): BrValue({(0, 0): -1})},
+        {(0, 1, 0): {(1, 0): 1}, (1, 0, 0): {(1, 0): -1},
+         (1, 2, 0): {(0, 0): 1}, (2, 1, 0): {(0, 0): -1}},
         central=True).to_dict()
+    return data
+
+
+def _infinite_blocks(kind):
+    """Files whose blocks are infinite-dimensional: the gl_1 datum with
+    no charge window (``"no-window"``) or with charge 0 on both matter
+    generators (``"zero-charges"``), or the vla.v1 beta-gamma pair with
+    charges (1, 0) (``"vla"``)."""
+    if kind == "vla":
+        return weyl_pair(odd=False, charges=(1, 0)).to_dict()
+    data = bg_gl1_datum().to_dict()
+    if kind == "no-window":
+        del data["charge_window"]
+    else:
+        for g in data["matter"]["generators"]:
+            g["charge"] = 0
+    return data
+
+
+def _two_variables(fmt):
+    """The sl2 table at level c with its e_(1)f central part in zz, as a
+    vla.v1 file, or the Wakimoto datum at level t with its b_(1)b central
+    part in zz, as a brst.v1 file."""
+    if fmt == "brst.v1":
+        data = wakimoto_datum("t", cutoff=1).to_dict()
+        table = data["matter"]
+    else:
+        data = table = kac_moody_sl2(Scalar.variable("c")).to_dict()
+    entry = table["brackets"][2]
+    assert "central_coeff" in entry
+    entry["central_coeff"] = "zz"
     return data
 
 
@@ -517,6 +550,27 @@ HOSTILE = [
     (["brst", "--cutoff", "1", "--cohomology"], _bad_gl1("charge"),
      "brst.v1: current x has a term phi of charge 1, expected 0 at "
      "/currents/0/terms/0\n"),
+    (["brst", "--cutoff", "0"], _infinite_blocks("no-window"),
+     "error: brst.v1: weight blocks are infinite-dimensional (weight-0 "
+     "even generators: phi_star); give a charge_window at "
+     "/matter/generators/1\n"),
+    (["brst", "--cutoff", "0"], _infinite_blocks("zero-charges"),
+     "error: brst.v1: weight-0 even generators with mixed or zero charges "
+     "make charge blocks infinite-dimensional at /matter/generators/1\n"),
+    (["envelope-dims", "--charge", "1", "--cutoff", "2"],
+     _infinite_blocks("vla"),
+     "error: weight-0 even generators with mixed or zero charges make "
+     "charge blocks infinite-dimensional\n"),
+    (["vla-check"], _two_variables("vla.v1"),
+     "error: vla.v1: coefficient 'zz' is a polynomial in 'zz', but the "
+     "table is over 'c' at /brackets/2/central_coeff\n"),
+    (["ope", "--a", "e", "--b", "f"], _two_variables("vla.v1"),
+     "/brackets/2/central_coeff\n"),
+    (["envelope-dims", "--cutoff", "2"], _two_variables("vla.v1"),
+     "/brackets/2/central_coeff\n"),
+    (["brst", "--cutoff", "0"], _two_variables("brst.v1"),
+     "error: brst.v1: coefficient 'zz' is a polynomial in 'zz', but the "
+     "table is over 't' at /matter/brackets/2/central_coeff\n"),
 ]
 
 
@@ -561,7 +615,10 @@ HOSTILE = [
     "brst-current-of-weight-2", "vla-negative-weight",
     "localize-map-entry-in-u", "localize-map-entry-in-t",
     "brst-current-of-17-factors", "brst-current-of-1001-factors",
-    "brst-current-of-wrong-charge"])
+    "brst-current-of-wrong-charge", "brst-no-window-for-weight-0-matter",
+    "brst-weight-0-matter-of-charge-0", "envelope-dims-mixed-zero-charges",
+    "vla-check-two-variables", "ope-two-variables",
+    "envelope-dims-two-variables", "brst-matter-in-two-variables"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

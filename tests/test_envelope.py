@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from opelab.scalars import Scalar, ONE, sc, falling
-from opelab.vla import (Gen, BrValue, VertexLieData, current_algebra,
+from opelab.vla import (Gen, VertexLieData, current_algebra,
                         heisenberg, kac_moody_sl2, virasoro, weyl_pair,
                         direct_sum, SL2_KAPPA)
 from opelab.envelope import VertexAlgebra, _acc
@@ -451,7 +451,7 @@ def _fraction_alive(V, ma, n, mb):
 
 def _free_fermion():
     return VertexLieData([Gen("psi", Fraction(1, 2), 1)],
-                         {(0, 0, 0): BrValue({}, ONE)}, central=True)
+                         {(0, 0, 0): {(): ONE}}, central=True)
 
 
 @pytest.mark.parametrize("V, weights, charges", [
