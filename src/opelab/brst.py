@@ -40,7 +40,9 @@ from .vla import (Gen, VertexLieData, CheckReport, check_jacobi,
                   check_skew_symmetry, direct_sum, heisenberg, weyl_pair,
                   SL2_STRUCT)
 from .envelope import VertexAlgebra, infinite_block_cause
-from .linalg import Matrix, q_rank, vec_add, vec_scale
+from .linalg import (BasisToken, FiniteComplex, Matrix, vec_add,
+                     vec_scale)
+from .schemas import SchemaViolation, escape, name_index, nested, scalar_at
 
 
 def build_ghosts(names, charges=None) -> VertexLieData:
@@ -244,21 +246,26 @@ class BRSTDatum:
     def ghost_range(self, w, q):
         return sorted({self.V.ghost(m) for m in self.V.basis(w, q)})
 
-    def d_matrix(self, w, q, g):
+    def d_matrix(self, w, q, g=None):
         """Matrix of d from ghost number g to g + 1 inside the (w, q)
-        block, with the source and target bases."""
-        src = self.block(w, q, g)
-        tgt = self.block(w, q, g + 1)
-        pos = {m: i for i, m in enumerate(tgt)}
+        block, or on the whole block, its basis in order of ghost number,
+        when g is None; with the source and target bases."""
+        if g is None:
+            src = tgt = sorted(self.block(w, q), key=self.V.ghost)
+        else:
+            src, tgt = self.block(w, q, g), self.block(w, q, g + 1)
+        pos = {m: (i, self.V.ghost(m)) for i, m in enumerate(tgt)}
         d = self.differential()
         entries = {}
         for j, mono in enumerate(src):
+            gm = self.V.ghost(mono)
             for m2, c in d({mono: ONE}).items():
-                if m2 not in pos:
+                i, gt = pos.get(m2, (None, None))
+                if gt != gm + 1:
                     raise ValueError(
                         "d leaves the (weight %s, ghost %d) block on %s"
-                        % (w, g, self.V.format_mono(mono)))
-                entries[(pos[m2], j)] = c
+                        % (w, gm, self.V.format_mono(mono)))
+                entries[(i, j)] = c
         return Matrix(len(tgt), len(src), entries), src, tgt
 
     # -- checks ------------------------------------------------------------
@@ -338,25 +345,20 @@ class BRSTDatum:
 
     def brst_cohomology(self, W):
         """{(weight, charge, ghost): dim H} for the blocks with nonzero
-        cohomology through weight W, read off ranks over Q:
-        dim H^g = n_g - rank d_g - rank d_(g-1).  Refuses, naming the
-        first witness, when d^2 != 0 somewhere in range."""
+        cohomology through weight W, counted off the classes of each
+        (weight, charge) block as a ``FiniteComplex`` over Q graded by
+        ghost number.  Refuses, naming the first witness, when d^2 != 0
+        somewhere in range, so the blocks need no d^2 check of their own."""
         bad = self.first_d_squared_violation(W)
         if bad is not None:
             raise ValueError("cohomology refused: %s" % bad["message"])
         out = {}
         for w in range(W + 1):
             for q in self.charges():
-                # rank of d_(g-1): the rank taken last, or 0 when g - 1
-                # holds no states (the last d then maps into an empty block)
-                incoming = 0
-                for g in self.ghost_range(w, q):
-                    dg, _, _ = self.d_matrix(w, q, g)
-                    rank = q_rank(dg)
-                    dim = dg.ncols - rank - incoming
-                    if dim:
-                        out[(w, q, g)] = dim
-                    incoming = rank
+                D, basis, _ = self.d_matrix(w, q)
+                tokens = [BasisToken(m, self.V.ghost(m)) for m in basis]
+                for c in FiniteComplex._square_zero(tokens, D).cohomology():
+                    out[(w, q, c.degree)] = out.get((w, q, c.degree), 0) + 1
         return out
 
     def cohomology_dims(self, W):
@@ -424,9 +426,6 @@ class BRSTDatum:
 
     @classmethod
     def from_dict(cls, data) -> "BRSTDatum":
-        # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import (SchemaViolation, escape, name_index, nested,
-                              scalar_at)
         matter = nested("brst.v1", data, "matter", VertexLieData.from_dict)
         names = list(data["basis"])
         basis_index = name_index(names, "basis element", "brst.v1",

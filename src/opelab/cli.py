@@ -17,7 +17,7 @@ from . import presets
 from .brst import BRSTDatum
 from .envelope import VertexAlgebra, infinite_block_cause
 from .equivariant import (MixedComplex, cartan_candidates, cartan_model,
-                          koszul_t, localize_check)
+                          degree_violation, koszul_t, localize_check)
 from .operads import AlgebraInstance, check_relations, conf_ring, \
     homology_p_d_bridge
 from .scalars import Scalar, format_scalar
@@ -454,10 +454,14 @@ def do_localize(args):
         for zn, col in data.get("map", {}).items():
             at = "/map/" + escape(zn)
             z = fixed(zn, at)  # a column is refused before its targets
-            iota[z] = {
-                total(xn, at + "/" + escape(xn)):
-                rational_at(c, "localize", at + "/" + escape(xn))
-                for xn, c in col.items()}
+            iota[z] = {}
+            for xn, c in col.items():
+                at_x = at + "/" + escape(xn)
+                x = total(xn, at_x)
+                c = iota[z][x] = rational_at(c, "localize", at_x)
+                bad = degree_violation("map", 0, NZ.tokens[z], NX.tokens[x])
+                if c and bad is not None:
+                    raise SchemaViolation("localize", at_x, bad)
         invert = [scalar_at(f, "localize", "/invert/%d" % k)
                   for k, f in enumerate(data.get("invert", ["u"]))]
         for k, f in enumerate(invert):

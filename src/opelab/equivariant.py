@@ -31,6 +31,16 @@ import itertools
 from .scalars import Scalar, ONE, sc, sc_gcd, format_scalar
 from .linalg import (Matrix, BasisToken, FiniteComplex, smith,
                      smith_factors, smith_solve, presentation)
+from .schemas import SchemaViolation, escape, name_index, rational_at
+
+
+def degree_violation(name, shift, src, tgt):
+    """The refusal of an entry of the map ``name`` from token src to
+    token tgt that does not raise the degree by shift, or None."""
+    if tgt.degree != src.degree + shift:
+        return ("%s is not of degree %s: %r -> %r"
+                % (name, "%+d" % shift if shift else "0", src, tgt))
+    return None
 
 
 def _check_degree(op: Matrix, shift, name, src, tgt):
@@ -40,10 +50,9 @@ def _check_degree(op: Matrix, shift, name, src, tgt):
     for (i, j), v in op.data.items():
         if not v.is_const():
             raise ValueError("%s has a polynomial entry" % name)
-        if tgt[i].degree != src[j].degree + shift:
-            raise ValueError("%s is not of degree %s: %r -> %r"
-                             % (name, "%+d" % shift if shift else "0",
-                                src[j], tgt[i]))
+        bad = degree_violation(name, shift, src[j], tgt[i])
+        if bad is not None:
+            raise ValueError(bad)
 
 
 def _check_zero(M: Matrix, what, src, tgt):
@@ -103,24 +112,30 @@ class MixedComplex:
 
     @staticmethod
     def from_dict(data) -> "MixedComplex":
-        # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import escape, name_index, rational_at
         tokens = [BasisToken(t["name"], t["degree"])
                   for t in data["tokens"]]
         token_index = name_index([t.name for t in tokens], "token",
                                  "mixed.v1", "/tokens/%d/name")
 
-        def rd(op, at):
+        def rd(op, at, name, shift):
+            # a nonzero entry of the wrong degree is refused at its
+            # pointer, with the text the constructor would raise
             out = {}
             for j, col in op.items():
                 at_j = at + "/" + escape(j)
-                out[token_index(j, at_j)] = {
-                    token_index(i, at_j + "/" + escape(i)):
-                    rational_at(v, "mixed.v1", at_j + "/" + escape(i))
-                    for i, v in col.items()}
+                src = token_index(j, at_j)
+                out[src] = {}
+                for i, v in col.items():
+                    at_i = at_j + "/" + escape(i)
+                    tgt = token_index(i, at_i)
+                    c = out[src][tgt] = rational_at(v, "mixed.v1", at_i)
+                    bad = degree_violation(name, shift, tokens[src],
+                                           tokens[tgt])
+                    if c and bad is not None:
+                        raise SchemaViolation("mixed.v1", at_i, bad)
             return out
-        return MixedComplex(tokens, rd(data.get("d", {}), "/d"),
-                            [rd(h, "/h/%d" % a)
+        return MixedComplex(tokens, rd(data.get("d", {}), "/d", "d", 1),
+                            [rd(h, "/h/%d" % a, "h_%d" % (a + 1), -1)
                              for a, h in enumerate(data.get("h", []))])
 
 
@@ -194,29 +209,14 @@ class UComplex:
 
 def _module_invariants(D: Matrix):
     """H = ker D / im D of a square-zero n x n matrix over Q[u], as free
-    rank plus torsion invariant factors, read off one Smith form of D
-    with no transforms.
+    rank plus torsion invariant factors, read off ``smith_factors`` of D.
 
     Over a PID, Q[u]^n / ker D is isomorphic to im D, which is free, so
     0 -> H -> coker D -> Q[u]^n / ker D -> 0 splits: the torsion of H is
     the torsion of coker D, the invariant factors of D of positive
-    degree, and rank H = n - 2 rank D.
-
-    H is the direct sum of the H of the blocks of D.  Their free ranks
-    add, and their torsion factors are merged into one divisibility
-    chain by a Smith form of the diagonal matrix they form: a D that is
-    not graded can give blocks with torsion u and u + 1, whose sum has
-    the single factor u^2 + u."""
-    free, tors = D.nrows, []
-    for _, B in D.blocks():
-        rank, factors = smith_factors(B)
-        free -= 2 * rank
-        tors += _torsion(factors)
-    if len(tors) > 1:
-        n = len(tors)
-        tors = _torsion(smith_factors(
-            Matrix(n, n, {(k, k): f for k, f in enumerate(tors)}))[1])
-    return free, tors
+    degree, and rank H = n - 2 rank D."""
+    rank, factors = smith_factors(D)
+    return D.nrows - 2 * rank, _torsion(factors)
 
 
 def _torsion(factors):

@@ -9,9 +9,7 @@ complexes, mixed-complex operators and chain maps all store one.
   denominators, and a pivot is cleared from the unused rows by integer
   row operations that keep each row free of a common factor.  ``rref``
   adds a back-substitution and divides each pivot row by its pivot at
-  the end, which gives the unique reduced row echelon form; ``q_rank``
-  is the pivot count, which is all ``brst`` needs: it takes
-  dim H^g = n_g - rank d_g - rank d_(g-1) block by block;
+  the end, which gives the unique reduced row echelon form;
   ``solve_and_rank`` also gives the kernel and image of a matrix,
   and ``quotient_reps`` representatives of one span modulo another;
 - Over Q[var], ``smith`` does the elimination on a homogeneous matrix:
@@ -28,14 +26,15 @@ complexes, mixed-complex operators and chain maps all store one.
   each pivot pairs a basis element that is not a cocycle with one that
   spans a torsion class (none when the factor is a unit), as in the
   persistence algorithm (Zomorodian and Carlsson, 2005), and the basis
-  elements no pivot takes give the free classes.
+  elements no pivot takes give the free classes; ``brst`` reads its
+  classes the same way.
 
 Two things keep the Smith forms small and cheap:
 
-- ``Matrix.blocks`` splits a square matrix into the direct summands read
-  off the connected components of its support, and cohomology over
-  Q[var] is taken one summand at a time (a Cartan model falls apart by
-  the multidegree of its forms);
+- ``_components`` walks the support of a matrix once, and cohomology
+  and ``smith_factors`` eliminate one connected component at a time (a
+  Cartan model falls apart by the multidegree of its forms, and no
+  component of a differential joins d_g to d_(g+1));
 - a matrix whose entries are monomials c*u^(cw[j] - rw[i]) for some row
   and column weights (every homogeneous differential is one) is reduced
   by ``_forward`` on its coefficients, columns in increasing cw, as in
@@ -163,37 +162,6 @@ class Matrix:
 
     def column(self, j) -> dict:
         return {i: v for (i, jj), v in self.data.items() if jj == j}
-
-    def blocks(self):
-        """The direct summands of a square matrix, as [(indices, block)]:
-        one per connected component of its support, where an index with
-        no entry is a component of its own.  Components come in order of
-        their smallest index with their indices ascending, and ``block``
-        is the principal submatrix on ``indices``."""
-        if self.nrows != self.ncols:
-            raise ValueError("direct summands need a square matrix")
-        root = list(range(self.nrows))
-
-        def find(i):
-            while root[i] != i:
-                root[i] = i = root[root[i]]
-            return i
-
-        for i, j in self.data:
-            a, b = find(i), find(j)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-        groups, pos = {}, {}
-        for i in range(self.nrows):
-            root[i] = find(i)
-            idx = groups.setdefault(root[i], [])
-            pos[i] = len(idx)
-            idx.append(i)
-        entries = {r: {} for r in groups}
-        for (i, j), v in self.data.items():
-            entries[root[i]][(pos[i], pos[j])] = v
-        return [(idx, Matrix(len(idx), len(idx), entries[r]))
-                for r, idx in groups.items()]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
@@ -357,12 +325,6 @@ def solve_and_rank(M: Matrix):
     return rank, kernel, image
 
 
-def q_rank(M: Matrix) -> int:
-    """Rank of a matrix over Q: the pivot count of ``_forward``."""
-    rows = list(map(_primitive, _to_frac_rows(M)))
-    return len(_forward(rows, range(M.ncols)))
-
-
 def q_solve(M: Matrix, b: dict):
     """One solution of M x = b over Q, or None."""
     rows = _to_frac_rows(M)
@@ -487,59 +449,98 @@ def smith(M: Matrix) -> SmithResult:
 
 
 def smith_factors(M: Matrix):
-    """(rank, monic invariant factors) of any M over Q[var]: by the
-    graded elimination with no transforms when M is homogeneous, by the
-    general polynomial elimination ``_smith_general`` otherwise."""
-    grading = _grading(M)
-    if grading is None:
-        return _smith_general(M)
-    pivots = _smith_graded(M, *grading, transforms=False)
-    return len(pivots), [Scalar.monomial(1, e, grading[2])
-                         for _, _, e in pivots]
+    """(rank, monic invariant factors) of any M over Q[var], one
+    component of its support at a time: by the graded elimination with
+    no transforms on a homogeneous one, by ``_smith_general`` on any
+    other.  Ranks add, and monomial factors merge by degree; when a
+    component took the general route, one ``_smith_general`` of the
+    diagonal of all nonunit factors merges them (torsion u and u + 1 of
+    two components is the one factor u^2 + u of their sum)."""
+    rank, tors, general = 0, [], False
+    for _, _, B, grading in _components(M):
+        if grading is None:
+            r, factors = _smith_general(B)
+            general = True
+        else:
+            pivots = _smith_graded(B, *grading, transforms=False)
+            r, var = len(pivots), grading[2]
+            factors = [Scalar.monomial(1, e, var) for _, _, e in pivots]
+        rank += r
+        tors += [f for f in factors if f.degree() > 0]
+    if general and len(tors) > 1:
+        n = len(tors)
+        tors = _smith_general(Matrix(n, n, {(k, k): f
+                                            for k, f in enumerate(tors)}))[1]
+    return rank, [ONE] * (rank - len(tors)) + sorted(tors, key=Scalar.degree)
+
+
+def _components(M: Matrix):
+    """The connected components of the support of M, where entry (i, j)
+    joins row i to column j, in order of their first row, as (rows,
+    cols, block, grading): rows and cols ascending, block the submatrix
+    on them, and grading (rw, cw, var), 0 on the first row, such that
+    each entry (a, b) of block is a monomial c*var^(cw[b] - rw[a]), or
+    None when there are no such weights.  A row or column with no entry
+    is in no component.  M has one variable, the first that its entries
+    show: a component with an entry in another is not graded."""
+    var, by_row, by_col, bad = None, {}, {}, set()
+    for (i, j), v in M.data.items():
+        cs = v.coeffs
+        var = var or v.var
+        if any(cs[:-1]) or v.var not in (None, var):
+            bad.add(i)
+        by_row.setdefault(i, []).append((j, len(cs) - 1))
+        by_col.setdefault(j, []).append((i, len(cs) - 1))
+    rw, cw, out = {}, {}, []
+    for first in sorted(by_row):
+        if first in rw:
+            continue
+        rw[first] = 0
+        rows, cols, todo, graded = [first], [], [first], True
+        while todo:
+            i = todo.pop()
+            graded = graded and i not in bad
+            for j, e in by_row[i]:
+                w = rw[i] + e
+                if j in cw:
+                    graded = graded and cw[j] == w
+                    continue
+                cw[j] = w
+                cols.append(j)
+                for k, f in by_col[j]:
+                    if k not in rw:
+                        rw[k] = w - f
+                        rows.append(k)
+                        todo.append(k)
+        rows.sort()
+        cols.sort()
+        block = M
+        if len(rows) < M.nrows or len(cols) < M.ncols:
+            rpos = {i: a for a, i in enumerate(rows)}
+            cpos = {j: b for b, j in enumerate(cols)}
+            block = Matrix(len(rows), len(cols), {
+                (rpos[i], cpos[j]): M.data[(i, j)]
+                for i in rows for j, _ in by_row[i]})
+        out.append((rows, cols, block, ([rw[i] for i in rows],
+                                        [cw[j] for j in cols], var)
+                    if graded else None))
+    return out
 
 
 def _grading(M: Matrix):
     """(rw, cw, var) such that every entry (i, j) of M is a monomial
-    c*var^(cw[j] - rw[i]), or None when there are no such weights.
-
-    One traversal of the bipartite support graph fixes the weights, at 0
-    on the first row of each component; rows and columns without entries
-    get weight 0."""
-    var = None
-    by_row, by_col = {}, {}
-    for (i, j), v in M.data.items():
-        cs = v.coeffs
-        if any(cs[:-1]):
+    c*var^(cw[j] - rw[i]), or None when there are no such weights: those
+    of the components of M, and 0 on rows and columns with no entry."""
+    rw, cw, var = [0] * M.nrows, [0] * M.ncols, None
+    for rows, cols, _, grading in _components(M):
+        if grading is None:
             return None
-        if v.var is not None and v.var != var:
-            if var is not None:
-                return None
-            var = v.var
-        by_row.setdefault(i, []).append((j, len(cs) - 1))
-        by_col.setdefault(j, []).append((i, len(cs) - 1))
-    rw, cw = {}, {}
-    for first in by_row:
-        if first in rw:
-            continue
-        rw[first] = 0
-        todo = [first]
-        while todo:
-            i = todo.pop()
-            for j, e in by_row[i]:
-                w = rw[i] + e
-                if j in cw:
-                    if cw[j] != w:
-                        return None
-                    continue
-                cw[j] = w
-                for k, f in by_col[j]:
-                    if k not in rw:
-                        rw[k] = w - f
-                        todo.append(k)
-                    elif rw[k] != w - f:
-                        return None
-    return ([rw.get(i, 0) for i in range(M.nrows)],
-            [cw.get(j, 0) for j in range(M.ncols)], var)
+        brw, bcw, var = grading
+        for i, w in zip(rows, brw):
+            rw[i] = w
+        for j, w in zip(cols, bcw):
+            cw[j] = w
+    return rw, cw, var
 
 
 def _axpy(x: dict, y: dict, a):
@@ -795,7 +796,8 @@ class FiniteComplex:
             dj = self.tokens[j].degree
             if self.var is None:
                 if not v.is_const():
-                    raise ValueError("polynomial entry in a Q complex")
+                    raise ValueError("rational elimination on polynomial "
+                                     "entries; use smith() instead")
                 if di != dj + 1:
                     raise ValueError(
                         "differential not of degree +1: %r -> %r"
@@ -834,30 +836,31 @@ class FiniteComplex:
         space over Q when var is None, sorted by degree, free classes
         first, then by annihilator.
 
-        H of a direct sum is the sum of the H of its summands, so the
-        classes are read one block of D at a time, off the pivots
-        (p, q, e) of the graded elimination with no transforms.  A pivot
-        pairs a basis vector of degree deg q with one of degree deg p =
+        The classes are read off the pivots (p, q, e) of the graded
+        elimination with no transforms, one component of the support of
+        D at a time: a direct summand of D is a union of components, and
+        the columns of two components share no row, so each component
+        takes the pivots it takes in the whole matrix.  A pivot pairs a
+        basis vector of degree deg q with one of degree deg p =
         deg q + 1 - 2e, which D reaches times var^e: the first is not a
         cocycle, and the second spans a torsion class var^e kills, none
         when e = 0 (always over Q).  The saturated image is a direct
         summand of the kernel, so what is left is free, one class for
         each token degree that no pivot takes."""
+        degree = [t.degree for t in self.tokens]
+        free = Counter(degree)
         found = []      # (degree, exponent of the annihilator or 0 if free)
-        for idx, B in self.D.blocks():
-            grading = _grading(B)
+        for rows, cols, B, grading in _components(self.D):
             if grading is None:
-                raise AssertionError("a block of the differential is not "
-                                     "homogeneous")
-            degree = [self.tokens[k].degree for k in idx]
-            free = Counter(degree)
+                raise AssertionError("a component of the differential is "
+                                     "not homogeneous")
             for p, q, e in _smith_graded(B, *grading, transforms=False):
-                free[degree[p]] -= 1
-                free[degree[q]] -= 1
+                free[degree[rows[p]]] -= 1
+                free[degree[cols[q]]] -= 1
                 if e:
-                    found.append((degree[p], e))
-            if any(k < 0 for k in free.values()):
-                raise AssertionError("more pivots than tokens in a degree")
-            found += [(g, 0) for g in free.elements()]
+                    found.append((degree[rows[p]], e))
+        if any(k < 0 for k in free.values()):
+            raise AssertionError("more pivots than tokens in a degree")
+        found += [(g, 0) for g in free.elements()]
         return [CohomologyClass(g, Scalar.monomial(1, e, self.var) if e
                                 else None) for g, e in sorted(found)]

@@ -38,6 +38,7 @@ import itertools
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 from .linalg import span_rank
+from .schemas import SchemaViolation, escape, name_index, scalar_at
 
 HBAR = Scalar.variable("hbar")
 
@@ -204,8 +205,6 @@ class AlgebraInstance:
 
     @staticmethod
     def from_dict(data):
-        # imported here for the reason given in VertexLieData.from_dict
-        from .schemas import SchemaViolation, escape, name_index, scalar_at
         names = [b["name"] for b in data["basis"]]
         index = name_index(names, "basis element", "alg.v1",
                            "/basis/%d/name")

@@ -5,8 +5,6 @@ Scalar entries appear as strings in the ``format_scalar`` grammar (or
 bare integers); table objects map basis-element names to sparse columns.
 """
 
-import jsonschema
-
 from .scalars import parse_scalar
 
 _SCALAR = {"type": ["string", "integer"]}
@@ -311,7 +309,11 @@ def rational_at(value, schema_name, pointer):
 
 def validate(data, schema_name):
     """Check data against the named schema; raise SchemaViolation with a
-    JSON-pointer path to the first offending spot."""
+    JSON-pointer path to the first offending spot.  ``jsonschema`` is
+    imported here, on the first validation: loaded before the other
+    opelab modules, it raises the peak RSS of a command-line run by
+    ~2 MiB, and a run that validates no file never needs it."""
+    import jsonschema
     if schema_name not in SCHEMAS:
         raise ValueError("unknown schema %r" % schema_name)
     validator = jsonschema.Draft202012Validator(SCHEMAS[schema_name])

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 from .linalg import vec_add, vec_scale, vec_sub
+from .schemas import SchemaViolation, name_index, scalar_at
 
 
 class Gen:
@@ -128,9 +129,6 @@ class VertexLieData:
 
     @staticmethod
     def from_dict(data) -> "VertexLieData":
-        # imported here: loading jsonschema before the other opelab
-        # modules raises the peak RSS of a command-line run by ~2 MiB
-        from .schemas import SchemaViolation, name_index, scalar_at
         gens = []
         for k, g in enumerate(data["generators"]):
             try:

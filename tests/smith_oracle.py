@@ -8,7 +8,14 @@ homogeneous too.
 
 ``graded_cohomology`` is the reference cohomology over Q: it builds a
 representative of every class from the kernels and images of the
-blocks, where the library reads dimensions off ranks or pivots.
+blocks, where the library reads dimensions off pivots.
+``rank_cohomology`` is the route ``brst`` took before it read its
+classes off ``FiniteComplex.cohomology``: dim H^g = n_g - rank d_g -
+rank d_(g-1) block by block.
+
+``direct_summands`` is the split of a square matrix by union-find over
+its indices that ``Matrix.blocks`` did before ``linalg._components``
+walked the support as a bipartite graph.
 
 ``gauss_jordan_rref`` and ``min_search_pivots`` are the two eliminations
 that ``opelab.linalg._forward`` replaced: Gauss-Jordan on integer rows,
@@ -247,12 +254,62 @@ def min_search_pivots(M: Matrix, rw, cw):
     return pivots
 
 
+def rank_cohomology(datum, W):
+    """{(weight, charge, ghost): dim H} of a ``BRSTDatum`` through weight
+    W with d^2 = 0, from ranks over Q: dim H^g = n_g - rank d_g -
+    rank d_(g-1), with rank d_(g-1) = 0 when g - 1 holds no states."""
+    out = {}
+    for w in range(W + 1):
+        for q in datum.charges():
+            incoming = 0
+            for g in datum.ghost_range(w, q):
+                dg, _, _ = datum.d_matrix(w, q, g)
+                rank = solve_and_rank(dg)[0]
+                dim = dg.ncols - rank - incoming
+                if dim:
+                    out[(w, q, g)] = dim
+                incoming = rank
+    return out
+
+
+def direct_summands(D: Matrix):
+    """The direct summands of a square matrix, as [(indices, block)]:
+    one per connected component of its support, where index i stands
+    for row i and column i alike and an index with no entry is a
+    component of its own.  Components come in order of their smallest
+    index with their indices ascending, and ``block`` is the principal
+    submatrix on ``indices``."""
+    assert D.nrows == D.ncols
+    root = list(range(D.nrows))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for i, j in D.data:
+        a, b = find(i), find(j)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    groups, pos = {}, {}
+    for i in range(D.nrows):
+        root[i] = find(i)
+        idx = groups.setdefault(root[i], [])
+        pos[i] = len(idx)
+        idx.append(i)
+    entries = {r: {} for r in groups}
+    for (i, j), v in D.data.items():
+        entries[root[i]][(pos[i], pos[j])] = v
+    return [(idx, Matrix(len(idx), len(idx), entries[r]))
+            for r, idx in groups.items()]
+
+
 def oracle_classes(C):
     """(degree, exponent e of the annihilator u^e, 0 when free) of every
     class of a ``FiniteComplex``, sorted, read off ``min_search_pivots``
-    one block of its differential at a time."""
+    one direct summand of its differential at a time."""
     found = []
-    for idx, B in C.D.blocks():
+    for idx, B in direct_summands(C.D):
         degree = [C.tokens[k].degree for k in idx]
         free = Counter(degree)
         for p, q, e in min_search_pivots(B, *_grading(B)[:2]):

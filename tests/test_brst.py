@@ -29,7 +29,7 @@ from opelab.brst import (build_ghosts, ghost_current_words, word_state,
                          BRSTDatum, abelian_datum, pure_ghost_datum,
                          bg_gl1_datum, bg_fundamental_sl2_datum,
                          wakimoto_datum, SL2_FUND)
-from smith_oracle import graded_cohomology
+from smith_oracle import graded_cohomology, rank_cohomology
 
 
 # -- oracles ---------------------------------------------------------------
@@ -549,6 +549,60 @@ def test_cohomology_ranks_match_the_representative_oracle(build, W):
             want.update({(w, q, g): len(reps) for g, reps in H.items()
                          if reps})
     assert D.brst_cohomology(W) == want
+
+
+@st.composite
+def closed_datums(draw):
+    """(datum, W): an abelian brst.v1 file of rank 1-2 at level 0, the
+    gl_1 datum under a drawn charge window, or pure ghosts, each at a
+    cutoff of 2-5 with W up to it."""
+    kind = draw(st.sampled_from(["abelian", "bg-gl1", "pure-ghost"]))
+    cutoff = draw(st.integers(2, 5))
+    if kind == "abelian":
+        D = BRSTDatum.from_dict(abelian_datum(
+            0, draw(st.integers(1, 2)), cutoff).to_dict())
+    elif kind == "bg-gl1":
+        lo = draw(st.integers(-6, 0))
+        D = bg_gl1_datum(cutoff=min(cutoff, 3),
+                         charge_window=(lo, lo + draw(st.integers(0, 6))))
+    else:
+        D = pure_ghost_datum(cutoff=cutoff)
+    return D, draw(st.integers(0, int(D.cutoff)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_datums())
+def test_cohomology_matches_the_rank_route(case):
+    """The classes that ``FiniteComplex.cohomology`` reads off each
+    (weight, charge) block count what ranks over Q give, dim H^g =
+    n_g - rank d_g - rank d_(g-1); past the weight where d^2 vanishes
+    both are refused."""
+    D, W = case
+    if D.first_d_squared_violation(W) is not None:
+        with pytest.raises(ValueError, match="cohomology refused"):
+            D.brst_cohomology(W)
+        return
+    assert D.brst_cohomology(W) == rank_cohomology(D, W)
+
+
+def test_d_matrix_of_a_whole_block_holds_each_ghost_step():
+    D = wakimoto_datum(-4, cutoff=2)
+    for q in (-2, 0, 2):
+        M, basis, tgt = D.d_matrix(2, q)
+        assert tgt == basis
+        ghosts = [D.V.ghost(m) for m in basis]
+        assert ghosts == sorted(ghosts)
+        assert sorted(basis) == sorted(D.block(2, q))
+        for g in D.ghost_range(2, q):
+            dg, src, gt = D.d_matrix(2, q, g)
+            cols = [basis.index(m) for m in src]
+            rows = [basis.index(m) for m in gt]
+            assert dg.data == {(a, b): M.get(rows[a], cols[b])
+                               for a in range(len(rows))
+                               for b in range(len(cols))
+                               if M.get(rows[a], cols[b])}
+        assert M.data and sum(len(D.d_matrix(2, q, g)[0].data)
+                              for g in D.ghost_range(2, q)) == len(M.data)
 
 
 @pytest.fixture

@@ -254,6 +254,19 @@ def _bad_mixed(field):
     return data
 
 
+def _wrong_degree(op):
+    """Tokens a, b of degree 0, with an entry from a to b in d or in
+    h_1, which raise and lower the degree by one."""
+    data = {"format": "mixed.v1", "d": {}, "h": [{}],
+            "tokens": [{"name": "a", "degree": 0},
+                       {"name": "b", "degree": 0}]}
+    if op == "d":
+        data["d"] = {"a": {"b": "1"}}
+    else:
+        data["h"] = [{"a": {"b": "1"}}]
+    return data
+
+
 def _bad_localize(part, field):
     """The P^1 localization file with one bad entry in its fixed or
     total complex or in the map, or with its map or invert key replaced
@@ -270,6 +283,8 @@ def _bad_localize(part, field):
     elif field == "two-factors":
         data["fixed"]["h"] = [{}, {}]
         data["total"]["h"] = [{}, {}]
+    elif field == "wrong-degree":
+        data[part]["d"]["e"]["f"] = "1"
     else:
         data[part] = _bad_mixed(field)
     return data
@@ -571,6 +586,18 @@ HOSTILE = [
     (["brst", "--cutoff", "0"], _two_variables("brst.v1"),
      "error: brst.v1: coefficient 'zz' is a polynomial in 'zz', but the "
      "table is over 't' at /matter/brackets/2/central_coeff\n"),
+    (["koszul"], _wrong_degree("d"),
+     "error: mixed.v1: d is not of degree +1: <a deg=0> -> <b deg=0> at "
+     "/d/a/b\n"),
+    (["koszul"], _wrong_degree("h"),
+     "error: mixed.v1: h_1 is not of degree -1: <a deg=0> -> <b deg=0> at "
+     "/h/0/a/b\n"),
+    (["localize"], _bad_localize("map", {"p": {"e": "1"}}),
+     "error: localize: map is not of degree 0: <p deg=0> -> <e deg=-1> at "
+     "/map/p/e\n"),
+    (["localize"], _bad_localize("total", "wrong-degree"),
+     "error: mixed.v1: d is not of degree +1: <e deg=-1> -> <f deg=-2> at "
+     "/total/d/e/f\n"),
 ]
 
 
@@ -618,7 +645,9 @@ HOSTILE = [
     "brst-current-of-wrong-charge", "brst-no-window-for-weight-0-matter",
     "brst-weight-0-matter-of-charge-0", "envelope-dims-mixed-zero-charges",
     "vla-check-two-variables", "ope-two-variables",
-    "envelope-dims-two-variables", "brst-matter-in-two-variables"])
+    "envelope-dims-two-variables", "brst-matter-in-two-variables",
+    "mixed-d-of-wrong-degree", "mixed-h-of-wrong-degree",
+    "localize-map-of-wrong-degree", "localize-total-d-of-wrong-degree"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:
@@ -920,6 +949,18 @@ def test_console_script(tmp_path):
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["poincare"] == "1 + t^2"
+
+
+def test_importing_the_cli_loads_no_jsonschema():
+    # only a file to validate loads it; a --preset run never does
+    code = ("import sys, opelab.cli; "
+            "assert 'jsonschema' not in sys.modules; "
+            "opelab.cli.main(['brst', '--preset', 'abelian', "
+            "'--cutoff', '1']); "
+            "assert 'jsonschema' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -15,7 +15,7 @@ from opelab.equivariant import (
     cartan_model, localize_check, check_mixed_map,
     _module_invariants, divides_power, regular_lambda, sphere_pair,
     zero_mixed, p1_rotation, p1_fixed_points, p1_inclusion)
-from smith_oracle import (general_smith, graded_cohomology,
+from smith_oracle import (direct_summands, general_smith, graded_cohomology,
                           min_search_pivots, oracle_classes)
 
 
@@ -333,7 +333,7 @@ def test_koszul_dual_classes_match_the_min_search_oracle(rng):
     got = [(c.degree, c.annihilator.degree() if c.annihilator else 0)
            for c in C.cohomology()]
     assert got == oracle_classes(C)
-    for _, B in C.D.blocks():
+    for _, B in direct_summands(C.D):
         rw, cw, var = _grading(B)
         want = min_search_pivots(B, rw, cw)
         assert smith_factors(B) == (len(want), [Scalar.monomial(1, e, var)
@@ -719,7 +719,7 @@ def test_module_invariants_per_block_match_the_whole_matrix(case):
     n = len(degrees)
     D = Matrix(n, n, entries)
     assert _module_invariants(D) == whole_matrix_invariants(D)
-    for _, B in D.blocks():
+    for _, B in direct_summands(D):
         assert _module_invariants(B) == presentation_invariants(B)
 
 
@@ -727,7 +727,7 @@ def test_torsion_of_coprime_blocks_is_one_factor():
     # Q[u]/(u) + Q[u]/(u + 1) = Q[u]/(u^2 + u)
     u = Scalar.variable("u")
     D = Matrix(4, 4, {(1, 0): u, (3, 2): u + 1})
-    assert len(D.blocks()) == 2
+    assert len(direct_summands(D)) == 2
     free, tors = _module_invariants(D)
     assert free == 0 and [format_scalar(f) for f in tors] == ["u^2 + u"]
     assert whole_matrix_invariants(D) == (free, tors)
@@ -760,3 +760,72 @@ def test_serialization_round_trip():
         data = N.to_dict()
         again = MixedComplex.from_dict(data)
         assert again.to_dict() == data
+
+
+# -- metamorphic: a change of basis keeps every report ----------------------
+
+def change_of_basis(rng, tokens):
+    """(P, P^-1, tokens in the new basis) for P a random integer
+    unitriangular matrix inside each degree, followed by a permutation
+    of the tokens."""
+    n = len(tokens)
+    P, Pinv = Matrix.identity(n), Matrix.identity(n)
+    for _ in range(rng.randrange(3 * n + 1)):
+        a, b = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        if a == b or tokens[a].degree != tokens[b].degree:
+            continue
+        c = rng.choice([1, -1, 2, -3])
+        P = P.mul(Matrix(n, n, {(a, b): c}).add(Matrix.identity(n)))
+        Pinv = Matrix(n, n, {(a, b): -c}).add(Matrix.identity(n)).mul(Pinv)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    Pi = Matrix(n, n, {(perm[k], k): 1 for k in range(n)})
+    new = [None] * n
+    for k, t in enumerate(tokens):
+        new[perm[k]] = t
+    return Pi.mul(P), Pinv.mul(Pi.transpose()), new
+
+
+def conjugated(rng, N):
+    """(N in a random new basis, P, P^-1)."""
+    P, Pinv, tokens = change_of_basis(rng, N.tokens)
+    return (MixedComplex(tokens, P.mul(N.d).mul(Pinv),
+                         [P.mul(h).mul(Pinv) for h in N.hs]), P, Pinv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 2))
+def test_koszul_report_survives_a_change_of_basis(rng, nfactors):
+    N = random_strict(rng, nfactors)
+    M, _, _ = conjugated(rng, N)
+    if nfactors == 1:
+        assert (classes_of(koszul_t(M).complex())
+                == classes_of(koszul_t(N).complex()))
+    else:
+        assert koszul_t(M).cohomology() == koszul_t(N).cohomology()
+
+
+def p1_pairs():
+    """(fixed, total, map) of P^1-type: the inclusion of the fixed
+    points, of one of them, of none, and the identity of the total."""
+    NZ, NX = p1_fixed_points(), p1_rotation()
+    return [(NZ, NX, p1_inclusion()), (NZ, NX, {0: {0: 1}}), (NZ, NX, {}),
+            (NX, NX, {i: {i: 1} for i in range(4)})]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_localize_verdict_survives_a_change_of_basis(rng):
+    # a P^1-type pair plus the identity of a random strict complex
+    NZ, NX, iota = rng.choice(p1_pairs())
+    A = random_strict(rng)
+    nz, nx = len(NZ.tokens), len(NX.tokens)
+    iota = Matrix.of_columns(nx + len(A.tokens), nz + len(A.tokens), iota)
+    iota = iota.add(Matrix(iota.nrows, iota.ncols, {
+        (nx + k, nz + k): 1 for k in range(len(A.tokens))}))
+    NZ, NX = direct_sum(NZ, A), direct_sum(NX, A)
+    invert = [rng.choice(["u", "u + 1", "2"])]
+    MZ, _, PZinv = conjugated(rng, NZ)
+    MX, PX, _ = conjugated(rng, NX)
+    assert (localize_check(MZ, MX, PX.mul(iota).mul(PZinv), invert)
+            == localize_check(NZ, NX, iota, invert))

@@ -8,8 +8,8 @@ from opelab.scalars import Scalar, ZERO, ONE, sc
 from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
                            q_solve, smith, smith_solve, quotient_reps,
                            span_rank, rref, vec_add, vec_scale, vec_sub,
-                           smith_factors, _grading, _smith_general,
-                           _smith_graded, q_rank)
+                           smith_factors, _components, _grading,
+                           _smith_general, _smith_graded)
 from smith_oracle import general_smith, gauss_jordan_rref, min_search_pivots
 
 
@@ -259,8 +259,6 @@ def test_graded_pivots_against_the_min_search(M):
     want = min_search_pivots(M, rw, cw)
     got = _smith_graded(M, rw, cw, var, transforms=False)
     assert [e for _, _, e in got] == [e for _, _, e in want]
-    if all(v.is_const() for v in M.data.values()):
-        assert q_rank(M) == len(want)
 
 
 def test_graded_pivot_is_the_row_of_largest_weight():
@@ -304,24 +302,72 @@ def permuted_block_sums(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(permuted_block_sums())
-def test_blocks_are_the_components_of_the_support(case):
+def test_components_of_the_support(case):
     M, parts = case
-    blocks = M.blocks()
-    seen = [i for idx, _ in blocks for i in idx]
-    assert sorted(seen) == list(range(M.nrows))
-    assert [idx[0] for idx, _ in blocks] == sorted(idx[0]
-                                                   for idx, _ in blocks)
+    comps = _components(M)
+    rows = [i for r, _, _, _ in comps for i in r]
+    cols = [j for _, c, _, _ in comps for j in c]
+    # each row and column holding an entry is in exactly one component
+    assert sorted(rows) == sorted({i for i, _ in M.data})
+    assert sorted(cols) == sorted({j for _, j in M.data})
+    assert [r[0] for r, _, _, _ in comps] == sorted(r[0]
+                                                   for r, _, _, _ in comps)
     whole = {}
-    for idx, B in blocks:
-        assert idx == sorted(idx) and (B.nrows, B.ncols) == (len(idx),) * 2
+    for r, c, B, grading in comps:
+        assert r == sorted(r) and c == sorted(c)
+        assert (B.nrows, B.ncols) == (len(r), len(c))
         # a component never straddles two of the drawn blocks
-        assert any(set(idx) <= set(p) for p in parts)
-        whole.update({(idx[i], idx[j]): v for (i, j), v in B.data.items()})
+        assert any(set(r) | set(c) <= set(p) for p in parts)
+        whole.update({(r[a], c[b]): v for (a, b), v in B.data.items()})
+        if grading is not None:
+            rw, cw, var = grading
+            assert rw[0] == 0
+            for (a, b), v in B.data.items():
+                assert v.var in (None, var) and not any(v.coeffs[:-1])
+                assert v.degree() == cw[b] - rw[a]
     assert whole == M.data
-    # each drawn block is a union of components
+    # the rows of each drawn block are a union of component rows
     for p in parts:
-        assert set(p) == {i for idx, _ in blocks if set(idx) & set(p)
-                          for i in idx}
+        assert {i for i, _ in M.data if i in p} == {
+            i for r, _, _, _ in comps if set(r) & set(p) for i in r}
+
+
+TORSION = [Scalar("u", cs) for cs in ((0, 1), (1, 1), (-1, 1), (0, 0, 1),
+                                      (0, 1, 1), (2, 2))]
+
+
+@st.composite
+def mixed_block_sums(draw):
+    """A rectangular matrix over Q[u] made of homogeneous blocks, blocks
+    of any polynomials and 1 x 1 blocks of torsion like u and u + 1,
+    with its rows and its columns shuffled."""
+    blocks = draw(st.lists(st.one_of(
+        homogeneous_matrices(), poly_matrices(),
+        st.sampled_from(TORSION).map(lambda f: Matrix(1, 1, {(0, 0): f}))),
+        min_size=1, max_size=4))
+    n, m = sum(B.nrows for B in blocks), sum(B.ncols for B in blocks)
+    rperm = draw(st.permutations(range(n)))
+    cperm = draw(st.permutations(range(m)))
+    entries, r0, c0 = {}, 0, 0
+    for B in blocks:
+        for (i, j), v in B.data.items():
+            entries[(rperm[r0 + i], cperm[c0 + j])] = v
+        r0, c0 = r0 + B.nrows, c0 + B.ncols
+    return Matrix(n, m, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_block_sums())
+def test_smith_factors_per_component_match_the_whole_matrix(M):
+    assert smith_factors(M) == _smith_general(M)
+
+
+def test_smith_factors_merge_coprime_torsion():
+    u = Scalar.variable("u")
+    M = Matrix(3, 3, {(2, 0): u, (0, 1): u + 1, (1, 2): u * u})
+    assert len(_components(M)) == 3
+    assert smith_factors(M) == (3, [ONE, u, u * u * u + u * u])
+    assert smith_factors(M) == _smith_general(M)
 
 
 # Homogeneous matrices go through ``smith``, and polynomial ones through
