@@ -17,12 +17,12 @@ from . import presets
 from .brst import BRSTDatum
 from .envelope import VertexAlgebra, infinite_block_cause
 from .equivariant import (MixedComplex, cartan_candidates, cartan_model,
-                          degree_violation, koszul_t, localize_check)
+                          koszul_t, localize_check, read_map)
 from .operads import AlgebraInstance, check_relations, conf_ring, \
     homology_p_d_bridge
 from .scalars import Scalar, format_scalar
 from .schemas import (SchemaViolation, escape, name_index, nested,
-                      rational_at, scalar_at, validate)
+                      scalar_at, validate)
 from .vla import (VertexLieData, check_jacobi, check_sesquilinearity,
                   check_skew_symmetry)
 
@@ -450,18 +450,8 @@ def do_localize(args):
                            "localize", "/fixed/tokens/%d/name")
         total = name_index([t.name for t in NX.tokens], "total token",
                            "localize", "/total/tokens/%d/name")
-        iota = {}
-        for zn, col in data.get("map", {}).items():
-            at = "/map/" + escape(zn)
-            z = fixed(zn, at)  # a column is refused before its targets
-            iota[z] = {}
-            for xn, c in col.items():
-                at_x = at + "/" + escape(xn)
-                x = total(xn, at_x)
-                c = iota[z][x] = rational_at(c, "localize", at_x)
-                bad = degree_violation("map", 0, NZ.tokens[z], NX.tokens[x])
-                if c and bad is not None:
-                    raise SchemaViolation("localize", at_x, bad)
+        iota = read_map(data.get("map", {}), (fixed, NZ.tokens),
+                        (total, NX.tokens), "localize", "/map", "map", 0)
         invert = [scalar_at(f, "localize", "/invert/%d" % k)
                   for k, f in enumerate(data.get("invert", ["u"]))]
         for k, f in enumerate(invert):

@@ -117,26 +117,34 @@ class MixedComplex:
         token_index = name_index([t.name for t in tokens], "token",
                                  "mixed.v1", "/tokens/%d/name")
 
-        def rd(op, at, name, shift):
-            # a nonzero entry of the wrong degree is refused at its
-            # pointer, with the text the constructor would raise
-            out = {}
-            for j, col in op.items():
-                at_j = at + "/" + escape(j)
-                src = token_index(j, at_j)
-                out[src] = {}
-                for i, v in col.items():
-                    at_i = at_j + "/" + escape(i)
-                    tgt = token_index(i, at_i)
-                    c = out[src][tgt] = rational_at(v, "mixed.v1", at_i)
-                    bad = degree_violation(name, shift, tokens[src],
-                                           tokens[tgt])
-                    if c and bad is not None:
-                        raise SchemaViolation("mixed.v1", at_i, bad)
-            return out
-        return MixedComplex(tokens, rd(data.get("d", {}), "/d", "d", 1),
-                            [rd(h, "/h/%d" % a, "h_%d" % (a + 1), -1)
-                             for a, h in enumerate(data.get("h", []))])
+        toks = (token_index, tokens)
+        d = read_map(data.get("d", {}), toks, toks, "mixed.v1", "/d", "d", 1)
+        return MixedComplex(tokens, d, [
+            read_map(h, toks, toks, "mixed.v1", "/h/%d" % a, "h_%d" % (a + 1),
+                     -1) for a, h in enumerate(data.get("h", []))])
+
+
+def read_map(op, source, target, schema, at, name, shift):
+    """A map {source name: {target name: entry}} at the pointer ``at`` of
+    a ``schema`` file, as a column dict over the token indices of
+    ``source`` and ``target``, each (name resolver, tokens).  A column is
+    refused before its targets, and a nonzero entry that does not raise
+    the degree by shift at its pointer, with the constructor's text."""
+    (src_index, src_tokens), (tgt_index, tgt_tokens) = source, target
+    out = {}
+    for j, col in op.items():
+        at_j = at + "/" + escape(j)
+        src = src_index(j, at_j)
+        out[src] = {}
+        for i, v in col.items():
+            at_i = at_j + "/" + escape(i)
+            tgt = tgt_index(i, at_i)
+            c = out[src][tgt] = rational_at(v, schema, at_i)
+            bad = degree_violation(name, shift, src_tokens[src],
+                                   tgt_tokens[tgt])
+            if c and bad is not None:
+                raise SchemaViolation(schema, at_i, bad)
+    return out
 
 
 class UComplex:
@@ -299,9 +307,10 @@ def _binom_capped(n, k, cap):
 
 
 def cartan_candidates(m, D, cap):
-    """How many pairs (alpha, beta) ``cartan_model`` tests for invariance
-    on m coordinates at cutoff D, or cap + 1 when that is more than cap:
-    the sum over r <= min(m, D) of C(m, r) C(D - r + m, m)."""
+    """How many forms x^alpha dx^beta there are on m coordinates at
+    cutoff D, those of every content ``cartan_model`` tests for
+    invariance, or cap + 1 when that is more than cap: the sum over
+    r <= min(m, D) of C(m, r) C(D - r + m, m)."""
     total = 0
     for r in range(min(m, D) + 1):
         total += (_binom_capped(m, r, cap)
@@ -327,25 +336,24 @@ def cartan_model(weights, D) -> UComplex:
     if any(len(w) != n for w in ws):
         raise ValueError("all coordinates need one weight per factor")
 
-    def invariant(alpha, beta):
-        for f in range(n):
-            if sum((alpha[j] + (1 if j in beta else 0)) * ws[j][f]
-                   for j in range(m)) != 0:
-                return False
-        return True
-
+    # x^alpha dx^beta is invariant exactly when its content
+    # alpha + 1_beta is, and the content has the form's letter count
     forms = []
-    for r in range(min(m, D) + 1):
-        for beta in itertools.combinations(range(m), r):
-            for alpha in _exponent_vectors(m, D - r):
-                if invariant(alpha, beta):
-                    forms.append((alpha, beta))
+    for c in _exponent_vectors(m, D):
+        if any(sum(c[j] * ws[j][f] for j in range(m)) for f in range(n)):
+            continue
+        support = [j for j in range(m) if c[j]]
+        for r in range(len(support) + 1):
+            for beta in itertools.combinations(support, r):
+                forms.append((tuple(c[j] - (j in beta) for j in range(m)),
+                              beta))
     forms.sort(key=lambda ab: (sum(ab[0]) + len(ab[1]), len(ab[1]), ab))
     tokens = [BasisToken(_form_name(a, b), len(b)) for a, b in forms]
     pos = {ab: i for i, ab in enumerate(forms)}
 
-    # each (k, form) pair hits a different target form, so no entry is
-    # written twice; zero weights give zero entries, which Matrix drops
+    # d and h_i keep the content, so every target is a form; each
+    # (k, form) pair hits a different one, so no entry is written twice;
+    # zero weights give zero entries, which Matrix drops
     d0 = {}
     u_parts = [dict() for _ in range(n)]
     for j, (alpha, beta) in enumerate(forms):
@@ -356,17 +364,13 @@ def cartan_model(weights, D) -> UComplex:
             na[k] -= 1
             nb = tuple(sorted(beta + (k,)))
             sign = (-1) ** sum(1 for b in beta if b < k)
-            key = (tuple(na), nb)
-            if key in pos:
-                d0[(pos[key], j)] = sign * alpha[k]
+            d0[(pos[(tuple(na), nb)], j)] = sign * alpha[k]
         for f in range(n):
             for r, k in enumerate(beta):
                 na = list(alpha)
                 na[k] += 1
                 nb = tuple(b for b in beta if b != k)
-                key = (tuple(na), nb)
-                if key in pos:
-                    u_parts[f][(pos[key], j)] = ((-1) ** r) * ws[k][f]
+                u_parts[f][(pos[(tuple(na), nb)], j)] = (-1) ** r * ws[k][f]
     N = len(forms)
     return UComplex(MixedComplex(tokens, Matrix(N, N, d0),
                                  [Matrix(N, N, h) for h in u_parts]))

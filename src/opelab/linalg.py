@@ -769,14 +769,17 @@ class FiniteComplex:
 
     def __init__(self, tokens, diff, var=None):
         self._build(tokens, diff, var)
+        self._check_homogeneous()
         self._check_square_zero()
 
     @classmethod
     def _square_zero(cls, tokens, diff, var=None):
-        """A complex whose differential is known to square to zero, built
-        without taking the square: the checks of a mixed complex already
-        imply it for its Koszul dual and for every specialization of
-        it."""
+        """A complex whose differential its caller has checked for
+        homogeneity of degree +1 and for squaring to zero, so neither is
+        checked again: ``BRSTDatum.d_matrix`` checks each entry of a BRST
+        block as it builds it, after ``brst_cohomology`` has settled
+        d^2 = 0, and the checks of a mixed complex cover its Koszul dual
+        and every specialization of it."""
         C = cls.__new__(cls)
         C._build(tokens, diff, var)
         return C
@@ -788,7 +791,6 @@ class FiniteComplex:
             raise ValueError("duplicate basis tokens")
         n = len(self.tokens)
         self.D = Matrix.of_columns(n, n, diff)
-        self._check_homogeneous()
 
     def _check_homogeneous(self):
         for (i, j), v in self.D.data.items():

@@ -11,7 +11,9 @@ representative of every class from the kernels and images of the
 blocks, where the library reads dimensions off pivots.
 ``rank_cohomology`` is the route ``brst`` took before it read its
 classes off ``FiniteComplex.cohomology``: dim H^g = n_g - rank d_g -
-rank d_(g-1) block by block.
+rank d_(g-1) block by block.  Both take the steps of d from one ghost
+number to the next from ``ghost_steps``, which slices them out of the
+whole-block ``BRSTDatum.d_matrix``.
 
 ``direct_summands`` is the split of a square matrix by union-find over
 its indices that ``Matrix.blocks`` did before ``linalg._components``
@@ -254,6 +256,27 @@ def min_search_pivots(M: Matrix, rw, cw):
     return pivots
 
 
+def ghost_steps(datum, w, q):
+    """{g: (matrix of d from ghost number g to g + 1, source basis,
+    target basis)} for every ghost number g of the (w, q) block of a
+    ``BRSTDatum``, in increasing g, sliced out of the whole-block
+    ``d_matrix``; each basis keeps the block's ``basis`` order."""
+    D, basis = datum.d_matrix(w, q)
+    ghost = [datum.V.ghost(m) for m in basis]
+    at, by_ghost = [], {}
+    for m, g in zip(basis, ghost):
+        at.append(len(by_ghost.setdefault(g, [])))
+        by_ghost[g].append(m)
+    entries = {g: {} for g in by_ghost}
+    for (i, j), v in D.data.items():
+        entries[ghost[j]][(at[i], at[j])] = v
+    steps = {}
+    for g, src in sorted(by_ghost.items()):
+        tgt = by_ghost.get(g + 1, [])
+        steps[g] = (Matrix(len(tgt), len(src), entries[g]), src, tgt)
+    return steps
+
+
 def rank_cohomology(datum, W):
     """{(weight, charge, ghost): dim H} of a ``BRSTDatum`` through weight
     W with d^2 = 0, from ranks over Q: dim H^g = n_g - rank d_g -
@@ -262,8 +285,7 @@ def rank_cohomology(datum, W):
     for w in range(W + 1):
         for q in datum.charges():
             incoming = 0
-            for g in datum.ghost_range(w, q):
-                dg, _, _ = datum.d_matrix(w, q, g)
+            for g, (dg, _, _) in ghost_steps(datum, w, q).items():
                 rank = solve_and_rank(dg)[0]
                 dim = dg.ncols - rank - incoming
                 if dim:

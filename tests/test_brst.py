@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import string
 import tempfile
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from opelab.brst import (build_ghosts, ghost_current_words, word_state,
                          BRSTDatum, abelian_datum, pure_ghost_datum,
                          bg_gl1_datum, bg_fundamental_sl2_datum,
                          wakimoto_datum, SL2_FUND)
-from smith_oracle import graded_cohomology, rank_cohomology
+from smith_oracle import graded_cohomology, ghost_steps, rank_cohomology
 
 
 # -- oracles ---------------------------------------------------------------
@@ -70,6 +71,20 @@ def entry_gcd(entries):
     for e in entries:
         g = sc_gcd(g, e)
     return g
+
+
+def build_every_block(D, W):
+    """Build the matrix of d on every (weight, charge) block through
+    weight W: ``d_matrix`` refuses an entry that leaves its block or does
+    not raise the ghost number by one, so this checks that d keeps the
+    weight and the charge and raises the ghost number by one.  Each
+    block's basis is ``basis(w, q)`` in order of ghost number."""
+    for w in range(W + 1):
+        for q in D.charges():
+            _, basis = D.d_matrix(w, q)
+            ghosts = [D.V.ghost(m) for m in basis]
+            assert ghosts == sorted(ghosts)
+            assert sorted(basis) == sorted(D.V.basis(w, q))
 
 
 # -- shared data -----------------------------------------------------------
@@ -157,7 +172,7 @@ def test_abelian_critical_level_closes():
     D = abelian_datum("t", cutoff=4).specialize(0)
     report, _ = D.check_d_squared(4)
     assert report.ok
-    assert D.check_grading(3).ok
+    build_every_block(D, 3)
 
 
 def test_abelian_cohomology_is_koszul():
@@ -173,9 +188,7 @@ def test_abelian_cohomology_is_koszul():
 def test_pure_ghost_trivial_differential():
     D = pure_ghost_datum(cutoff=4)
     assert D.brst_charge() == {}
-    for g in (-1, 0, 1):
-        m, _, _ = D.d_matrix(2, None, g)
-        assert m.is_zero()
+    assert D.d_matrix(2, None)[0].is_zero()
     assert D.cohomology_dims(3) == D.block_dims(3)
 
 
@@ -200,7 +213,7 @@ def test_bg_gl1_weight_zero_cohomology():
     D = bg_gl1_datum(cutoff=2, charge_window=(-4, 4))
     report, _ = D.check_d_squared(0)
     assert report.ok
-    assert [D.V.format_mono(m) for m in D.block(0, 0, 0)] == ["Ω"]
+    assert [D.V.format_mono(m) for m in ghost_steps(D, 0, 0)[0][1]] == ["Ω"]
     H = D.brst_cohomology(0)
     assert H == {(0, 0, 0): 1, (0, 0, 1): 1}
 
@@ -339,7 +352,7 @@ def test_wakimoto_closes_at_critical_level(wak_critical):
     D = wak_critical
     report, _ = D.check_d_squared(2)
     assert report.ok
-    assert D.check_grading(2).ok
+    build_every_block(D, 2)
 
 
 def test_wakimoto_weight_zero_cohomology(wak_critical):
@@ -349,8 +362,9 @@ def test_wakimoto_weight_zero_cohomology(wak_critical):
     :phi* psi*_f: + psi*_h."""
     D = wak_critical
     d = D.differential()
-    assert [D.V.format_mono(m) for m in D.block(0, 0, 0)] == ["Ω"]
-    assert len(D.block(0, 0, 1)) == 2
+    steps = ghost_steps(D, 0, 0)
+    assert [D.V.format_mono(m) for m in steps[0][1]] == ["Ω"]
+    assert len(steps[1][1]) == 2
     r = word_state(D.V, [(ONE, [("phi_star", 0), ("psi*_f", 0)]),
                          (ONE, [("psi*_h", 0)])])
     assert d(r) == {}
@@ -544,8 +558,8 @@ def test_cohomology_ranks_match_the_representative_oracle(build, W):
     want = {}
     for w in range(W + 1):
         for q in D.charges():
-            H = graded_cohomology(D.ghost_range(w, q),
-                                  lambda g: D.d_matrix(w, q, g))
+            steps = ghost_steps(D, w, q)
+            H = graded_cohomology(list(steps), steps.__getitem__)
             want.update({(w, q, g): len(reps) for g, reps in H.items()
                          if reps})
     assert D.brst_cohomology(W) == want
@@ -583,26 +597,6 @@ def test_cohomology_matches_the_rank_route(case):
             D.brst_cohomology(W)
         return
     assert D.brst_cohomology(W) == rank_cohomology(D, W)
-
-
-def test_d_matrix_of_a_whole_block_holds_each_ghost_step():
-    D = wakimoto_datum(-4, cutoff=2)
-    for q in (-2, 0, 2):
-        M, basis, tgt = D.d_matrix(2, q)
-        assert tgt == basis
-        ghosts = [D.V.ghost(m) for m in basis]
-        assert ghosts == sorted(ghosts)
-        assert sorted(basis) == sorted(D.block(2, q))
-        for g in D.ghost_range(2, q):
-            dg, src, gt = D.d_matrix(2, q, g)
-            cols = [basis.index(m) for m in src]
-            rows = [basis.index(m) for m in gt]
-            assert dg.data == {(a, b): M.get(rows[a], cols[b])
-                               for a in range(len(rows))
-                               for b in range(len(cols))
-                               if M.get(rows[a], cols[b])}
-        assert M.data and sum(len(D.d_matrix(2, q, g)[0].data)
-                              for g in D.ghost_range(2, q)) == len(M.data)
 
 
 @pytest.fixture
@@ -855,14 +849,17 @@ def test_matter_is_refused_exactly_when_not_a_vertex_lie_algebra(data,
 @given(st.data())
 def test_current_term_is_refused_exactly_when_it_breaks_a_grading(draw):
     """One current term of the gl_1 or the Wakimoto file, with or without
-    its charge window, becomes a drawn product of matter generators and
-    derivatives: one generator, then up to 18 weight-0 generators, in a
-    drawn order.  The file is refused with exit 2 at that term exactly
-    when the term has a weight other than 1, more than 16 factors, or,
-    under a charge window, a charge other than that of the ghost psi_a.
-    Otherwise a file without its charge window is refused with exit 2 at
-    its first weight-0 even matter generator, whose powers make the
-    weight blocks infinite-dimensional.  Either way with no traceback."""
+    its charge window, and with two more odd matter generators, eta of
+    weight 1 and ghost number 1 and zeta of weight 0 and ghost number
+    -1, becomes a drawn product of matter generators and derivatives:
+    one generator, then up to 18 weight-0 generators, in a drawn order.
+    The file is refused with exit 2 at that term exactly when the term
+    has a weight other than 1, a ghost number other than 0, more than 16
+    factors, or, under a charge window, a charge other than that of the
+    ghost psi_a.  Otherwise a file without its charge window is refused
+    with exit 2 at its first weight-0 even matter generator, whose
+    powers make the weight blocks infinite-dimensional.  Either way with
+    no traceback."""
     draw = draw.draw
     if draw(st.booleans()):
         data = bg_gl1_datum(cutoff=1).to_dict()
@@ -870,6 +867,9 @@ def test_current_term_is_refused_exactly_when_it_breaks_a_grading(draw):
         data = wakimoto_datum(draw(LEVELS), cutoff=1).to_dict()
     if draw(st.booleans()):
         del data["charge_window"]
+    data["matter"]["generators"] += [
+        {"name": "eta", "weight": 1, "parity": 1, "ghost": 1},
+        {"name": "zeta", "weight": 0, "parity": 1, "ghost": -1}]
     gens = {g["name"]: g for g in data["matter"]["generators"]}
     zero = sorted(n for n, g in gens.items() if g["weight"] == 0)
     one = sorted(n for n, g in gens.items() if g["weight"] == 1)
@@ -886,9 +886,10 @@ def test_current_term_is_refused_exactly_when_it_breaks_a_grading(draw):
     row["terms"][k]["factors"] = [{"gen": n, "dpow": e} for n, e in factors]
 
     weight = sum(Fraction(gens[n]["weight"]) + e for n, e in factors)
+    ghost = sum(gens[n].get("ghost", 0) for n, _ in factors)
     charge = sum(gens[n].get("charge", 0) for n, _ in factors)
     want = data.get("ghost_charges", {}).get(row["gen"], 0)
-    refused = (weight != 1 or len(factors) > 16
+    refused = (weight != 1 or ghost != 0 or len(factors) > 16
                or ("charge_window" in data and charge != want))
     event("refused" if refused else "accepted")
     code, out, err = run_brst_file(data, "--cutoff", "0")
@@ -908,6 +909,72 @@ def test_current_term_is_refused_exactly_when_it_breaks_a_grading(draw):
     else:
         assert code in (0, 1)
         assert "/currents/" not in err
+
+
+# stems of names that no ghost psi_a or psi*_a can have
+NAME_STEMS = st.text(string.ascii_letters.replace("p", "")
+                     + string.digits + "_*()'", max_size=4)
+
+
+def _rename_and_permute(draw, data):
+    """A copy of the brst.v1 document with every matter generator and
+    every Lie basis element renamed, to a drawn stem and a distinct
+    number, and with its generators, brackets, basis elements, structure
+    rows and currents declared in drawn orders."""
+    data = json.loads(json.dumps(data))
+    matter = data["matter"]
+
+    def renaming(old):
+        return {n: "%s#%d" % (draw(NAME_STEMS), k)
+                for k, n in enumerate(old)}
+
+    gen = renaming([g["name"] for g in matter["generators"]])
+    basis = renaming(data["basis"])
+    for g in matter["generators"]:
+        g["name"] = gen[g["name"]]
+    for row in matter["brackets"]:
+        row["a"], row["b"] = gen[row["a"]], gen[row["b"]]
+        for t in row["value"]:
+            t["gen"] = gen[t["gen"]]
+    data["basis"] = [basis[n] for n in data["basis"]]
+    for row in data["structure"]:
+        row["a"], row["b"] = basis[row["a"]], basis[row["b"]]
+        for t in row["terms"]:
+            t["gen"] = basis[t["gen"]]
+    for row in data["currents"]:
+        row["gen"] = basis[row["gen"]]
+        for t in row["terms"]:
+            for f in t["factors"]:
+                f["gen"] = gen[f["gen"]]
+    if "ghost_charges" in data:
+        data["ghost_charges"] = {basis[n]: q for n, q
+                                 in data["ghost_charges"].items()}
+    for owner, key in ((matter, "generators"), (matter, "brackets"),
+                       (data, "basis"), (data, "structure"),
+                       (data, "currents")):
+        owner[key] = draw(st.permutations(owner[key]))
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(brst_files(), st.data())
+def test_brst_report_survives_renaming_and_reordering(data, draw):
+    """Renaming the matter generators and the basis elements and
+    declaring everything in another order keeps the exit code of
+    ``brst --cohomology``, its verdict on d^2 and, where it computes
+    them, the cohomology dimensions; witness names may change."""
+    W = str(draw.draw(st.integers(0, data["cutoff"])))
+    other = _rename_and_permute(draw.draw, data)
+    (code, out, err), (code2, out2, err2) = (
+        run_brst_file(d, "--cutoff", W, "--cohomology")
+        for d in (data, other))
+    assert "Traceback" not in err + err2
+    assert code == code2
+    event("exit %d" % code)
+    if out:
+        rep, rep2 = json.loads(out), json.loads(out2)
+        for key in ("d_squared_zero", "cohomology_dims"):
+            assert rep.get(key) == rep2.get(key)
 
 
 @pytest.mark.parametrize("preset", sorted(presets.BRST_PRESETS))

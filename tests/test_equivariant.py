@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +14,7 @@ from opelab.linalg import (BasisToken, FiniteComplex, Matrix, presentation,
 from opelab.equivariant import (
     MixedComplex, koszul_t, ucomplex_from_finite,
     cartan_model, localize_check, check_mixed_map,
-    _module_invariants, divides_power, regular_lambda, sphere_pair,
+    _form_name, _module_invariants, divides_power, regular_lambda, sphere_pair,
     zero_mixed, p1_rotation, p1_fixed_points, p1_inclusion)
 from smith_oracle import (direct_summands, general_smith, graded_cohomology,
                           min_search_pivots, oracle_classes)
@@ -51,6 +52,47 @@ def mapping_cone(NZ, NX, iota):
     for j, col in dx.items():
         diff[nz + j] = {nz + i: v for i, v in col.items()}
     return FiniteComplex(tokens, diff, var="u")
+
+
+def candidate_cartan_model(weights, D):
+    """(tokens, d, [h_1, ..., h_n]) of the Cartan model as
+    ``cartan_model`` built it before it went by content: every pair
+    (alpha, beta) with |alpha| + |beta| <= D is tested for invariance on
+    its own, and an entry of d or h_i is written only when its target
+    is among the forms."""
+    ws = [tuple(w) if isinstance(w, (list, tuple)) else (w,)
+          for w in weights]
+    m, n = len(ws), len(ws[0])
+
+    def invariant(alpha, beta):
+        return all(sum((alpha[j] + (j in beta)) * ws[j][f]
+                       for j in range(m)) == 0 for f in range(n))
+
+    forms = [(alpha, beta) for r in range(min(m, D) + 1)
+             for beta in itertools.combinations(range(m), r)
+             for alpha in itertools.product(range(D - r + 1), repeat=m)
+             if sum(alpha) <= D - r and invariant(alpha, beta)]
+    forms.sort(key=lambda ab: (sum(ab[0]) + len(ab[1]), len(ab[1]), ab))
+    pos = {ab: i for i, ab in enumerate(forms)}
+    d0, hs = {}, [{} for _ in range(n)]
+    for j, (alpha, beta) in enumerate(forms):
+        for k in range(m):
+            if alpha[k] == 0 or k in beta:
+                continue
+            key = (tuple(a - (i == k) for i, a in enumerate(alpha)),
+                   tuple(sorted(beta + (k,))))
+            if key in pos:
+                sign = (-1) ** sum(b < k for b in beta)
+                d0[(pos[key], j)] = sign * alpha[k]
+        for f in range(n):
+            for r, k in enumerate(beta):
+                key = (tuple(a + (i == k) for i, a in enumerate(alpha)),
+                       tuple(b for b in beta if b != k))
+                if key in pos:
+                    hs[f][(pos[key], j)] = (-1) ** r * ws[k][f]
+    N = len(forms)
+    tokens = [BasisToken(_form_name(a, b), len(b)) for a, b in forms]
+    return tokens, Matrix(N, N, d0), [Matrix(N, N, h) for h in hs]
 
 
 def cone_invariants(NZ, NX, iota):
@@ -481,6 +523,21 @@ def test_two_factor_cartan_model_is_a_point(weights, cutoff):
     assert M.cohomology() == {
         (label, val): {"free_rank": 1, "torsion": []}
         for label in M.labels for val in (0, 1)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=4)),
+       st.integers(1, 5))
+def test_cartan_model_by_content_matches_the_candidate_loop(weights, D):
+    """Listing the forms of each invariant content gives the tokens, d
+    and h_i that testing every form for invariance gives."""
+    M = cartan_model(weights, D)
+    tokens, d0, hs = candidate_cartan_model(weights, D)
+    assert M.tokens == tokens
+    assert [t.name for t in M.tokens] == [t.name for t in tokens]
+    assert M.mixed.d.data == d0.data
+    assert [h.data for h in M.mixed.hs] == [h.data for h in hs]
 
 
 def test_cartan_differential_is_checked_on_construction():
