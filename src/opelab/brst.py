@@ -332,7 +332,7 @@ class BRSTDatum:
             for q in self.charges():
                 D, basis = self.d_matrix(w, q)
                 tokens = [BasisToken(m, self.V.ghost(m)) for m in basis]
-                for c in FiniteComplex._square_zero(tokens, D).cohomology():
+                for c in FiniteComplex(tokens, D).cohomology():
                     out[(w, q, c.degree)] = out.get((w, q, c.degree), 0) + 1
         return out
 

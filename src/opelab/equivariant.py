@@ -6,8 +6,9 @@ degree +1 and pairwise anticommuting square-zero operators h_1..h_n of
 degree -1, one per torus factor, each anticommuting with d.  The duality
 functor t tensors with Q[u_1..u_n] (each u_i of degree 2) and perturbs
 the differential to d + sum u_i h_i; strictness of the input is exactly
-what makes the output square to zero, so t wraps the validated mixed
-complex and checks nothing again.
+what makes the output square to zero.  A mixed complex is checked once,
+when ``MixedComplex.from_dict`` reads it, and t wraps it and checks
+nothing again; the complexes built in code are not checked at run time.
 
 The inverse-direction functor h reads the u-linear part of a polynomial
 differential back off as the operators h_i (``ucomplex_from_finite``).
@@ -43,18 +44,6 @@ def degree_violation(name, shift, src, tgt):
     return None
 
 
-def _check_degree(op: Matrix, shift, name, src, tgt):
-    """Refuse a polynomial entry of op, or one that does not raise the
-    degree by shift, the first in the order the map was given, naming it
-    by the source and target tokens."""
-    for (i, j), v in op.data.items():
-        if not v.is_const():
-            raise ValueError("%s has a polynomial entry" % name)
-        bad = degree_violation(name, shift, src[j], tgt[i])
-        if bad is not None:
-            raise ValueError(bad)
-
-
 def _check_zero(M: Matrix, what, src, tgt):
     """Refuse a nonzero M, naming its entry with the lowest column, then
     the lowest row, by the source and target tokens."""
@@ -66,24 +55,30 @@ def _check_zero(M: Matrix, what, src, tgt):
 class MixedComplex:
     """tokens: ordered BasisTokens; d and each h are Matrices over token
     indices with rational entries (column dicts {j: {i: entry}} are
-    accepted too)."""
+    accepted too).
+
+    The constructor only stores.  A complex is checked once, where it
+    enters from outside: ``from_dict`` reads each entry through
+    ``read_map``, which refuses a polynomial entry and one of the wrong
+    degree, and then runs ``validate``.  The complexes built in code (the
+    stock ones, ``cartan_model`` and ``ucomplex_from_finite``) are not
+    checked again at run time; the tests check them."""
 
     def __init__(self, tokens, d, hs):
         self.tokens = list(tokens)
         n = len(self.tokens)
         self.d = Matrix.of_columns(n, n, d)
         self.hs = [Matrix.of_columns(n, n, h) for h in hs]
-        self.validate()
 
     @property
     def nfactors(self):
         return len(self.hs)
 
     def validate(self):
+        """Refuse a complex that is not strict: d o d, each
+        d h_a + h_a d and each h_a h_b + h_b h_a must vanish, checked in
+        that order, each naming its first nonzero component."""
         toks, d = self.tokens, self.d
-        _check_degree(d, 1, "d", toks, toks)
-        for a, h in enumerate(self.hs):
-            _check_degree(h, -1, "h_%d" % (a + 1), toks, toks)
         _check_zero(d.mul(d), "d o d != 0", toks, toks)
         for a, h in enumerate(self.hs):
             _check_zero(d.mul(h).add(h.mul(d)),
@@ -93,9 +88,6 @@ class MixedComplex:
                 _check_zero(h.mul(g).add(g.mul(h)),
                             "h_%d h_%d + h_%d h_%d != 0"
                             % (a + 1, b + 1, b + 1, a + 1), toks, toks)
-
-    def q_complex(self) -> FiniteComplex:
-        return FiniteComplex._square_zero(self.tokens, self.d, var=None)
 
     def to_dict(self):
         def ser(op):
@@ -119,17 +111,21 @@ class MixedComplex:
 
         toks = (token_index, tokens)
         d = read_map(data.get("d", {}), toks, toks, "mixed.v1", "/d", "d", 1)
-        return MixedComplex(tokens, d, [
+        N = MixedComplex(tokens, d, [
             read_map(h, toks, toks, "mixed.v1", "/h/%d" % a, "h_%d" % (a + 1),
                      -1) for a, h in enumerate(data.get("h", []))])
+        N.validate()
+        return N
 
 
 def read_map(op, source, target, schema, at, name, shift):
     """A map {source name: {target name: entry}} at the pointer ``at`` of
     a ``schema`` file, as a column dict over the token indices of
     ``source`` and ``target``, each (name resolver, tokens).  A column is
-    refused before its targets, and a nonzero entry that does not raise
-    the degree by shift at its pointer, with the constructor's text."""
+    refused before its targets; an entry that is not a rational number,
+    and a nonzero one that does not raise the degree by shift, are
+    refused at their pointer, the latter with ``degree_violation``'s
+    text."""
     (src_index, src_tokens), (tgt_index, tgt_tokens) = source, target
     out = {}
     for j, col in op.items():
@@ -149,11 +145,11 @@ def read_map(op, source, target, schema, at, name, shift):
 
 class UComplex:
     """Free graded Q[u_1..u_n]-module with differential d + sum u_i h_i,
-    for a mixed complex N = (d, h_1..h_n) that its constructor has
-    already checked: its strictness is what makes this differential
-    square to zero, so nothing is checked here.  With one factor this is
-    an honest single-variable complex; with several, Smith computations
-    follow the one-variable-at-a-time policy in ``cohomology``."""
+    for a strict mixed complex N = (d, h_1..h_n): its strictness is what
+    makes this differential square to zero, so nothing is checked here.
+    With one factor this is an honest single-variable complex; with
+    several, Smith computations follow the one-variable-at-a-time policy
+    in ``cohomology``."""
 
     def __init__(self, N: MixedComplex, labels=None):
         self.mixed = N
@@ -172,7 +168,7 @@ class UComplex:
         if self.nfactors != 1:
             raise ValueError("single-variable view needs exactly one u")
         u = Scalar.variable(self.labels[0])
-        return FiniteComplex._square_zero(
+        return FiniteComplex(
             self.tokens, self.mixed.d.add(self.mixed.hs[0].scale(u)),
             var=self.labels[0])
 
@@ -193,8 +189,8 @@ class UComplex:
         only module invariants are reported).
 
         No specialization is squared: (d + sum c_a h_a)^2 expands into
-        d^2, the d h_a + h_a d and the h_a h_b + h_b h_a, which the
-        mixed checks found zero on construction."""
+        d^2, the d h_a + h_a d and the h_a h_b + h_b h_a, all zero on a
+        strict mixed complex."""
         if self.nfactors == 1:
             return self.complex().cohomology()
         out = {}
@@ -380,12 +376,12 @@ def cartan_model(weights, D) -> UComplex:
 
 def check_mixed_map(NZ: MixedComplex, NX: MixedComplex, iota):
     """iota is the map from source to target tokens, as a Matrix or a
-    column dict; it must have rational entries, degree 0 and commute
-    with d and with every h_i.  Returns it as a Matrix."""
+    column dict of rational entries of degree 0, as ``read_map`` reads
+    them; it must commute with d and with every h_i, and the two
+    complexes must have the same torus rank.  Returns it as a Matrix."""
     if NZ.nfactors != NX.nfactors:
         raise ValueError("mixed complexes have different torus ranks")
     iota = Matrix.of_columns(len(NX.tokens), len(NZ.tokens), iota)
-    _check_degree(iota, 0, "map", NZ.tokens, NX.tokens)
     pairs = [("d", NZ.d, NX.d)]
     pairs += [("h_%d" % (a + 1), NZ.hs[a], NX.hs[a])
               for a in range(NZ.nfactors)]

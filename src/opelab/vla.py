@@ -166,20 +166,27 @@ class VertexLieData:
             at = "/brackets/%d/" % r
             key = (gen_index(b["a"], at + "a"), gen_index(b["b"], at + "b"),
                    b["n"])
-            want = gens[key[0]].weight + gens[key[1]].weight - key[2] - 1
+            ga, gb = gens[key[0]], gens[key[1]]
+            want = ga.weight + gb.weight - key[2] - 1
+            sums = {k: v + _grades(gb)[k] for k, v in _grades(ga).items()}
             terms = {}
             for k, t in enumerate(b.get("value", [])):
                 vt = at + "value/%d/" % k
                 g = gen_index(t["gen"], vt + "gen")
                 e = t.get("dpow", 0)
+                term = "%s_(%d)%s has a term T^%d %s" % (b["a"], key[2],
+                                                         b["b"], e, t["gen"])
                 # a term of another weight is no bracket, and a large e in
                 # one would recurse e times in ``bracket``
                 if gens[g].weight + e != want:
                     raise SchemaViolation(
-                        "vla.v1", vt[:-1],
-                        "%s_(%d)%s has a term T^%d %s of weight %s, "
-                        "expected %s" % (b["a"], key[2], b["b"], e, t["gen"],
-                                         gens[g].weight + e, want))
+                        "vla.v1", vt[:-1], "%s of weight %s, expected %s"
+                        % (term, gens[g].weight + e, want))
+                for label, value in _grades(gens[g]).items():
+                    if value != sums[label]:
+                        raise SchemaViolation(
+                            "vla.v1", vt[:-1], "%s of %s %s, expected %s"
+                            % (term, label, value, sums[label]))
                 terms[(g, e)] = coeff_at(t["coeff"], vt + "coeff")
             central = coeff_at(b.get("central_coeff", "0"),
                                at + "central_coeff")
@@ -187,10 +194,23 @@ class VertexLieData:
                 raise SchemaViolation("vla.v1", at + "central_coeff",
                                       "central coefficient in a table "
                                       "that is not central")
+            for label, sum_ in sums.items():
+                if central and sum_:
+                    raise SchemaViolation(
+                        "vla.v1", at + "central_coeff",
+                        "%s_(%d)%s has a central term of %s 0, expected %s"
+                        % (b["a"], key[2], b["b"], label, sum_))
             terms[()] = central
             brackets[key] = terms
         return VertexLieData(gens, brackets, ring=data.get("ring"),
                              central=data.get("central", False))
+
+
+def _grades(g):
+    """The gradings of a generator that every bracket keeps besides the
+    weight: they slice the envelope into the blocks that d = Q_(0) of a
+    BRST reduction must keep."""
+    return {"ghost number": g.ghost, "charge": g.charge}
 
 
 def _frac_str(w: Fraction):

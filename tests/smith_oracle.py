@@ -23,7 +23,10 @@ walked the support as a bipartite graph.
 that ``opelab.linalg._forward`` replaced: Gauss-Jordan on integer rows,
 and the graded loop that takes each pivot by least exponent over every
 live entry and updates the rows with rationals.  ``oracle_classes``
-reads cohomology classes off the second one."""
+reads cohomology classes off the second one.
+
+``assert_complex`` checks what ``FiniteComplex`` takes on trust: that
+D o D = 0 and that D is homogeneous of degree +1."""
 
 from collections import Counter
 
@@ -341,3 +344,15 @@ def oracle_classes(C):
                 found.append((degree[p], e))
         found += [(g, 0) for g in free.elements()]
     return sorted(found)
+
+
+def assert_complex(C):
+    """Assert that the differential of the FiniteComplex C squares to
+    zero and that every entry from token j to token i is c * var^k with
+    deg i = deg j + 1 - 2k (k = 0 over Q), in C's variable."""
+    for (i, j), v in C.D.data.items():
+        assert v.var in (None, C.var), (C.tokens[j], C.tokens[i])
+        want = C.tokens[j].degree + 1 - C.tokens[i].degree
+        assert all(2 * e == want for e, c in enumerate(v.coeffs) if c), \
+            (C.tokens[j], C.tokens[i])
+    assert C.D.mul(C.D).is_zero()

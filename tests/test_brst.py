@@ -20,7 +20,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from opelab import presets
 from opelab.cli import _level, main
-from opelab.scalars import Scalar, ZERO, ONE, sc, sc_gcd, format_scalar
+from opelab.scalars import (Scalar, ZERO, ONE, sc, sc_gcd, format_scalar,
+                            parse_scalar)
 from opelab.vla import (VertexLieData, check_jacobi, check_sesquilinearity,
                         check_skew_symmetry, direct_sum, heisenberg,
                         weyl_pair, SL2_STRUCT)
@@ -775,9 +776,13 @@ def test_first_violation_is_the_sweeps_on_generated_files(data, draw):
 def _perturb_matter(draw, data):
     """Add one weight-homogeneous term to one matter bracket a_(n)b: a
     T^e g with wt g + e = wt a + wt b - n - 1, or a central part when
-    that weight is 0."""
+    that weight is 0.  Returns the pointer of the term when it breaks
+    the ghost number or the charge of a_(n)b (the central part, of
+    grades 0, only when its sum is nonzero), else None."""
     matter = data["matter"]
     weight = {g["name"]: Fraction(g["weight"])
+              for g in matter["generators"]}
+    grades = {g["name"]: (g["ghost"], g["charge"])
               for g in matter["generators"]}
     names = sorted(weight)
     a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
@@ -792,22 +797,29 @@ def _perturb_matter(draw, data):
     terms += [None] if want == 0 else []
     term = draw(st.sampled_from(terms))
     coeff = draw(st.sampled_from(["1", "-1", "2", "1/2"]))
-    row = next((r for r in matter["brackets"]
-                if (r["a"], r["b"], r["n"]) == (a, b, n)), None)
+    want_grades = tuple(x + y for x, y in zip(grades[a], grades[b]))
+    r, row = next(((r, row) for r, row in enumerate(matter["brackets"])
+                   if (row["a"], row["b"], row["n"]) == (a, b, n)),
+                  (len(matter["brackets"]), None))
     if row is None:
         row = {"a": a, "b": b, "n": n, "value": []}
         matter["brackets"].append(row)
+    at = "/matter/brackets/%d/" % r
     if term is None:
         row["central_coeff"] = "(%s)+(%s)" % (row.get("central_coeff", "0"),
                                               coeff)
-        return
+        breaks = (want_grades != (0, 0)
+                  and not parse_scalar(row["central_coeff"]).is_zero())
+        return at + "central_coeff" if breaks else None
     g, e = term
-    old = next((t for t in row["value"]
-                if (t["gen"], t.get("dpow", 0)) == (g, e)), None)
+    k, old = next(((k, t) for k, t in enumerate(row["value"])
+                   if (t["gen"], t.get("dpow", 0)) == (g, e)),
+                  (len(row["value"]), None))
     if old is None:
         row["value"].append({"gen": g, "dpow": e, "coeff": coeff})
     else:
         old["coeff"] = "(%s)+(%s)" % (old["coeff"], coeff)
+    return at + "value/%d" % k if grades[g] != want_grades else None
 
 
 def run_brst_file(data, *argv):
@@ -822,19 +834,27 @@ def run_brst_file(data, *argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(brst_files(), st.data())
 def test_matter_is_refused_exactly_when_not_a_vertex_lie_algebra(data,
                                                                  draw):
     """A matter table given one more weight-homogeneous term is refused
-    with exit 2 at /matter when it fails skew-symmetry or the Jacobi
-    identity, and is read otherwise; either way with no traceback."""
-    _perturb_matter(draw.draw, data)
+    with exit 2 at that term when the term breaks the ghost number or
+    the charge of its bracket, else at /matter when it fails
+    skew-symmetry or the Jacobi identity, and is read otherwise; either
+    way with no traceback."""
+    at = _perturb_matter(draw.draw, data)
+    code, out, err = run_brst_file(data, "--cutoff", "0")
+    assert "Traceback" not in err
+    if at is not None:
+        event("refused at the term")
+        assert code == 2 and out == ""
+        assert err.startswith("error: brst.v1: ")
+        assert err.endswith(" at %s\n" % at)
+        return
     L = VertexLieData.from_dict(data["matter"])
     broken = not (check_skew_symmetry(L).ok and check_jacobi(L).ok)
     event("refused" if broken else "accepted")
-    code, out, err = run_brst_file(data, "--cutoff", "0")
-    assert "Traceback" not in err
     if broken:
         assert code == 2 and out == ""
         assert err.startswith("error: brst.v1: matter is not a vertex Lie "

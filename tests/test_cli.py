@@ -271,6 +271,8 @@ def _bad_mixed(field):
         data["d"]["e"]["y"] = "1/0"
     elif field == "polynomial":
         data["d"]["e"]["y"] = "u"
+    elif field == "h-polynomial":
+        data["h"][0]["e"]["f"] = "u"
     elif field in (0.0, 1e300):
         data["tokens"][0]["degree"] = field
     elif field == "huge-power":
@@ -408,15 +410,39 @@ def _infinite_blocks(kind):
     """Files whose blocks are infinite-dimensional: the gl_1 datum with
     no charge window (``"no-window"``) or with charge 0 on both matter
     generators (``"zero-charges"``), or the vla.v1 beta-gamma pair with
-    charges (1, 0) (``"vla"``)."""
+    charges (0, 0) (``"vla"``)."""
     if kind == "vla":
-        return weyl_pair(odd=False, charges=(1, 0)).to_dict()
+        return weyl_pair(odd=False, charges=(0, 0)).to_dict()
     data = bg_gl1_datum().to_dict()
     if kind == "no-window":
         del data["charge_window"]
     else:
         for g in data["matter"]["generators"]:
             g["charge"] = 0
+    return data
+
+
+def _grade_breaking(grade):
+    """Matter a (even, weight 1), e (odd, weight 0) and f (odd, weight
+    0) with a_(0)e = f and e_(0)a = -f, reduced along one abelian x with
+    the current x = a: e has ghost number 1 (``"ghost"``) or charge 1
+    under a charge window (``"charge"``) and f has neither, so the
+    bracket breaks that grade."""
+    gens = [{"name": g, "weight": w, "parity": p, "charge": 0, "ghost": 0}
+            for g, w, p in (("a", 1, 0), ("e", 0, 1), ("f", 0, 1))]
+    gens[1][grade] = 1
+    data = {"format": "brst.v1", "basis": ["x"], "structure": [],
+            "matter": {"ring": None, "central": False, "generators": gens,
+                       "brackets": [
+                           {"a": "a", "b": "e", "n": 0,
+                            "value": [{"gen": "f", "coeff": "1"}]},
+                           {"a": "e", "b": "a", "n": 0,
+                            "value": [{"gen": "f", "coeff": "-1"}]}]},
+            "currents": [{"gen": "x", "terms": [
+                {"coeff": "1", "factors": [{"gen": "a", "dpow": 0}]}]}],
+            "cutoff": 3}
+    if grade == "charge":
+        data["charge_window"] = [-2, 2]
     return data
 
 
@@ -625,6 +651,17 @@ HOSTILE = [
     (["localize"], _bad_localize("total", "wrong-degree"),
      "error: mixed.v1: d is not of degree +1: <e deg=-1> -> <f deg=-2> at "
      "/total/d/e/f\n"),
+    (["koszul"], _bad_mixed("h-polynomial"),
+     "error: mixed.v1: entry 'u' is not a rational number at /h/0/e/f\n"),
+    (["brst", "--cutoff", "1", "--cohomology"], _grade_breaking("ghost"),
+     "error: brst.v1: a_(0)e has a term T^0 f of ghost number 0, expected "
+     "1 at /matter/brackets/0/value/0\n"),
+    (["brst", "--cutoff", "1", "--cohomology"], _grade_breaking("charge"),
+     "error: brst.v1: a_(0)e has a term T^0 f of charge 0, expected 1 at "
+     "/matter/brackets/0/value/0\n"),
+    (["vla-check"], weyl_pair(odd=False, charges=(1, 0)).to_dict(),
+     "error: vla.v1: phi_(0)phi_star has a central term of charge 0, "
+     "expected 1 at /brackets/0/central_coeff\n"),
 ]
 
 
@@ -675,7 +712,10 @@ HOSTILE = [
     "vla-check-two-variables", "ope-two-variables",
     "envelope-dims-two-variables", "brst-matter-in-two-variables",
     "mixed-d-of-wrong-degree", "mixed-h-of-wrong-degree",
-    "localize-map-of-wrong-degree", "localize-total-d-of-wrong-degree"])
+    "localize-map-of-wrong-degree", "localize-total-d-of-wrong-degree",
+    "mixed-h-entry-in-u", "brst-matter-bracket-breaks-the-ghost-number",
+    "brst-matter-bracket-breaks-the-charge",
+    "vla-central-term-breaks-the-charge"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

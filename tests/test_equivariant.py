@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,21 +9,33 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opelab import presets
+from opelab.cli import main
 from opelab.scalars import (Scalar, ZERO, ONE, sc, format_scalar,
                             parse_scalar)
+from opelab.schemas import name_index
 from opelab.linalg import (BasisToken, FiniteComplex, Matrix, presentation,
                            smith_factors, vec_add, vec_scale, _grading,
                            _smith_general)
 from opelab.equivariant import (
-    MixedComplex, koszul_t, ucomplex_from_finite,
+    MixedComplex, koszul_t, ucomplex_from_finite, read_map,
     cartan_model, localize_check, check_mixed_map,
     _form_name, _module_invariants, divides_power, regular_lambda, sphere_pair,
     zero_mixed, p1_rotation, p1_fixed_points, p1_inclusion)
-from smith_oracle import (direct_summands, general_smith, graded_cohomology,
-                          min_search_pivots, oracle_classes)
+from smith_oracle import (assert_complex, direct_summands, general_smith,
+                          graded_cohomology, min_search_pivots,
+                          oracle_classes)
 
 
 # -- oracles ---------------------------------------------------------------
+
+def run_cli(*argv):
+    """(exit code, JSON report) of the command line on argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+
 
 def mapping_cone(NZ, NX, iota):
     """Cone of t(iota) as a plain one-variable complex: source tokens
@@ -51,7 +66,22 @@ def mapping_cone(NZ, NX, iota):
             tgt[nz + i] = sc(v)
     for j, col in dx.items():
         diff[nz + j] = {nz + i: v for i, v in col.items()}
-    return FiniteComplex(tokens, diff, var="u")
+    C = FiniteComplex(tokens, diff, var="u")
+    assert_complex(C)
+    return C
+
+
+def checked(N):
+    """The mixed complex N, once it has passed the checks that
+    ``MixedComplex.from_dict`` runs on a file: rational entries, d of
+    degree +1, each h_a of degree -1, and ``validate``."""
+    for op, shift in [(N.d, 1)] + [(h, -1) for h in N.hs]:
+        for (i, j), v in op.data.items():
+            assert v.is_const(), (N.tokens[j], N.tokens[i])
+            assert N.tokens[i].degree == N.tokens[j].degree + shift, \
+                (N.tokens[j], N.tokens[i])
+    N.validate()
+    return N
 
 
 def candidate_cartan_model(weights, D):
@@ -92,7 +122,9 @@ def candidate_cartan_model(weights, D):
                     hs[f][(pos[key], j)] = (-1) ** r * ws[k][f]
     N = len(forms)
     tokens = [BasisToken(_form_name(a, b), len(b)) for a, b in forms]
-    return tokens, Matrix(N, N, d0), [Matrix(N, N, h) for h in hs]
+    M = checked(MixedComplex(tokens, Matrix(N, N, d0),
+                             [Matrix(N, N, h) for h in hs]))
+    return M.tokens, M.d, M.hs
 
 
 def cone_invariants(NZ, NX, iota):
@@ -231,7 +263,7 @@ def random_strict(rng, nfactors=1):
             e, f = add(delta - 1), add(delta - 2)
             d[e] = {x: rng.choice(coeffs), y: rng.choice(coeffs)}
             hs[rng.randrange(nfactors)][e] = {f: rng.choice(coeffs)}
-    return MixedComplex(tokens, d, hs)
+    return checked(MixedComplex(tokens, d, hs))
 
 
 def class_shape(C):
@@ -247,29 +279,42 @@ def class_shape(C):
 def test_shipped_complexes_are_strict():
     for N in [regular_lambda(), sphere_pair(), p1_rotation(),
               p1_fixed_points(), zero_mixed()]:
-        N.validate()
-        koszul_t(N).complex()  # square-zero over Q[u] re-checked here
+        checked(N)
+        assert_complex(koszul_t(N).complex())
 
 
 def test_strictness_failure_names_the_component():
     toks = [BasisToken("a", 0), BasisToken("b", 1), BasisToken("c", 0)]
     with pytest.raises(ValueError, match="d h_1 \\+ h_1 d"):
-        MixedComplex(toks, {0: {1: 1}}, [{1: {2: 1}}])
+        MixedComplex(toks, {0: {1: 1}}, [{1: {2: 1}}]).validate()
+
+
+def mixed_file(tokens, d, hs):
+    """The mixed.v1 document of these tokens and column dicts, each map
+    in the order it was given."""
+    def ser(op):
+        return {tokens[j].name: {tokens[i].name: format_scalar(sc(v))
+                                 for i, v in col.items()}
+                for j, col in op.items()}
+    return {"format": "mixed.v1",
+            "tokens": [{"name": t.name, "degree": t.degree} for t in tokens],
+            "d": ser(d), "h": [ser(h) for h in hs]}
 
 
 def test_operator_degree_is_enforced():
     toks = [BasisToken("a", 0), BasisToken("b", 0)]
     with pytest.raises(ValueError, match="degree"):
-        MixedComplex(toks, {}, [{0: {1: 1}}])
+        MixedComplex.from_dict(mixed_file(toks, {}, [{0: {1: 1}}]))
 
 
 def _toks(*spec):
     return [BasisToken(n, g) for n, g in spec]
 
 
-# Each complex has several bad entries.  The product checks name the
-# entry with the lowest column, then the lowest row; the degree and
-# polynomial-entry checks name the first entry in the order the maps were
+# Each complex has several bad entries, and is read as a mixed.v1 file.
+# The product checks name the entry with the lowest column, then the
+# lowest row; the entries are read, and refused when they are not
+# rational or not of the operator's degree, in the order the maps were
 # given.
 _U = Scalar.variable("u")
 _PQBCEF = _toks(("p", 0), ("q", 0), ("b", 1), ("c", 1), ("e", 2), ("f", 2))
@@ -289,12 +334,12 @@ STRICTNESS = [
      "d is not of degree +1: <q deg=0> -> <e deg=2>"),
     (_PQBCEF, {1: {2: 1}}, [{}, {5: {0: 1}, 4: {0: 1}}],
      "h_2 is not of degree -1: <f deg=2> -> <p deg=0>"),
-    (_PQBCEF, {1: {2: _U}, 0: {4: 1}}, [],
-     "d has a polynomial entry"),
+    (_PQBCEF, {1: {2: _U + 1}, 0: {4: 1}}, [],
+     "entry 'u + 1' is not a rational number"),
     (_PQBCEF, {0: {4: 1}, 1: {2: _U}}, [],
      "d is not of degree +1: <p deg=0> -> <e deg=2>"),
     (_PQBCEF, {}, [{3: {0: 2 * _U}, 2: {0: 1}}],
-     "h_1 has a polynomial entry"),
+     "entry '2*u' is not a rational number"),
 ]
 
 
@@ -302,8 +347,9 @@ STRICTNESS = [
 def test_strictness_messages_name_the_first_witness(tokens, d, hs,
                                                      message):
     with pytest.raises(ValueError) as err:
-        MixedComplex(tokens, d, hs)
-    assert str(err.value) == message
+        MixedComplex.from_dict(mixed_file(tokens, d, hs))
+    # an entry is refused at its pointer, a product with no pointer
+    assert getattr(err.value, "message", str(err.value)) == message
 
 
 def test_chain_map_messages_name_the_first_witness():
@@ -312,42 +358,16 @@ def test_chain_map_messages_name_the_first_witness():
                             ("f", -1), ("e", -1)),
                       {0: {3: 1}, 1: {2: 1}}, [{0: {4: 1}, 1: {5: 1}}])
     NZ = MixedComplex(_toks(("p", 0), ("q", 0)), {}, [{}])
-    cases = [
-        ({1: {1: 1, 2: 1}, 0: {3: 1}},
-         "map is not of degree 0: <q deg=0> -> <y0 deg=1>"),
-        ({1: {1: 1}, 0: {0: 1}},
-         "map fails to commute with d: component <p deg=0> -> <y1 deg=1>"),
-    ]
-    for iota, message in cases:
-        with pytest.raises(ValueError) as err:
-            check_mixed_map(NZ, NX, iota)
-        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        check_mixed_map(NZ, NX, {1: {1: 1}, 0: {0: 1}})
+    assert str(err.value) == ("map fails to commute with d: component "
+                              "<p deg=0> -> <y1 deg=1>")
     # the same target without d: only h fails to commute
     NX2 = MixedComplex(NX.tokens, {}, [{0: {4: 1}, 1: {5: 1}}])
     with pytest.raises(ValueError) as err:
         check_mixed_map(NZ, NX2, {1: {0: 1}, 0: {1: 1}})
     assert str(err.value) == ("map fails to commute with h_1: component "
                               "<p deg=0> -> <e deg=-1>")
-
-
-def test_finite_complex_square_zero_message():
-    # FiniteComplex names the lowest row, then the lowest column
-    with pytest.raises(ValueError) as err:
-        FiniteComplex(_PQBCEF, {1: {3: 1, 2: 1}, 0: {2: 1}, 3: {4: 1},
-                                2: {5: 1}})
-    assert str(err.value) == ("d o d != 0: component <q deg=0> -> "
-                              "<e deg=2> equals 1")
-    # over Q[u] too, though the Koszul dual of a mixed complex is built
-    # without the square: d + u h with d h + h d != 0, which the mixed
-    # complex it wraps refuses
-    tokens, d, hs, _ = STRICTNESS[1]
-    n = len(tokens)
-    D = Matrix.of_columns(n, n, d).add(
-        Matrix.of_columns(n, n, hs[0]).scale(_U))
-    with pytest.raises(ValueError) as err:
-        FiniteComplex(tokens, D, var="u")
-    assert str(err.value) == ("d o d != 0: component <a2 deg=0> -> "
-                              "<a1 deg=0> equals u")
 
 
 def test_random_complexes_square_to_zero():
@@ -392,7 +412,7 @@ def test_at_zero_recovers_the_plain_complex():
         D = koszul_t(N).complex().D
         A = FiniteComplex(N.tokens, Matrix(D.nrows, D.ncols, {
             k: v.subs(0) for k, v in D.data.items()}))
-        B = N.q_complex()
+        B = FiniteComplex(N.tokens, N.d)
         assert A.D.data == B.D.data
         assert Counter(c.degree for c in A.cohomology()) == \
             Counter(c.degree for c in B.cohomology())
@@ -402,7 +422,8 @@ def test_q_classes_match_the_graded_cohomology_oracle():
     rng = random.Random(15)
     nonzero = 0
     for _ in range(300):
-        C = random_strict(rng).q_complex()
+        N = random_strict(rng)
+        C = FiniteComplex(N.tokens, N.d)
         classes = C.cohomology()
         assert all(c.annihilator is None for c in classes)
         assert Counter(c.degree for c in classes) == q_cohomology_counts(C)
@@ -541,11 +562,40 @@ def test_cartan_model_by_content_matches_the_candidate_loop(weights, D):
 
 
 def test_cartan_differential_is_checked_on_construction():
-    # construction itself validates d0 h + h d0 = 0 on invariants; a
-    # quick independent check of one matrix identity
+    # the model is built unchecked; its mixed identities are checked on
+    # random weights below, and here the Koszul dual of one model
     M = cartan_model([1, -1], 4)
-    C = M.complex()
-    assert C.D.mul(C.D).is_zero()
+    assert_complex(M.complex())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=4)),
+       st.integers(1, 4))
+def test_cartan_model_is_strict(weights, D):
+    """``cartan_model`` checks nothing at run time: its mixed complex
+    has rational entries of the right degrees and passes ``validate``."""
+    checked(cartan_model(weights, D).mixed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=4)),
+       st.integers(1, 4), st.randoms(use_true_random=False))
+def test_cartan_report_survives_permuting_the_coordinates(weights, D, rng):
+    """Renumbering the coordinates of ``cartan --weights`` keeps the
+    classes and the invariants of the report, and the number of forms
+    in each degree; the form names change."""
+    perm = list(weights)
+    rng.shuffle(perm)
+    reports = [run_cli("cartan", "--weights=" + ";".join(
+                           ",".join(map(str, w)) for w in ws),
+                       "--cutoff", str(D)) for ws in (weights, perm)]
+    assert reports[0][0] == reports[1][0] == 0
+    for key in ("classes", "invariants"):
+        assert reports[0][1].get(key) == reports[1][1].get(key)
+    assert (Counter(t.degree for t in cartan_model(weights, D).tokens)
+            == Counter(t.degree for t in cartan_model(perm, D).tokens))
 
 
 # -- localization ----------------------------------------------------------
@@ -572,7 +622,7 @@ def test_rank_matches_the_fixed_point_dimension():
     NX = p1_rotation()
     NZ = p1_fixed_points()
     free, tors = koszul_t(NX).rank_and_torsion()
-    fixed_dim = len(NZ.q_complex().cohomology())
+    fixed_dim = len(FiniteComplex(NZ.tokens, NZ.d).cohomology())
     assert free == fixed_dim == 2
     assert tors == []
 
@@ -593,11 +643,6 @@ def test_free_action_has_empty_fixed_locus():
 
 
 def test_non_chain_maps_are_rejected_with_a_witness():
-    NX = p1_rotation()
-    NZ = p1_fixed_points()
-    bad = {0: {2: 1}}  # wrong degree
-    with pytest.raises(ValueError, match="degree 0"):
-        check_mixed_map(NZ, NX, bad)
     # commutes with d (both zero) but not with h
     NZ2 = MixedComplex([BasisToken("a", 1)], {}, [{}])
     with pytest.raises(ValueError, match="commute with h_1"):
@@ -606,12 +651,17 @@ def test_non_chain_maps_are_rejected_with_a_witness():
 
 def test_maps_with_polynomial_entries_are_rejected():
     # p -> u x and q -> y has degree 0 and commutes with d and h, but a
-    # mixed map is a map over Q
+    # mixed map is a map over Q, so it is refused where it is read
+    def side(N):
+        return name_index([t.name for t in N.tokens], "token", "localize",
+                          "/tokens/%d/name"), N.tokens
     for var in ("u", "t"):
-        iota = {0: {0: Scalar.variable(var)}, 1: {1: 1}}
         with pytest.raises(ValueError) as err:
-            check_mixed_map(p1_fixed_points(), p1_rotation(), iota)
-        assert str(err.value) == "map has a polynomial entry"
+            read_map({"p": {"x": var}, "q": {"y": "1"}},
+                     side(p1_fixed_points()), side(p1_rotation()),
+                     "localize", "/map", "map", 0)
+        assert str(err.value) == ("localize: entry %r is not a rational "
+                                  "number at /map/p/x" % var)
 
 
 def test_cone_agrees_with_the_verdict():
@@ -765,6 +815,7 @@ def test_classes_per_block_match_the_whole_matrix(case):
     tokens = [BasisToken("t%d" % k, g) for k, g in enumerate(degrees)]
     n = len(tokens)
     C = FiniteComplex(tokens, Matrix(n, n, entries), var="u")
+    assert_complex(C)
     assert classes_of(C) == whole_matrix_classes(C)
     assert _module_invariants(C.D) == whole_matrix_invariants(C.D)
 
@@ -812,6 +863,22 @@ def test_quotient_invariants_helper():
     assert sorted(format_scalar(f) for f in tors) == ["u", "u^2"]
 
 
+@pytest.mark.parametrize("name", sorted(presets.MIXED_PRESETS))
+def test_mixed_presets_are_strict(name):
+    """The presets are built in code, where no reader checks them."""
+    checked(presets.MIXED_PRESETS[name]["build"]())
+
+
+@pytest.mark.parametrize("name", sorted(presets.LOCALIZE_PRESETS))
+def test_localize_presets_are_strict_with_a_chain_map(name):
+    NZ, NX, iota, _ = presets.LOCALIZE_PRESETS[name]["build"]()
+    checked(NZ)
+    checked(NX)
+    iota = check_mixed_map(NZ, NX, iota)
+    for (i, j), v in iota.data.items():
+        assert v.is_const() and NX.tokens[i].degree == NZ.tokens[j].degree
+
+
 def test_serialization_round_trip():
     for N in [regular_lambda(), p1_rotation()]:
         data = N.to_dict()
@@ -846,8 +913,9 @@ def change_of_basis(rng, tokens):
 def conjugated(rng, N):
     """(N in a random new basis, P, P^-1)."""
     P, Pinv, tokens = change_of_basis(rng, N.tokens)
-    return (MixedComplex(tokens, P.mul(N.d).mul(Pinv),
-                         [P.mul(h).mul(Pinv) for h in N.hs]), P, Pinv)
+    return (checked(MixedComplex(tokens, P.mul(N.d).mul(Pinv),
+                                 [P.mul(h).mul(Pinv) for h in N.hs])),
+            P, Pinv)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opelab.cli import main
+from opelab import presets
+from opelab.cli import _level, main
 from opelab.scalars import Scalar, ONE, sc, format_scalar
 from opelab.vla import (Gen, VertexLieData, check_sesquilinearity,
                         check_skew_symmetry, check_jacobi, current_algebra,
@@ -179,16 +180,18 @@ COEFFS = st.one_of(
 @st.composite
 def vla_files(draw):
     """vla.v1 tables of 1-4 generators of drawn weight, parity and charge,
-    with weight-homogeneous bracket terms whose coefficients are ints,
-    fractions, zeros or polynomials in c, and central parts on central
-    tables; each (a, b, n) and each term appears at most once."""
+    with bracket terms that keep the weight and the charge, whose
+    coefficients are ints, fractions, zeros or polynomials in c, and
+    central parts on central tables where a and b have opposite charges;
+    each (a, b, n) and each term appears at most once."""
     gens = [{"name": "g%d" % i, "weight": str(draw(st.sampled_from(WEIGHTS))),
              "parity": draw(st.integers(0, 1)),
              "charge": draw(st.integers(-2, 2))}
             for i in range(draw(st.integers(1, 4)))]
     weight = [Fraction(g["weight"]) for g in gens]
+    charge = [g["charge"] for g in gens]
     central = draw(st.booleans())
-    # the generators g whose T^e g has the weight of a_(n)b
+    # the generators g whose T^e g has the weight and the charge of a_(n)b
     fits = {}
     for a, b in itertools.product(range(len(gens)), repeat=2):
         for n in range(int(weight[a] + weight[b])):
@@ -196,8 +199,13 @@ def vla_files(draw):
             fits[(a, b, n)] = [(g, int(want - weight[g]))
                                for g in range(len(gens))
                                if weight[g] <= want
-                               and (want - weight[g]).denominator == 1]
-    keys = sorted(k for k in fits if fits[k] or central)
+                               and (want - weight[g]).denominator == 1
+                               and charge[g] == charge[a] + charge[b]]
+
+    def has_central(a, b, n):
+        return central and charge[a] + charge[b] == 0
+
+    keys = sorted(k for k in fits if fits[k] or has_central(*k))
     brackets = []
     for a, b, n in draw(st.lists(st.sampled_from(keys), unique=True,
                                  max_size=6)) if keys else ():
@@ -207,7 +215,7 @@ def vla_files(draw):
         row = {"a": gens[a]["name"], "b": gens[b]["name"], "n": n,
                "value": [{"gen": gens[g]["name"], "dpow": e,
                           "coeff": draw(COEFFS)} for g, e in terms]}
-        if central and draw(st.booleans()):
+        if has_central(a, b, n) and draw(st.booleans()):
             row["central_coeff"] = draw(COEFFS)
         brackets.append(row)
     return {"format": "vla.v1", "ring": draw(st.sampled_from([None, "c"])),
@@ -246,3 +254,70 @@ def test_drawn_tables_round_trip_without_zero_coefficients(data):
     assert code in (0, 1) and stderr.getvalue() == ""
     report = json.loads(stdout.getvalue())
     assert report["ok"] == (code == 0)
+
+
+# -- metamorphic: renaming and reordering keep every report ---------------
+
+def preset_files():
+    """vla.v1 files of the presets at their stock level and at the
+    rational level 2."""
+    return st.sampled_from(sorted(presets.VLA_PRESETS)).flatmap(
+        lambda name: st.sampled_from([presets.VLA_PRESETS[name]["level"],
+                                      "2"]).map(
+            lambda level: presets.VLA_PRESETS[name]["build"](
+                _level(level)).to_dict()))
+
+
+def _rename_and_permute(draw, data):
+    """A copy of the vla.v1 document with every generator renamed, to a
+    drawn stem and a distinct number, and with its generators and its
+    brackets declared in drawn orders."""
+    data = json.loads(json.dumps(data))
+    new = {g["name"]: "%s#%d" % (draw(st.text(max_size=4)), k)
+           for k, g in enumerate(data["generators"])}
+    for g in data["generators"]:
+        g["name"] = new[g["name"]]
+    for row in data["brackets"]:
+        row["a"], row["b"] = new[row["a"]], new[row["b"]]
+        for t in row["value"]:
+            t["gen"] = new[t["gen"]]
+    for key in ("generators", "brackets"):
+        data[key] = draw(st.permutations(data[key]))
+    return data
+
+
+def run_file(data, *argv):
+    """(exit code, JSON report or None) of the command line on argv with
+    the document as its --input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv) + ["--input", path])
+    assert "Traceback" not in err.getvalue()
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(preset_files(), vla_files()), st.data())
+def test_reports_survive_renaming_and_reordering(data, draw):
+    """Renaming the generators and declaring them and the brackets in
+    other orders keeps the exit code of ``vla-check`` and
+    ``envelope-dims``, the verdict of each check and the dimensions;
+    witness names may change."""
+    other = _rename_and_permute(draw.draw, data)
+    dims = ["envelope-dims", "--cutoff", str(draw.draw(st.integers(0, 3)))]
+    if draw.draw(st.booleans()):
+        dims.append("--charge=%d" % draw.draw(st.integers(-1, 1)))
+    for argv in (["vla-check", "--cutoff", "4"], dims):
+        (code, rep), (code2, rep2) = (run_file(d, *argv)
+                                      for d in (data, other))
+        assert code == code2
+        if rep is None:
+            continue
+        assert rep.get("ok") == rep2.get("ok")
+        assert rep.get("dims") == rep2.get("dims")
+        assert ({k: c["ok"] for k, c in rep.get("checks", {}).items()}
+                == {k: c["ok"] for k, c in rep2.get("checks", {}).items()})
