@@ -42,7 +42,8 @@ from .vla import (Gen, VertexLieData, CheckReport, check_jacobi,
 from .envelope import VertexAlgebra, infinite_block_cause
 from .linalg import (BasisToken, FiniteComplex, Matrix, vec_add,
                      vec_scale)
-from .schemas import SchemaViolation, escape, name_index, nested, scalar_at
+from .schemas import (SchemaViolation, escape, name_index, nested,
+                      one_variable)
 
 
 def build_ghosts(names, charges=None) -> VertexLieData:
@@ -118,7 +119,7 @@ class BRSTDatum:
         self.ghost_charges = dict(ghost_charges) if ghost_charges else None
         ghosts = build_ghosts(self.names, self.ghost_charges)
         self.L = direct_sum(matter, ghosts)
-        self.V = VertexAlgebra(self.L, cutoff, charge_window)
+        self.V = VertexAlgebra(self.L)
         self.currents = {n: word_state(self.V, self.current_words.get(n, []))
                          for n in self.names}
         gw = ghost_current_words(self.names, self.struct)
@@ -299,14 +300,9 @@ class BRSTDatum:
         """The first violation of ``check_d_squared(W)``, or None when d^2
         vanishes through weight W.  Q_(0)Q = 0 settles d^2 = 0 with no
         sweep; otherwise d is squared on the basis states in the sweep's
-        order until the first one it does not kill.  What the sweep's
-        ``basis`` calls refuse is refused first, in the sweep's order:
-        charge blocks that are infinite-dimensional, then a W past the
-        envelope cutoff."""
-        q0 = self.charges()[0]
-        self.V.basis(0, q0)
-        if W > self.V.cutoff:
-            self.V.basis(math.floor(self.V.cutoff) + 1, q0)
+        order until the first one it does not kill.  W is at most the
+        datum's cutoff and its blocks are finite: ``from_dict`` and the
+        command line refuse the rest."""
         if not self.V.nth_product(self.Q, 0, self.Q):
             return None
         d = self.differential()
@@ -416,25 +412,49 @@ class BRSTDatum:
                     "brst.v1", "/matter/generators/%d/name" % k,
                     "matter generator %r has the name of a ghost"
                     % g.name)
-        struct = {}
+        # the matter's variable, if it shows one, is the datum's
+        coeff_at = one_variable("brst.v1", matter.ring or next(
+            (c.var for val in matter.brackets.values() for c in val.values()
+             if c.var is not None), None), "datum")
+        struct, rows = {}, {}
         for r, row in enumerate(data.get("structure", [])):
             at = "/structure/%d/" % r
             key = (basis_index(row["a"], at + "a"),
                    basis_index(row["b"], at + "b"))
+            if key in rows:
+                raise SchemaViolation(
+                    "brst.v1", at[:-1], "[%s, %s] is given twice, first "
+                    "in row %d" % (row["a"], row["b"], rows[key]))
+            rows[key] = r
             struct[key] = [
                 (basis_index(t["gen"], at + "terms/%d/gen" % k),
-                 scalar_at(t["coeff"], "brst.v1", at + "terms/%d/coeff" % k))
+                 coeff_at(t["coeff"], at + "terms/%d/coeff" % k))
                 for k, t in enumerate(row["terms"])]
+        # [a, b] + [b, a] = 0, which includes [a, a] = 0
+        for (i, j), r in rows.items():
+            total = {}
+            for k, c in struct[(i, j)] + struct.get((j, i), []):
+                total = vec_add(total, {k: c})
+            if total:
+                raise SchemaViolation(
+                    "brst.v1", "/structure/%d" % r,
+                    "[%s, %s] is not -[%s, %s]"
+                    % (names[i], names[j], names[j], names[i]))
         ghost_charges = data.get("ghost_charges")
         cw = data.get("charge_window")
-        words = {}
+        words, rows = {}, {}
         for r, row in enumerate(data.get("currents", [])):
             at = "/currents/%d/" % r
             name = names[basis_index(row["gen"], at + "gen")]
+            if name in rows:
+                raise SchemaViolation(
+                    "brst.v1", at[:-1], "current %s is given twice, first "
+                    "in row %d" % (name, rows[name]))
+            rows[name] = r
             words[name] = []
             for k, t in enumerate(row["terms"]):
                 tt = at + "terms/%d/" % k
-                coeff = scalar_at(t["coeff"], "brst.v1", tt + "coeff")
+                coeff = coeff_at(t["coeff"], tt + "coeff")
                 factors = [(matter_index(f["gen"], tt + "factors/%d/gen" % i),
                             f.get("dpow", 0))
                            for i, f in enumerate(t["factors"])]

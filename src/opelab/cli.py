@@ -210,9 +210,7 @@ def do_ope(args):
     for g in (a, b):
         if g not in L.index:
             raise InputError("no generator %r in %s" % (g, name))
-    wsum = L.gens[L.gen(a)].weight + L.gens[L.gen(b)].weight
-    cutoff = args.cutoff if args.cutoff is not None else int(wsum) + 1
-    V = VertexAlgebra(L, cutoff)
+    V = VertexAlgebra(L)
     poles = V.singular_ope(V.gen_state(a), V.gen_state(b))
     report = {"format": "voa.v1", "verb": "ope", "source": name,
               "a": a, "b": b,
@@ -274,9 +272,9 @@ def do_envelope_dims(args):
                          cause[1] + "; pass --charge")
     if args.charge is not None:
         _check_charge(L, args.charge)
-    V = VertexAlgebra(L, args.cutoff)
+    V = VertexAlgebra(L)
     _check_envelope_size(V, args.cutoff)
-    dims = V.graded_dimensions(args.charge)
+    dims = V.graded_dimensions(args.cutoff, args.charge)
     report = {"format": "voa.v1", "verb": "envelope-dims", "source": name,
               "level": None if level is None else str(level),
               "charge": args.charge,
@@ -498,11 +496,10 @@ def do_conf(args):
         raise InputError("n > 6 is past desk scale")
     if args.d < 2:
         raise InputError("conf needs d >= 2")
-    R = conf_ring(args.n, args.d)
-    report = R.to_dict()
+    if args.bridge and args.n not in (2, 3):
+        raise InputError("--bridge needs n = 2 or n = 3")
+    report = conf_ring(args.n, args.d).to_dict()
     if args.bridge:
-        if args.n > 3:
-            raise InputError("--bridge needs n <= 3")
         report["bridge"] = homology_p_d_bridge(args.n, args.d)
     return 0, report
 
@@ -572,7 +569,6 @@ def build_parser():
     _add_source_flags(q)
     q.add_argument("--a")
     q.add_argument("--b")
-    q.add_argument("--cutoff", type=_nonneg, default=None)
     q.set_defaults(func=do_ope)
 
     q = sub.add_parser("envelope-dims",

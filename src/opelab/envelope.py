@@ -72,14 +72,13 @@ def infinite_block_cause(gens, by_charge):
 
 
 class VertexAlgebra:
-    def __init__(self, L: VertexLieData, cutoff, charge_window=None):
-        if cutoff is None:
-            raise ValueError(
-                "VertexAlgebra requires an explicit weight cutoff; "
-                "pass cutoff=<max weight>")
+    """The envelope of L with its products and basis, built on demand and
+    memoized.  It has no cutoff of its own: the calls that enumerate,
+    such as ``basis``, ``graded_dimensions`` and ``check_vertex_axioms``,
+    take the weights and charges they run over."""
+
+    def __init__(self, L: VertexLieData):
         self.L = L
-        self.cutoff = Fraction(cutoff)
-        self.charge_window = charge_window
         self._mode_cache = {}
         self._prod_cache = {}
         self._basis_cache = {}
@@ -329,9 +328,6 @@ class VertexAlgebra:
         hit = self._basis_cache.get(key)
         if hit is not None:
             return hit
-        if w > self.cutoff:
-            raise ValueError("weight %s beyond the envelope cutoff %s"
-                             % (w, self.cutoff))
         cause = infinite_block_cause(self.L.gens, q is not None)
         if cause is not None:
             raise ValueError(cause[1] if q is not None else
@@ -457,20 +453,22 @@ class VertexAlgebra:
                 break
         return total
 
-    def graded_dimensions(self, q=None):
+    def graded_dimensions(self, cutoff, q=None):
         """dim of each weight block up to the cutoff, in steps of 1/D:
         every weight is a multiple of 1/D."""
         out = {}
         w, step = Fraction(0), Fraction(1, self._D)
-        while w <= self.cutoff:
+        while w <= cutoff:
             out[w] = len(self.basis(w, q))
             w += step
         return out
 
     # -- axiom checks ----------------------------------------------------
 
-    def check_vertex_axioms(self, cutoff=None) -> CheckReport:
-        cutoff = int(self.cutoff if cutoff is None else cutoff)
+    def check_vertex_axioms(self, cutoff, charge_window=None) -> CheckReport:
+        """The vacuum, translation, skew-symmetry and commutator axioms
+        for modes n <= cutoff, on the sample states of ``_sample_states``
+        through weight min(cutoff, 3)."""
         bad = []
         gens = [(g.name, self.gen_state(g.name)) for g in self.L.gens]
 
@@ -487,7 +485,7 @@ class VertexAlgebra:
                     bad.append({"message":
                                 "%s_(%d)|0> != 0" % (name, n)})
 
-        states = self._sample_states(min(cutoff, 3))
+        states = self._sample_states(min(cutoff, 3), charge_window)
 
         # translation covariance along both slots
         for name, a in gens:
@@ -573,7 +571,11 @@ class VertexAlgebra:
                                     "%s_(%d) on %s" % (na, m, nb, k, lbl)})
         return CheckReport(bad)
 
-    def _sample_states(self, wmax):
+    def _sample_states(self, wmax, charge_window=None):
+        """The vacuum, the generators and the basis monomials through
+        weight wmax; with weight-0 even generators, those of the charges
+        of one or two generators and 0, inside ``charge_window`` when it
+        is given."""
         out = [("|0>", self.vacuum())]
         for g in self.L.gens:
             out.append((g.name, self.gen_state(g.name)))
@@ -583,8 +585,8 @@ class VertexAlgebra:
             qs = sorted({self.L.gens[g].charge * r
                          for g in range(len(self.L.gens))
                          for r in (1, 2)} | {0})
-            if self.charge_window is not None:
-                lo, hi = self.charge_window
+            if charge_window is not None:
+                lo, hi = charge_window
                 qs = [q for q in qs if lo <= q <= hi]
         w, step = Fraction(0), Fraction(1, self._D)
         while w <= wmax:

@@ -165,8 +165,7 @@ class UComplex:
         return self.mixed.nfactors
 
     def complex(self) -> FiniteComplex:
-        if self.nfactors != 1:
-            raise ValueError("single-variable view needs exactly one u")
+        """The single-variable view of a complex of one factor."""
         u = Scalar.variable(self.labels[0])
         return FiniteComplex(
             self.tokens, self.mixed.d.add(self.mixed.hs[0].scale(u)),
@@ -321,16 +320,14 @@ def cartan_model(weights, D) -> UComplex:
     action, truncated at total letter degree |alpha| + |beta| <= D.
 
     ``weights`` is one integer per coordinate for a single factor, or a
-    tuple of integers per coordinate for several.
+    tuple of integers per coordinate for several, all of one width; D is
+    at least 1.  The command line and the cartan.v1 reader refuse any
+    other input, so nothing is checked here.
     """
-    if D < 1:
-        raise ValueError("degree cutoff must be at least 1")
     ws = [tuple(w) if isinstance(w, (list, tuple)) else (w,)
           for w in weights]
     m = len(ws)
-    n = len(ws[0]) if m else 1
-    if any(len(w) != n for w in ws):
-        raise ValueError("all coordinates need one weight per factor")
+    n = len(ws[0])
 
     # x^alpha dx^beta is invariant exactly when its content
     # alpha + 1_beta is, and the content has the form's letter count
@@ -377,10 +374,9 @@ def cartan_model(weights, D) -> UComplex:
 def check_mixed_map(NZ: MixedComplex, NX: MixedComplex, iota):
     """iota is the map from source to target tokens, as a Matrix or a
     column dict of rational entries of degree 0, as ``read_map`` reads
-    them; it must commute with d and with every h_i, and the two
-    complexes must have the same torus rank.  Returns it as a Matrix."""
-    if NZ.nfactors != NX.nfactors:
-        raise ValueError("mixed complexes have different torus ranks")
+    them; it must commute with d and with every h_i.  The two complexes
+    have the same torus rank, one factor each on the command line.
+    Returns it as a Matrix."""
     iota = Matrix.of_columns(len(NX.tokens), len(NZ.tokens), iota)
     pairs = [("d", NZ.d, NX.d)]
     pairs += [("h_%d" % (a + 1), NZ.hs[a], NX.hs[a])

@@ -106,6 +106,11 @@ class BasisToken:
 
 
 class Matrix:
+    """A sparse nrows x ncols matrix {(i, j): entry}, zero entries
+    dropped.  Shapes and indices are not checked: code builds every
+    matrix from indices it owns, and ``equivariant.read_map`` resolves
+    the names of a file to indices in range."""
+
     __slots__ = ("nrows", "ncols", "data")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
@@ -113,12 +118,10 @@ class Matrix:
         self.ncols = ncols
         self.data = {}
         if entries:
-            for (i, j), v in entries.items():
+            for key, v in entries.items():
                 v = sc(v)
                 if not v.is_zero():
-                    if not (0 <= i < nrows and 0 <= j < ncols):
-                        raise IndexError("entry (%d, %d) out of shape" % (i, j))
-                    self.data[(i, j)] = v
+                    self.data[key] = v
 
     def get(self, i, j) -> Scalar:
         return self.data.get((i, j), ZERO)
@@ -131,8 +134,6 @@ class Matrix:
                       {(j, i): v for (i, j), v in self.data.items()})
 
     def mul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
         out = {}
         by_row = {}
         for (i, j), v in other.data.items():
@@ -144,8 +145,6 @@ class Matrix:
         return Matrix(self.nrows, other.ncols, out)
 
     def add(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix sum")
         return Matrix(self.nrows, self.ncols, vec_add(self.data, other.data))
 
     def scale(self, s) -> "Matrix":
@@ -180,10 +179,6 @@ class Matrix:
         """``cols`` as a matrix: a column dict {j: {i: entry}}, read in
         its own order, or a Matrix of this shape, returned unchanged."""
         if isinstance(cols, Matrix):
-            if (cols.nrows, cols.ncols) != (nrows, ncols):
-                raise ValueError("shape mismatch: %dx%d matrix where %dx%d "
-                                 "is expected" % (cols.nrows, cols.ncols,
-                                                  nrows, ncols))
             return cols
         return Matrix(nrows, ncols, {(i, j): v for j, col in cols.items()
                                      for i, v in col.items()})

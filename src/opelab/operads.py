@@ -53,26 +53,12 @@ def _coerce_table(table, arity):
     return out
 
 
-class _WrongEntry(ValueError):
-    """A table entry op(key) -> k whose degree or parity contradicts the
-    declared basis; ``entry`` is (op, key, k) and ``detail`` names the
-    contradiction."""
-
-    def __init__(self, A, op, key, k, what, want):
-        super().__init__("%s%s has an entry of wrong %s at %s"
-                         % (op, tuple(A.names[i] for i in key), what,
-                            A.names[k]))
-        self.entry = (op, key, k)
-        have = (A.degrees if what == "degree" else A.parities)[k]
-        self.detail = "an entry of wrong %s (%s has %d, the entry needs " \
-            "%d)" % (what, A.names[k], have, want)
-
-
 class AlgebraInstance:
     """Finite ordered basis with degrees and parities, and any subset of
     the operation tables m, pi, delta, d.  Tables are sparse: absent
-    entries are zero.  Declared operation degrees are enforced entry by
-    entry at construction."""
+    entries are zero.  Declared operation degrees and parities are
+    enforced entry by entry when a table is read, by ``from_dict``; the
+    stock instances below pass that check."""
 
     OP_ARITY = {"m": 2, "pi": 2, "delta": 1, "d": 1}
     OP_PARITY = {"m": 0, "delta": 1, "d": 1}
@@ -83,28 +69,18 @@ class AlgebraInstance:
         self.names = list(names)
         self.degrees = list(degrees)
         self.parities = [p % 2 for p in parities]
-        self.index = {n: i for i, n in enumerate(self.names)}
-        if len(self.index) != len(self.names):
-            raise ValueError("duplicate basis names")
         self.ring = ring
         self.ring_degree = ring_degree
         self.pi_degree = pi_degree
         self.pi_parity = pi_parity
         self.delta_parity = delta_parity % 2
-        self.tables = {}
-        for op, raw in tables.items():
-            if op not in self.OP_ARITY:
-                raise ValueError("unknown operation table %r" % op)
-            if raw is not None:
-                self.tables[op] = _coerce_table(raw, self.OP_ARITY[op])
-        self._check_degrees()
+        self.tables = {op: _coerce_table(raw, self.OP_ARITY[op])
+                       for op, raw in tables.items() if raw is not None}
 
     def op_degree(self, op):
         if op == "m":
             return 0
         if op == "pi":
-            if self.pi_degree is None:
-                raise ValueError("instance declares no bracket degree")
             return self.pi_degree
         if op == "delta":
             return 1
@@ -119,26 +95,6 @@ class AlgebraInstance:
         if op == "delta":
             return self.delta_parity
         return self.OP_PARITY[op]
-
-    def _check_degrees(self):
-        for op, table in self.tables.items():
-            shift = self.op_degree(op)
-            par = self.op_parity(op)
-            for key, col in table.items():
-                src_deg = sum(self.degrees[i] for i in key)
-                src_par = sum(self.parities[i] for i in key) % 2
-                for k, v in col.items():
-                    for exp, c in enumerate(v.coeffs):
-                        if c == 0:
-                            continue
-                        # u^e * e_k lives in degree deg(k) + e deg(u)
-                        want = src_deg + shift - exp * self.ring_degree
-                        if self.degrees[k] != want:
-                            raise _WrongEntry(self, op, key, k, "degree",
-                                              want)
-                    if self.parities[k] != (src_par + par) % 2:
-                        raise _WrongEntry(self, op, key, k, "parity",
-                                          (src_par + par) % 2)
 
     def need(self, *ops):
         for op in ops:
@@ -229,23 +185,38 @@ class AlgebraInstance:
             raise SchemaViolation("alg.v1", "/tables/pi",
                                   "a pi table needs a pi_degree")
         ring = data.get("ring") or {}
-        try:
-            return AlgebraInstance(
-                names,
-                [b["degree"] for b in data["basis"]],
-                [b.get("parity", 0) for b in data["basis"]],
-                tables,
-                ring=ring.get("var"),
-                ring_degree=ring.get("degree", 0),
-                pi_degree=data.get("pi_degree"),
-                pi_parity=data.get("pi_parity"),
-                delta_parity=data.get("delta_parity", 1))
-        except _WrongEntry as e:
-            op, key, k = e.entry
-            at = "/tables/%s/%s/%s" % (
-                escape(op), escape(",".join(names[i] for i in key)),
-                escape(names[k]))
-            raise SchemaViolation("alg.v1", at, e.detail)
+        A = AlgebraInstance(
+            names,
+            [b["degree"] for b in data["basis"]],
+            [b.get("parity", 0) for b in data["basis"]],
+            tables,
+            ring=ring.get("var"),
+            ring_degree=ring.get("degree", 0),
+            pi_degree=data.get("pi_degree"),
+            pi_parity=data.get("pi_parity"),
+            delta_parity=data.get("delta_parity", 1))
+        # u^e * e_k lives in degree deg(k) + e deg(u), and op(key) -> k
+        # has the degree and parity of the key shifted by the op's
+        for op, table in A.tables.items():
+            for key, col in table.items():
+                at = "/tables/%s/%s/" % (
+                    escape(op), escape(",".join(names[i] for i in key)))
+                degree = sum(A.degrees[i] for i in key) + A.op_degree(op)
+                parity = (sum(A.parities[i] for i in key)
+                          + A.op_parity(op)) % 2
+                for k, v in col.items():
+                    wants = [("degree", A.degrees[k],
+                              degree - e * A.ring_degree)
+                             for e, c in enumerate(v.coeffs) if c]
+                    wants.append(("parity", A.parities[k], parity))
+                    for what, have, want in wants:
+                        if have != want:
+                            raise SchemaViolation(
+                                "alg.v1", at + escape(names[k]),
+                                "an entry of wrong %s (%s has %d, the "
+                                "entry needs %d)"
+                                % (what, names[k], have, want))
+        return A
 
 
 # -- relations -------------------------------------------------------------
@@ -593,10 +564,6 @@ def conf_ring(n, d) -> ConfRing:
     depend on d; form degree k sits in degree k(d - 1), so the Poincare
     polynomial is prod_{j<n} (1 + j t^(d-1)) and the total is n!.
     """
-    if n < 1 or d < 2:
-        raise ValueError("need n >= 1 and d >= 2")
-    if n > 6:
-        raise ValueError("n > 6 is past desk scale; refusing")
     basis = {0: [()]}
     for j in range(2, n + 1):
         # descending k, so each monomial takes at most one factor w_ij
@@ -686,9 +653,7 @@ def homology_p_d_bridge(n, d):
     """Arity-level comparison between configuration cohomology and the
     two-generator presentation: dimensions, degrees, and the transposition
     sign for n = 2; total dimension 6 against the rank of all arity-3
-    words for n = 3."""
-    if n > 3:
-        raise ValueError("bridge implemented for n <= 3")
+    words for n = 3, the only other n it takes."""
     if n == 2:
         ring = conf_ring(2, d)
         conf_degrees = sorted(k * (d - 1) for k in ring.dims)

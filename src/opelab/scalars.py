@@ -325,12 +325,8 @@ def format_scalar(s: Scalar) -> str:
 
 
 class _Tok:
-    def __init__(self, text):
-        import re
-        self.toks = re.findall(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\^|[()+*/-]", text)
-        rejoined = "".join(self.toks)
-        if rejoined != "".join(text.split()):
-            raise ValueError("cannot parse scalar: %r" % text)
+    def __init__(self, toks):
+        self.toks = toks
         self.i = 0
 
     def peek(self):
@@ -357,7 +353,11 @@ def _check_degree(degree):
 
 def parse_scalar(text: str) -> Scalar:
     """Inverse of ``format_scalar`` (also accepts e.g. ``1/2*c``)."""
-    tk = _Tok(text)
+    import re
+    toks = re.findall(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\^|[()+*/-]", text)
+    if "".join(toks) != "".join(text.split()):
+        raise ValueError("cannot parse scalar: %r" % text)
+    tk = _Tok(toks)
     val = _parse_sum(tk)
     if tk.peek() is not None:
         raise ValueError("trailing input in scalar: %r" % text)

@@ -297,6 +297,25 @@ def scalar_at(value, schema_name, pointer):
         raise SchemaViolation(schema_name, pointer, str(e))
 
 
+def one_variable(schema_name, var=None, what="table"):
+    """``scalar_at`` for the coefficients of one file: each is over the
+    variable ``var``, or, when that is None, over the first variable an
+    entry shows.  Two variables would meet only in arithmetic, so an
+    entry over another one is refused with its JSON pointer."""
+    def coeff_at(value, pointer):
+        nonlocal var
+        s = scalar_at(value, schema_name, pointer)
+        if s.var is not None and s.var != var:
+            if var is not None:
+                raise SchemaViolation(
+                    schema_name, pointer, "coefficient %r is a polynomial "
+                    "in %r, but the %s is over %r" % (value, s.var, what,
+                                                      var))
+            var = s.var
+        return s
+    return coeff_at
+
+
 def rational_at(value, schema_name, pointer):
     """``scalar_at`` of an entry of a map over Q: a polynomial entry is
     refused with its JSON pointer too."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, sc, format_scalar
 from .linalg import vec_add, vec_scale, vec_sub
-from .schemas import SchemaViolation, name_index, scalar_at
+from .schemas import SchemaViolation, name_index, one_variable
 
 
 class Gen:
@@ -36,10 +36,6 @@ class Gen:
     def __init__(self, name, weight, parity=0, charge=0, ghost=0):
         self.name = name
         self.weight = Fraction(weight)
-        if self.weight < 0:
-            raise ValueError("generator %r has negative weight" % name)
-        if parity not in (0, 1):
-            raise ValueError("parity must be 0 or 1")
         self.parity = parity
         self.charge = charge
         self.ghost = ghost
@@ -49,25 +45,21 @@ class Gen:
 
 
 class VertexLieData:
+    """Generators and the stored bracket table {(a, b, n): value}, zero
+    coefficients dropped.  Nothing is checked here: a table read from a
+    file is checked where it is read, by ``from_dict``, and the builders
+    below make tables that pass those checks."""
+
     def __init__(self, gens, brackets, ring=None, central=False):
         self.gens = list(gens)
         self.ring = ring
         self.central = central
-        self.index = {}
-        for i, g in enumerate(self.gens):
-            if g.name in self.index:
-                raise ValueError("duplicate generator name %r" % g.name)
-            self.index[g.name] = i
+        self.index = {g.name: i for i, g in enumerate(self.gens)}
         self.brackets = {}
-        for (ia, ib, n), val in brackets.items():
-            if n < 0:
-                raise ValueError("bracket mode must be nonnegative")
+        for key, val in brackets.items():
             val = {k: c for k, c in ((k, sc(v)) for k, v in val.items()) if c}
-            if not val:
-                continue
-            if not central and () in val:
-                raise ValueError("central coefficient in a non-central table")
-            self.brackets[(ia, ib, n)] = val
+            if val:
+                self.brackets[key] = val
 
     def gen(self, name) -> int:
         return self.index[name]
@@ -145,27 +137,17 @@ class VertexLieData:
                             g.get("charge", 0), g.get("ghost", 0)))
         gen_index = name_index([g.name for g in gens], "generator", "vla.v1",
                                "/generators/%d/name")
-        var = data.get("ring")
-
-        def coeff_at(value, pointer):
-            # every coefficient is over the ring's variable, or else over
-            # the first one's: two variables would meet only in arithmetic
-            nonlocal var
-            s = scalar_at(value, "vla.v1", pointer)
-            if s.var is not None and s.var != var:
-                if var is not None:
-                    raise SchemaViolation(
-                        "vla.v1", pointer, "coefficient %r is a polynomial "
-                        "in %r, but the table is over %r"
-                        % (value, s.var, var))
-                var = s.var
-            return s
-
-        brackets = {}
+        coeff_at = one_variable("vla.v1", data.get("ring"))
+        brackets, rows = {}, {}
         for r, b in enumerate(data.get("brackets", [])):
             at = "/brackets/%d/" % r
             key = (gen_index(b["a"], at + "a"), gen_index(b["b"], at + "b"),
                    b["n"])
+            if key in rows:
+                raise SchemaViolation(
+                    "vla.v1", at[:-1], "%s_(%d)%s is given twice, first "
+                    "in row %d" % (b["a"], key[2], b["b"], rows[key]))
+            rows[key] = r
             ga, gb = gens[key[0]], gens[key[1]]
             want = ga.weight + gb.weight - key[2] - 1
             sums = {k: v + _grades(gb)[k] for k, v in _grades(ga).items()}

@@ -37,7 +37,7 @@ from smith_oracle import assert_complex
 # -- singular product tables ----------------------------------------------
 
 def test_virasoro_singular_products():
-    V = VertexAlgebra(virasoro(Scalar.variable("c")), cutoff=4)
+    V = VertexAlgebra(virasoro(Scalar.variable("c")))
     l = V.gen_state("l")
     ope = V.singular_ope(l, l)
     assert set(ope) == {0, 1, 3}
@@ -57,7 +57,7 @@ SL2_PAIRING = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 
 def test_sl2_singular_products():
     c = Scalar.variable("c")
-    V = VertexAlgebra(kac_moody_sl2(c), cutoff=2)
+    V = VertexAlgebra(kac_moody_sl2(c))
     for a, b in itertools.product("ehf", repeat=2):
         want = {}
         if (a, b) in SL2_BRACKET:
@@ -71,13 +71,13 @@ def test_sl2_singular_products():
 
 def test_heisenberg_singular_products():
     c = Scalar.variable("c")
-    V = VertexAlgebra(heisenberg(c), cutoff=2)
+    V = VertexAlgebra(heisenberg(c))
     b = V.gen_state("b")
     assert V.singular_ope(b, b) == {1: {(): c}}
 
 
 def test_symplectic_pair_singular_products():
-    V = VertexAlgebra(weyl_pair(odd=False), cutoff=2)
+    V = VertexAlgebra(weyl_pair(odd=False))
     phi, phis = V.gen_state("phi"), V.gen_state("phi_star")
     assert V.singular_ope(phi, phis) == {0: {(): ONE}}
     assert V.singular_ope(phis, phi) == {0: {(): sc(-1)}}
@@ -86,8 +86,7 @@ def test_symplectic_pair_singular_products():
 
 
 def test_clifford_pair_singular_products():
-    V = VertexAlgebra(weyl_pair(odd=True, names=("psi", "psi_star")),
-                      cutoff=2)
+    V = VertexAlgebra(weyl_pair(odd=True, names=("psi", "psi_star")))
     psi, psis = V.gen_state("psi"), V.gen_state("psi_star")
     assert V.singular_ope(psi, psis) == {0: {(): ONE}}
     assert V.singular_ope(psis, psi) == {0: {(): ONE}}
@@ -110,21 +109,21 @@ def mode_partition_counts(gen_weights, W):
 
 
 def test_virasoro_weight_dimensions():
-    V = VertexAlgebra(virasoro(Scalar.variable("c")), cutoff=6)
+    V = VertexAlgebra(virasoro(Scalar.variable("c")))
     got = [len(V.basis(w)) for w in range(7)]
     assert got == mode_partition_counts([2], 6)
     assert got == [1, 0, 1, 1, 2, 2, 4]
 
 
 def test_sl2_weight_dimensions():
-    V = VertexAlgebra(kac_moody_sl2(Scalar.variable("k")), cutoff=3)
+    V = VertexAlgebra(kac_moody_sl2(Scalar.variable("k")))
     got = [len(V.basis(w)) for w in range(4)]
     assert got == mode_partition_counts([1, 1, 1], 3)
     assert got == [1, 3, 9, 22]
 
 
 def test_heisenberg_weight_dimensions():
-    V = VertexAlgebra(heisenberg(Scalar.variable("t")), cutoff=4)
+    V = VertexAlgebra(heisenberg(Scalar.variable("t")))
     got = [len(V.basis(w)) for w in range(5)]
     assert got == mode_partition_counts([1], 4)
     assert got == [1, 1, 2, 3, 5]
@@ -155,8 +154,8 @@ def test_bracket_axioms(name, build):
                          ids=[n for n, _ in SHIPPED])
 def test_envelope_axioms(name, build):
     kw = {"charge_window": (-4, 4)} if name == "symplectic-pair" else {}
-    V = VertexAlgebra(build(), cutoff=4, **kw)
-    assert V.check_vertex_axioms(cutoff=4).ok
+    V = VertexAlgebra(build())
+    assert V.check_vertex_axioms(cutoff=4, **kw).ok
 
 
 def test_inhomogeneous_bracket_caught_with_witness():
@@ -193,7 +192,7 @@ def test_broken_structure_constants_caught_with_witness():
 
 def test_broken_envelope_caught_with_witness():
     L = current_algebra(["e", "h", "f"], BAD_SL2_STRUCT, SL2_KAPPA, sc(1))
-    rep = VertexAlgebra(L, cutoff=2).check_vertex_axioms(cutoff=2)
+    rep = VertexAlgebra(L).check_vertex_axioms(cutoff=2)
     assert not rep.ok
     assert rep.violations[0]["message"]
 

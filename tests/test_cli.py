@@ -461,6 +461,52 @@ def _two_variables(fmt):
     return data
 
 
+def _repeated_row(fmt):
+    """A file with a row repeated later on: the Virasoro table with a
+    copy of its row l_(0)l of coefficient 5 put first (``"vla.v1"``),
+    the gl_1 datum whose matter does the same with phi_(0)phi_star
+    (``"matter"``), the critical Wakimoto datum with its structure row
+    [e, h] given again at the end (``"structure"``), or the gl_1 datum
+    with a second, empty current x (``"currents"``)."""
+    if fmt == "vla.v1":
+        data = virasoro(1).to_dict()
+        rows = data["brackets"]
+    elif fmt == "matter":
+        data = bg_gl1_datum().to_dict()
+        rows = data["matter"]["brackets"]
+    elif fmt == "structure":
+        data = wakimoto_datum(-4, cutoff=1).to_dict()
+        data["structure"].append(dict(data["structure"][0]))
+        return data
+    else:
+        data = bg_gl1_datum().to_dict()
+        data["currents"].append({"gen": "x", "terms": []})
+        return data
+    first = json.loads(json.dumps(rows[0]))
+    for t in first["value"]:
+        t["coeff"] = "5"
+    if "central_coeff" in first:
+        first["central_coeff"] = "5"
+    rows.insert(0, first)
+    return data
+
+
+def _structure_not_antisymmetric():
+    """The abelian datum with the structure [b, b] = b."""
+    data = abelian_datum(0, cutoff=4).to_dict()
+    data["structure"] = [{"a": "b", "b": "b",
+                          "terms": [{"gen": "b", "coeff": "1"}]}]
+    return data
+
+
+def _current_in_a_second_variable():
+    """The Wakimoto datum at level t with its first current term's
+    coefficient in s."""
+    data = wakimoto_datum("t", cutoff=2).to_dict()
+    data["currents"][0]["terms"][0]["coeff"] = "s"
+    return data
+
+
 TOO_MANY = "more than %d monomials" % MAX_ENVELOPE_STATES
 
 # argv, file to pass as --input (or None), text stderr must show
@@ -662,6 +708,29 @@ HOSTILE = [
     (["vla-check"], weyl_pair(odd=False, charges=(1, 0)).to_dict(),
      "error: vla.v1: phi_(0)phi_star has a central term of charge 0, "
      "expected 1 at /brackets/0/central_coeff\n"),
+    (["conf", "--n", "1", "--d", "2", "--bridge"], None,
+     "error: --bridge needs n = 2 or n = 3\n"),
+    (["conf", "--n", "7", "--d", "2"], None,
+     "error: n > 6 is past desk scale\n"),
+    (["conf", "--n", "3", "--d", "1"], None, "error: conf needs d >= 2\n"),
+    (["vla-check"], _repeated_row("vla.v1"),
+     "error: vla.v1: l_(0)l is given twice, first in row 0 at "
+     "/brackets/1\n"),
+    (["brst", "--cutoff", "1"], _repeated_row("matter"),
+     "error: brst.v1: phi_(0)phi_star is given twice, first in row 0 at "
+     "/matter/brackets/1\n"),
+    (["brst", "--cutoff", "1"], _repeated_row("structure"),
+     "error: brst.v1: [e, h] is given twice, first in row 0 at "
+     "/structure/6\n"),
+    (["brst", "--cutoff", "1"], _repeated_row("currents"),
+     "error: brst.v1: current x is given twice, first in row 0 at "
+     "/currents/1\n"),
+    (["brst", "--cutoff", "2", "--cohomology"],
+     _structure_not_antisymmetric(),
+     "error: brst.v1: [b, b] is not -[b, b] at /structure/0\n"),
+    (["brst", "--cutoff", "1"], _current_in_a_second_variable(),
+     "error: brst.v1: coefficient 's' is a polynomial in 's', but the "
+     "datum is over 't' at /currents/0/terms/0/coeff\n"),
 ]
 
 
@@ -715,7 +784,11 @@ HOSTILE = [
     "localize-map-of-wrong-degree", "localize-total-d-of-wrong-degree",
     "mixed-h-entry-in-u", "brst-matter-bracket-breaks-the-ghost-number",
     "brst-matter-bracket-breaks-the-charge",
-    "vla-central-term-breaks-the-charge"])
+    "vla-central-term-breaks-the-charge", "conf-bridge-at-n-1",
+    "conf-n-past-desk-scale", "conf-d-below-2",
+    "vla-repeated-bracket-row", "brst-matter-repeated-bracket-row",
+    "brst-repeated-structure-row", "brst-repeated-current-row",
+    "brst-structure-not-antisymmetric", "brst-current-in-a-second-variable"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

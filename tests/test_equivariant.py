@@ -13,7 +13,7 @@ from opelab import presets
 from opelab.cli import main
 from opelab.scalars import (Scalar, ZERO, ONE, sc, format_scalar,
                             parse_scalar)
-from opelab.schemas import name_index
+from opelab.schemas import name_index, validate
 from opelab.linalg import (BasisToken, FiniteComplex, Matrix, presentation,
                            smith_factors, vec_add, vec_scale, _grading,
                            _smith_general)
@@ -559,6 +559,18 @@ def test_cartan_model_by_content_matches_the_candidate_loop(weights, D):
     assert [t.name for t in M.tokens] == [t.name for t in tokens]
     assert M.mixed.d.data == d0.data
     assert [h.data for h in M.mixed.hs] == [h.data for h in hs]
+
+
+@pytest.mark.parametrize("name", sorted(presets.CARTAN_PRESETS))
+def test_cartan_presets_are_in_range(name):
+    """``cartan_model`` checks nothing, and the presets reach it past
+    the cartan.v1 reader: each has one width of weights and a cutoff of
+    at least 1."""
+    entry = presets.CARTAN_PRESETS[name]
+    validate({"weights": entry["weights"], "cutoff": entry["cutoff"]},
+             "cartan.v1")
+    assert len({len(w) if isinstance(w, list) else 1
+                for w in entry["weights"]}) == 1
 
 
 def test_cartan_differential_is_checked_on_construction():

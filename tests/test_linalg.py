@@ -464,24 +464,6 @@ def test_column_dict_constructor_keeps_the_given_order(n, m, data):
     assert Matrix.from_columns(n, [cols[j] for j in range(m)]) == M
 
 
-@settings(max_examples=50, deadline=None)
-@given(*[st.integers(1, 4)] * 4)
-def test_matrix_shape_mismatch_raises(n, m, p, q):
-    A, B = Matrix(n, m, {(0, 0): 1}), Matrix(p, q, {(p - 1, q - 1): 1})
-    if (n, m) != (p, q):
-        with pytest.raises(ValueError, match="shape"):
-            A.add(B)
-        with pytest.raises(ValueError, match="shape"):
-            Matrix.of_columns(n, m, B)
-    if m != p:
-        with pytest.raises(ValueError, match="shape"):
-            A.mul(B)
-    with pytest.raises(IndexError):
-        Matrix.of_columns(n, m, {m: {0: 1}})
-    with pytest.raises(IndexError):
-        Matrix.of_columns(n, m, {0: {n: 1}})
-
-
 vectors = st.dictionaries(st.integers(0, 4), polys).map(
     lambda v: {k: c for k, c in v.items() if not c.is_zero()})
 

@@ -102,3 +102,36 @@ def test_every_definition_is_named_somewhere():
     sources = {p: t for p, t in lookup.items()
                if ROOT / p.parent == SRC}
     assert unnamed_definitions(sources, lookup) == []
+
+
+def raises_in_constructors(source, filename="<source>"):
+    """(line, class) for each ``raise`` inside an ``__init__``: a
+    constructor only stores, and input is checked where it is read."""
+    tree = ast.parse(source, filename)
+    return sorted((node.lineno, cls.name)
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for init in cls.body
+                  if isinstance(init, ast.FunctionDef)
+                  and init.name == "__init__"
+                  for node in ast.walk(init) if isinstance(node, ast.Raise))
+
+
+def test_raises_in_constructors_are_found():
+    source = ("class A:\n"
+              "    def __init__(self, x):\n"
+              "        if x < 0:\n"
+              "            raise ValueError(x)\n"
+              "    def check(self):\n"
+              "        raise ValueError\n"
+              "class B:\n"
+              "    def __init__(self):\n"
+              "        def inner():\n"
+              "            raise KeyError\n"
+              "        self.f = inner\n")
+    assert raises_in_constructors(source) == [(4, "A"), (10, "B")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_constructors_only_store(path):
+    assert raises_in_constructors(path.read_text(), str(path)) == []

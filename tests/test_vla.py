@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from opelab import presets
 from opelab.cli import _level, main
 from opelab.scalars import Scalar, ONE, sc, format_scalar
+from opelab.schemas import validate
 from opelab.vla import (Gen, VertexLieData, check_sesquilinearity,
                         check_skew_symmetry, check_jacobi, current_algebra,
                         heisenberg, kac_moody_sl2, virasoro, weyl_pair,
@@ -226,9 +227,8 @@ def vla_files(draw):
 @given(vla_files())
 def test_drawn_tables_round_trip_without_zero_coefficients(data):
     """A drawn table reads back from its own ``to_dict``, stores and
-    writes no zero coefficient, refuses a central part once it is not
-    central, and ``vla-check`` on it reports 0 or 1 as one JSON
-    document."""
+    writes no zero coefficient, and ``vla-check`` on it reports 0 or 1
+    as one JSON document."""
     L = VertexLieData.from_dict(data)
     out = L.to_dict()
     L2 = VertexLieData.from_dict(out)
@@ -237,12 +237,6 @@ def test_drawn_tables_round_trip_without_zero_coefficients(data):
     for row in out["brackets"]:
         assert all(t["coeff"] != "0" for t in row["value"])
         assert row.get("central_coeff") != "0"
-    brackets = dict(L.brackets)
-    brackets[(0, 0, 0)] = dict(L.stored(0, 0, 0))
-    brackets[(0, 0, 0)][()] = ONE
-    with pytest.raises(ValueError, match="^central coefficient in a "
-                       "non-central table$"):
-        VertexLieData(L.gens, brackets, central=False)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.json")
         with open(path, "w") as fh:
@@ -254,6 +248,19 @@ def test_drawn_tables_round_trip_without_zero_coefficients(data):
     assert code in (0, 1) and stderr.getvalue() == ""
     report = json.loads(stdout.getvalue())
     assert report["ok"] == (code == 0)
+
+
+@pytest.mark.parametrize("level", ["stock", "-3/7"])
+@pytest.mark.parametrize("name", sorted(presets.VLA_PRESETS))
+def test_presets_pass_the_reader(name, level):
+    """The presets are built in code, where no reader checks them: each
+    table, at its stock level and at a rational one, passes the vla.v1
+    schema and every check of ``from_dict`` and reads back unchanged."""
+    entry = presets.VLA_PRESETS[name]
+    L = entry["build"](_level(entry["level"] if level == "stock"
+                              else level))
+    data = validate(L.to_dict(), "vla.v1")
+    assert VertexLieData.from_dict(data).to_dict() == data
 
 
 # -- metamorphic: renaming and reordering keep every report ---------------
