@@ -465,7 +465,7 @@ class VertexAlgebra:
 
     # -- axiom checks ----------------------------------------------------
 
-    def check_vertex_axioms(self, cutoff, charge_window=None) -> CheckReport:
+    def check_vertex_axioms(self, cutoff) -> CheckReport:
         """The vacuum, translation, skew-symmetry and commutator axioms
         for modes n <= cutoff, on the sample states of ``_sample_states``
         through weight min(cutoff, 3)."""
@@ -485,7 +485,7 @@ class VertexAlgebra:
                     bad.append({"message":
                                 "%s_(%d)|0> != 0" % (name, n)})
 
-        states = self._sample_states(min(cutoff, 3), charge_window)
+        states = self._sample_states(min(cutoff, 3))
 
         # translation covariance along both slots
         for name, a in gens:
@@ -571,11 +571,10 @@ class VertexAlgebra:
                                     "%s_(%d) on %s" % (na, m, nb, k, lbl)})
         return CheckReport(bad)
 
-    def _sample_states(self, wmax, charge_window=None):
+    def _sample_states(self, wmax):
         """The vacuum, the generators and the basis monomials through
         weight wmax; with weight-0 even generators, those of the charges
-        of one or two generators and 0, inside ``charge_window`` when it
-        is given."""
+        of one or two generators and 0."""
         out = [("|0>", self.vacuum())]
         for g in self.L.gens:
             out.append((g.name, self.gen_state(g.name)))
@@ -585,9 +584,6 @@ class VertexAlgebra:
             qs = sorted({self.L.gens[g].charge * r
                          for g in range(len(self.L.gens))
                          for r in (1, 2)} | {0})
-            if charge_window is not None:
-                lo, hi = charge_window
-                qs = [q for q in qs if lo <= q <= hi]
         w, step = Fraction(0), Fraction(1, self._D)
         while w <= wmax:
             for q in qs:

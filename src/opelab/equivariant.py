@@ -204,9 +204,7 @@ class UComplex:
 
     def rank_and_torsion(self):
         """(free rank, torsion invariant factors) of H as a Q[u]-module,
-        all degrees taken together."""
-        if self.nfactors != 1:
-            raise ValueError("module invariants need exactly one u")
+        all degrees taken together, for a complex of one factor."""
         return _module_invariants(self.complex().D)
 
 

@@ -153,9 +153,8 @@ def test_bracket_axioms(name, build):
 @pytest.mark.parametrize("name,build", SHIPPED,
                          ids=[n for n, _ in SHIPPED])
 def test_envelope_axioms(name, build):
-    kw = {"charge_window": (-4, 4)} if name == "symplectic-pair" else {}
     V = VertexAlgebra(build())
-    assert V.check_vertex_axioms(cutoff=4, **kw).ok
+    assert V.check_vertex_axioms(cutoff=4).ok
 
 
 def test_inhomogeneous_bracket_caught_with_witness():

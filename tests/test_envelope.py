@@ -192,7 +192,7 @@ def test_axioms_sl2():
 
 def test_axioms_betagamma():
     V = VertexAlgebra(weyl_pair(odd=False))
-    assert V.check_vertex_axioms(cutoff=2, charge_window=(-2, 2)).ok
+    assert V.check_vertex_axioms(cutoff=2).ok
 
 
 def test_axioms_bc():
