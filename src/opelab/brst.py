@@ -15,12 +15,12 @@ is not an input one gets to choose: it is the unique value for which the
 quadratic and cubic cross terms in Q_(0)Q cancel, and the test suite
 re-derives it instead of trusting this file.
 
-Current levels are likewise never inputs.  kappa_matter and kappa_ghost
-are read off from first products of the current states, and d^2 = 0 is
-equivalent to kappa_matter + kappa_ghost = 0.  When the matter level is
-a polynomial variable, d^2 comes out as a matrix of polynomials and one
-can solve for the critical level; that is how the presets below were
-calibrated.
+Current levels are likewise never inputs.  The matter and ghost levels
+are first products of the current states, and d^2 = 0 is equivalent to
+their sum vanishing; the tests read them off (``tests/brst_oracle.py``).
+When the matter level is a polynomial variable, d^2 comes out as a
+matrix of polynomials and one can solve for the critical level; that is
+how the presets below were calibrated.
 
 Since Q is odd, the commutator formula gives 2 d^2 = (Q_(0)Q)_(0), so the
 one state Q_(0)Q decides d^2 = 0 on the whole envelope (Frenkel-Garland-
@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .scalars import Scalar, ZERO, ONE, sc, format_scalar
+from .scalars import Scalar, ONE, sc, format_scalar
 from .vla import (Gen, VertexLieData, CheckReport, check_jacobi,
                   check_skew_symmetry, direct_sum, heisenberg, weyl_pair,
                   SL2_STRUCT)
@@ -128,58 +128,6 @@ class BRSTDatum:
         self._Q = None
         self._dgen_cache = {}
         self._d_cache = {}
-
-    # -- levels ----------------------------------------------------------
-
-    def _vacuum_multiple(self, state, what) -> Scalar:
-        if not state:
-            return ZERO
-        if set(state) != {()}:
-            raise ValueError("%s is not a multiple of the vacuum: %s"
-                             % (what, self.V.format_state(state)))
-        return state[()]
-
-    def kappa_matter(self):
-        return {(a, b): self._vacuum_multiple(
-                    self.V.nth_product(self.currents[a], 1,
-                                       self.currents[b]),
-                    "first product of currents (%s, %s)" % (a, b))
-                for a in self.names for b in self.names}
-
-    def kappa_ghost(self):
-        return {(a, b): self._vacuum_multiple(
-                    self.V.nth_product(self.ghost_currents[a], 1,
-                                       self.ghost_currents[b]),
-                    "first product of ghost currents (%s, %s)" % (a, b))
-                for a in self.names for b in self.names}
-
-    def level_defect(self):
-        """kappa_matter + kappa_ghost; zero iff d^2 = 0."""
-        km, kg = self.kappa_matter(), self.kappa_ghost()
-        return {k: km[k] + kg[k] for k in km}
-
-    def bracket_terms(self, a, b):
-        i, j = self.names.index(a), self.names.index(b)
-        return [(self.names[k], c) for k, c in self.struct.get((i, j), [])]
-
-    def validate_currents(self) -> CheckReport:
-        """(J_a)_(0) J_b = J_[a,b] for the matter currents and the ghost
-        currents separately; violations name the offending pair."""
-        bad = []
-        for which, cur in (("matter", self.currents),
-                           ("ghost", self.ghost_currents)):
-            for a in self.names:
-                for b in self.names:
-                    got = self.V.nth_product(cur[a], 0, cur[b])
-                    want = {}
-                    for cn, c in self.bracket_terms(a, b):
-                        want = vec_add(want, vec_scale(cur[cn], c))
-                    if got != want:
-                        bad.append({
-                            "which": which, "pair": (a, b),
-                            "message": "%s currents fail closure on (%s, %s)"
-                            % (which, a, b)})
-        return CheckReport(bad)
 
     # -- charge and differential -----------------------------------------
 
@@ -546,50 +494,6 @@ def pure_ghost_datum(rank=1, cutoff=5) -> BRSTDatum:
     names = ["x%d" % i for i in range(1, rank + 1)]
     matter = VertexLieData([], {}, central=True)
     return BRSTDatum(names, {}, matter, {n: [] for n in names}, cutoff)
-
-
-def bg_gl1_datum(cutoff=3, charge_window=(-6, 6)) -> BRSTDatum:
-    """One even weight (1, 0) pair with its charge current :phi phi*:,
-    reduced along gl_1.  The current level is -1, so d^2 only vanishes
-    through weight 0; the weight-0 tower is still an honest complex."""
-    matter = weyl_pair(odd=False)
-    words = {"x": [(ONE, [("phi", 0), ("phi_star", 0)])]}
-    return BRSTDatum(["x"], {}, matter, words, cutoff, charge_window)
-
-
-SL2_FUND = {"e": [[0, 1], [0, 0]], "h": [[1, 0], [0, -1]],
-            "f": [[0, 0], [1, 0]]}
-
-
-def bg_fundamental_sl2_datum(copies, cutoff=2,
-                             charge_window=(-4, 4)) -> BRSTDatum:
-    """k copies of the even pair in the 2-dimensional representation of
-    sl_2, currents J_a = -sum_i rho(a)_mn :phi^{i,m} phi*^{i,n}:.  Each
-    copy contributes -trace(rho(a) rho(b)) to the level."""
-    parts, names_by_copy = [], []
-    for i in range(1, copies + 1):
-        g1 = "phi(%d,1)" % i
-        g2 = "phi(%d,2)" % i
-        parts.append(weyl_pair(odd=False, names=(g1, g1 + "*"),
-                               charges=(1, -1)))
-        parts.append(weyl_pair(odd=False, names=(g2, g2 + "*"),
-                               charges=(-1, 1)))
-        names_by_copy.append((g1, g2))
-    matter = direct_sum(*parts)
-    words = {a: [] for a in ("e", "h", "f")}
-    for a in ("e", "h", "f"):
-        rho = SL2_FUND[a]
-        for g1, g2 in names_by_copy:
-            row = (g1, g2)
-            for m in range(2):
-                for n in range(2):
-                    if rho[m][n]:
-                        words[a].append((sc(-rho[m][n]),
-                                         [(row[m], 0), (row[n] + "*", 0)]))
-    struct = {(i, j): [(k, c) for k, c in terms]
-              for (i, j), terms in SL2_STRUCT.items()}
-    return BRSTDatum(["e", "h", "f"], struct, matter, words, cutoff,
-                     charge_window, {"e": 2, "h": 0, "f": -2})
 
 
 def wakimoto_datum(level="t", cutoff=3) -> BRSTDatum:

@@ -160,11 +160,25 @@ def _pick(args, table, what):
     return None, args.input
 
 
+def _preset_level(args, entry, name):
+    """--level, or the stock level of the preset ``entry`` when none is
+    given.  --level is refused where it would be ignored: with --input,
+    whose file carries its own level, and on a preset with no level."""
+    if args.level is None:
+        return None if entry is None else entry["level"]
+    if entry is None:
+        raise InputError("--level is refused with --input: %s carries its "
+                         "own level" % name)
+    if entry["level"] is None:
+        raise InputError("--level is refused: preset %r has no level"
+                         % name)
+    return args.level
+
+
 def _vla_source(args):
     entry, name = _pick(args, presets.VLA_PRESETS, "vla")
+    level = _preset_level(args, entry, name)
     if entry is not None:
-        level = args.level if getattr(args, "level", None) is not None \
-            else entry["level"]
         return entry["build"](_level(level)), name, level
     data = validate(_load_json(args.input), "vla.v1")
     return VertexLieData.from_dict(data), name, None
@@ -284,13 +298,12 @@ def do_envelope_dims(args):
 
 def do_brst(args):
     entry, name = _pick(args, presets.BRST_PRESETS, "brst")
+    level = _preset_level(args, entry, name)
     if entry is not None:
-        level = args.level if args.level is not None else entry["level"]
         D = entry["build"](_level(level), args.cutoff)
     else:
         data = validate(_load_json(args.input), "brst.v1")
         D = BRSTDatum.from_dict(data)
-        level = None
     if args.cutoff > D.cutoff:
         raise InputError("--cutoff %d is beyond the envelope cutoff of %s: "
                          "the largest allowed --cutoff is %d"

@@ -36,8 +36,7 @@ from functools import partial
 from math import lcm
 
 from .scalars import Scalar, ZERO, ONE, sc, binom, falling, format_scalar
-from .vla import VertexLieData, CheckReport
-from .linalg import vec_add, vec_scale
+from .vla import VertexLieData
 
 
 def _acc(out: dict, key, val: Scalar):
@@ -74,8 +73,8 @@ def infinite_block_cause(gens, by_charge):
 class VertexAlgebra:
     """The envelope of L with its products and basis, built on demand and
     memoized.  It has no cutoff of its own: the calls that enumerate,
-    such as ``basis``, ``graded_dimensions`` and ``check_vertex_axioms``,
-    take the weights and charges they run over."""
+    ``basis`` and ``graded_dimensions``, take the weights and charges
+    they run over."""
 
     def __init__(self, L: VertexLieData):
         self.L = L
@@ -462,230 +461,6 @@ class VertexAlgebra:
             out[w] = len(self.basis(w, q))
             w += step
         return out
-
-    # -- axiom checks ----------------------------------------------------
-
-    def check_vertex_axioms(self, cutoff) -> CheckReport:
-        """The vacuum, translation, skew-symmetry and commutator axioms
-        for modes n <= cutoff, on the sample states of ``_sample_states``
-        through weight min(cutoff, 3)."""
-        bad = []
-        gens = [(g.name, self.gen_state(g.name)) for g in self.L.gens]
-
-        if self.translate(self.vacuum()):
-            bad.append({"message": "T does not annihilate the vacuum"})
-
-        for name, a in gens:
-            if self.nth_product(a, -1, self.vacuum()) != a:
-                bad.append({"message": "%s_(-1)|0> != %s" % (name, name)})
-            if self.nth_product(a, -2, self.vacuum()) != self.translate(a):
-                bad.append({"message": "%s_(-2)|0> != T%s" % (name, name)})
-            for n in range(0, cutoff + 1):
-                if self.nth_product(a, n, self.vacuum()):
-                    bad.append({"message":
-                                "%s_(%d)|0> != 0" % (name, n)})
-
-        states = self._sample_states(min(cutoff, 3))
-
-        # translation covariance along both slots
-        for name, a in gens:
-            ta = self.translate(a)
-            for lbl, b in states:
-                for n in range(-2, cutoff + 1):
-                    lhs = self.nth_product(ta, n, b)
-                    rhs = vec_scale(self.nth_product(a, n - 1, b), -n)
-                    if lhs != rhs:
-                        bad.append({"witness": (name, n, lbl), "message":
-                                    "(T%s)_(%d) deviates from -n %s_(n-1) "
-                                    "on %s" % (name, n, name, lbl)})
-                    lhs2 = self.translate(self.nth_product(a, n, b))
-                    rhs2 = vec_add(self.nth_product(ta, n, b),
-                                   self.nth_product(a, n,
-                                                    self.translate(b)))
-                    if lhs2 != rhs2:
-                        bad.append({"witness": (name, n, lbl), "message":
-                                    "T fails the Leibniz rule on "
-                                    "%s_(%d)%s" % (name, n, lbl)})
-
-        # skew-symmetry of products on sampled states
-        for la, a in states:
-            pa = self._state_parity(a)
-            for lb, b in states:
-                pb = self._state_parity(b)
-                if pa is None or pb is None:
-                    continue
-                sign = (-1) ** (pa * pb)
-                top = int(self.state_weight(a) + self.state_weight(b))
-                for n in range(-1, cutoff + 1):
-                    lhs = self.nth_product(a, n, b)
-                    rhs = {}
-                    j = 0
-                    fact = 1
-                    while n + j <= top:
-                        term = self.nth_product(b, n + j, a)
-                        for _ in range(j):
-                            term = self.translate(term)
-                        coeff = Fraction(sign * (-1) ** (n + j + 1), fact)
-                        rhs = vec_add(rhs, vec_scale(term, coeff))
-                        j += 1
-                        fact *= j
-                    if lhs != rhs:
-                        bad.append({"witness": (la, n, lb), "message":
-                                    "skew-symmetry fails for "
-                                    "%s_(%d)%s" % (la, n, lb)})
-
-        # mode commutator law, two computation paths
-        for na, a in gens:
-            ia = self.L.gen(na)
-            for nb, b in gens:
-                ib = self.L.gen(nb)
-                sign = (-1) ** (self.L.gens[ia].parity
-                                * self.L.gens[ib].parity)
-                for lbl, s in states:
-                    for m in range(-1, 3):
-                        for k in range(-1, 3):
-                            lhs = vec_add(
-                                self.nth_product(
-                                    a, m, self.nth_product(b, k, s)),
-                                vec_scale(self.nth_product(
-                                    b, k, self.nth_product(a, m, s)),
-                                    -sign))
-                            rhs = {}
-                            # a_(l)b vanishes beyond the weight pole bound,
-                            # and C(m, l) vanishes beyond l = m for m >= 0
-                            l_top = m if m >= 0 else int(
-                                self.state_weight(a) + self.state_weight(b))
-                            for l in range(l_top + 1):
-                                c = binom(m, l)
-                                if c:
-                                    ab = self.nth_product(a, l, b)
-                                    if ab:
-                                        rhs = vec_add(rhs, vec_scale(
-                                            self.nth_product(
-                                                ab, m + k - l, s), c))
-                            if lhs != rhs:
-                                bad.append({
-                                    "witness": (na, m, nb, k, lbl),
-                                    "message":
-                                    "commutator law fails for %s_(%d), "
-                                    "%s_(%d) on %s" % (na, m, nb, k, lbl)})
-        return CheckReport(bad)
-
-    def _sample_states(self, wmax):
-        """The vacuum, the generators and the basis monomials through
-        weight wmax; with weight-0 even generators, those of the charges
-        of one or two generators and 0."""
-        out = [("|0>", self.vacuum())]
-        for g in self.L.gens:
-            out.append((g.name, self.gen_state(g.name)))
-        seen = {m for _, s in out for m in s}
-        qs = [None]
-        if self._zero_even:
-            qs = sorted({self.L.gens[g].charge * r
-                         for g in range(len(self.L.gens))
-                         for r in (1, 2)} | {0})
-        w, step = Fraction(0), Fraction(1, self._D)
-        while w <= wmax:
-            for q in qs:
-                try:
-                    basis = self.basis(w, q)
-                except ValueError:
-                    continue
-                for mono in basis:
-                    if mono not in seen:
-                        seen.add(mono)
-                        out.append((self.format_mono(mono), {mono: ONE}))
-            w += step
-        return out
-
-    def _state_parity(self, state):
-        ps = {self.parity(m) for m in state}
-        if len(ps) > 1:
-            return None
-        return ps.pop() if ps else 0
-
-    def is_commutative(self) -> bool:
-        for ga in self.L.gens:
-            a = self.gen_state(ga.name)
-            for gb in self.L.gens:
-                if self.singular_ope(a, self.gen_state(gb.name)):
-                    return False
-        return True
-
-    # -- graded derivations and the topological structure -----------------
-
-    def derivation(self, rule, op_parity, extra_rule=None):
-        """The derivation of parity ``op_parity`` given on generators.
-
-        ``rule`` maps generator names to lists of (gen, dpow, coeff), so
-        that g_(k) -> sum coeff (T^dpow gen)_(k); ``extra_rule`` adds a
-        second rule at k+1 (the twist needed by rotation operators).  The
-        returned operator keeps one memo of its own."""
-        terms = {}
-        for shift, table in ((0, rule), (1, extra_rule or {})):
-            for name, ts in table.items():
-                terms.setdefault(self.L.gen(name), []).extend(
-                    (shift, self.L.gen(g2), e, sc(c)) for g2, e, c in ts)
-        head, cache = partial(self._rule_head, terms), {}
-        return lambda state: self._derive(state, head, op_parity, cache)
-
-    def check_topological(self, d_rule, g_minus_rule,
-                          g_zero_rule=None) -> CheckReport:
-        """Check the differential graded structure: d and g_{-1} odd
-        derivations with [d, g_{-1}] = T and [T, g_{-1}] = 0; in the
-        framed variant also [d, g_0] = L_0 and [T, g_0] = -g_{-1}.  The
-        identities are checked on the sample states through weight 2,
-        and the derivation rule of g_{-1} on their n-th products for
-        -2 <= n <= 2."""
-        bad = []
-        d = self.derivation(d_rule, 1)
-        gm = self.derivation(g_minus_rule, 1)
-        g0 = None
-        if g_zero_rule is not None:
-            g0 = self.derivation(g_zero_rule, 1, extra_rule=g_minus_rule)
-        states = self._sample_states(2)
-
-        for lbl, s in states:
-            lhs = vec_add(d(gm(s)), gm(d(s)))
-            if lhs != self.translate(s):
-                bad.append({"witness": lbl, "message":
-                            "[d, g_{-1}] != T on %s" % lbl})
-            lhs = vec_add(self.translate(gm(s)),
-                          vec_scale(gm(self.translate(s)), -1))
-            if lhs:
-                bad.append({"witness": lbl, "message":
-                            "[T, g_{-1}] != 0 on %s" % lbl})
-            if g0 is not None:
-                lhs = vec_add(d(g0(s)), g0(d(s)))
-                want = {}
-                for mono, c in s.items():
-                    _acc(want, mono, c.scale(self.weight(mono)))
-                if lhs != want:
-                    bad.append({"witness": lbl, "message":
-                                "[d, g_0] != L_0 on %s" % lbl})
-                lhs = vec_add(self.translate(g0(s)),
-                              vec_scale(g0(self.translate(s)), -1))
-                if lhs != vec_scale(gm(s), -1):
-                    bad.append({"witness": lbl, "message":
-                                "[T, g_0] != -g_{-1} on %s" % lbl})
-
-        # g_{-1} is a derivation of every n-th product
-        for la, a in states:
-            pa = self._state_parity(a)
-            if pa is None:
-                continue
-            for lb, b in states:
-                for n in range(-2, 3):
-                    lhs = gm(self.nth_product(a, n, b))
-                    rhs = vec_add(
-                        self.nth_product(gm(a), n, b),
-                        vec_scale(self.nth_product(a, n, gm(b)),
-                                  (-1) ** pa))
-                    if lhs != rhs:
-                        bad.append({"witness": (la, n, lb), "message":
-                                    "g_{-1} fails the derivation rule on "
-                                    "%s_(%d)%s" % (la, n, lb)})
-        return CheckReport(bad)
 
     # -- formatting ------------------------------------------------------
 

@@ -11,11 +11,12 @@ when ``MixedComplex.from_dict`` reads it, and t wraps it and checks
 nothing again; the complexes built in code are not checked at run time.
 
 The inverse-direction functor h reads the u-linear part of a polynomial
-differential back off as the operators h_i (``ucomplex_from_finite``).
-For differentials produced by t this is literally an inverse: h of t(N)
-is the mixed complex N that t wrapped, kept as its ``mixed`` attribute,
-which is the reason the round-trip cohomology comparison in the
-contract holds on the nose here.
+differential back off as the operators h_i.  For differentials produced
+by t this is literally an inverse: h of t(N) is the mixed complex N that
+t wrapped, kept as its ``mixed`` attribute, which is the reason the
+round-trip cohomology comparison in the contract holds on the nose here.
+No verb takes h of any other complex; the tests do, as
+``ucomplex_from_finite`` in ``tests/smith_oracle.py``.
 
 Cartan models for diagonal torus actions on affine space are spanned by
 invariant monomial forms x^alpha dx^beta.  Both the de Rham part and the
@@ -61,8 +62,8 @@ class MixedComplex:
     enters from outside: ``from_dict`` reads each entry through
     ``read_map``, which refuses a polynomial entry and one of the wrong
     degree, and then runs ``validate``.  The complexes built in code (the
-    stock ones, ``cartan_model`` and ``ucomplex_from_finite``) are not
-    checked again at run time; the tests check them."""
+    stock ones and ``cartan_model``) are not checked again at run time;
+    the tests check them."""
 
     def __init__(self, tokens, d, hs):
         self.tokens = list(tokens)
@@ -202,11 +203,6 @@ class UComplex:
                     "torsion": [format_scalar(f) for f in tors]}
         return out
 
-    def rank_and_torsion(self):
-        """(free rank, torsion invariant factors) of H as a Q[u]-module,
-        all degrees taken together, for a complex of one factor."""
-        return _module_invariants(self.complex().D)
-
 
 def _module_invariants(D: Matrix):
     """H = ker D / im D of a square-zero n x n matrix over Q[u], as free
@@ -231,28 +227,6 @@ def koszul_t(N: MixedComplex) -> UComplex:
     reads the operators back off the u-linear parts of the differential,
     is the ``mixed`` attribute of the result."""
     return UComplex(N)
-
-
-def ucomplex_from_finite(C: FiniteComplex) -> UComplex:
-    """Split a one-variable polynomial differential into its constant
-    and u-linear parts.  Entries of u-degree two or more carry no
-    operator on the mixed side, so they are refused rather than
-    silently dropped."""
-    if C.var is None:
-        raise ValueError("expected a complex over a polynomial ring")
-    d0, d1 = {}, {}
-    for (i, j), v in C.D.data.items():
-        coeffs = v.coeffs
-        if any(c != 0 for c in coeffs[2:]):
-            raise ValueError(
-                "entry %r -> %r has %s-degree >= 2; not in the image of "
-                "the duality" % (C.tokens[j], C.tokens[i], C.var))
-        d0[(i, j)] = coeffs[0]
-        if len(coeffs) > 1:
-            d1[(i, j)] = coeffs[1]
-    n = len(C.tokens)
-    return UComplex(MixedComplex(C.tokens, Matrix(n, n, d0),
-                                 [Matrix(n, n, d1)]), labels=(C.var,))
 
 
 # -- Cartan models ---------------------------------------------------------

@@ -129,10 +129,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self.data
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows,
-                      {(j, i): v for (i, j), v in self.data.items()})
-
     def mul(self, other: "Matrix") -> "Matrix":
         out = {}
         by_row = {}
@@ -169,10 +165,6 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%dx%d, %d nonzero)" % (self.nrows, self.ncols,
                                               len(self.data))
-
-    @staticmethod
-    def identity(n) -> "Matrix":
-        return Matrix(n, n, {(i, i): ONE for i in range(n)})
 
     @staticmethod
     def of_columns(nrows, ncols, cols) -> "Matrix":

@@ -71,6 +71,12 @@ _VLA_BODY = {
     "additionalProperties": False,
 }
 
+# the matter of a brst.v1 file may have no generators, as the pure-ghost
+# datum has none; a vla.v1 file has one at least
+_MATTER_BODY = dict(_VLA_BODY, properties=dict(
+    _VLA_BODY["properties"],
+    generators=dict(_VLA_BODY["properties"]["generators"], minItems=0)))
+
 SCHEMAS = {
     "vla.v1": _VLA_BODY,
     "brst.v1": {
@@ -101,7 +107,7 @@ SCHEMAS = {
                     "additionalProperties": False,
                 },
             },
-            "matter": _VLA_BODY,
+            "matter": _MATTER_BODY,
             "currents": {
                 "type": "array",
                 "items": {

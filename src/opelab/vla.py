@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE, sc, format_scalar
+from .scalars import ONE, sc, format_scalar
 from .linalg import vec_add, vec_scale, vec_sub
 from .schemas import SchemaViolation, name_index, one_variable
 
@@ -433,31 +433,3 @@ def direct_sum(*parts) -> VertexLieData:
         offset += len(L.gens)
     return VertexLieData(gens, brackets, ring=ring, central=central)
 
-
-def poisson_limit(L: VertexLieData) -> VertexLieData:
-    """Divide every bracket by the ring variable and set it to zero.
-
-    Demands that all brackets vanish at the central fibre; otherwise the
-    limit is not commutative and the offending bracket is reported.
-    """
-    var = L.ring
-    if var is None:
-        raise ValueError("poisson_limit needs a ring variable")
-    h = Scalar.variable(var)
-    brackets = {}
-    for (ia, ib, n), val in sorted(L.brackets.items()):
-        names = (L.gens[ia].name, L.gens[ib].name)
-
-        def reduce(s):
-            if s.is_zero():
-                return ZERO
-            if s.is_const() or s.coeffs[0] != 0:
-                raise ValueError(
-                    "central fibre not commutative: %s_(%d)%s survives at "
-                    "%s = 0" % (names[0], n, names[1], var))
-            return s.div_exact(h).subs(0)
-
-        brackets[(ia, ib, n)] = {k: reduce(v) for k, v in val.items()}
-    gens = [Gen(g.name, g.weight, g.parity, g.charge, g.ghost)
-            for g in L.gens]
-    return VertexLieData(gens, brackets, ring=None, central=L.central)

@@ -26,14 +26,57 @@ live entry and updates the rows with rationals.  ``oracle_classes``
 reads cohomology classes off the second one.
 
 ``assert_complex`` checks what ``FiniteComplex`` takes on trust: that
-D o D = 0 and that D is homogeneous of degree +1."""
+D o D = 0 and that D is homogeneous of degree +1.
+
+``identity`` and ``transpose`` build matrices that no verb needs.
+``ucomplex_from_finite`` is the functor h from a one-variable complex
+over Q[u] back to a mixed complex, and ``rank_and_torsion`` reads the
+free rank and torsion of its cohomology off ``smith_factors``."""
 
 from collections import Counter
 
-from opelab.linalg import (Matrix, SmithResult, quotient_reps,
-                           solve_and_rank, _axpy, _grading, _primitive,
-                           _reduce)
+from opelab.equivariant import MixedComplex, UComplex, _module_invariants
+from opelab.linalg import (FiniteComplex, Matrix, SmithResult,
+                           quotient_reps, solve_and_rank, _axpy, _grading,
+                           _primitive, _reduce)
 from opelab.scalars import ZERO, ONE, sc, quo
+
+
+def identity(n) -> Matrix:
+    return Matrix(n, n, {(i, i): ONE for i in range(n)})
+
+
+def transpose(M: Matrix) -> Matrix:
+    return Matrix(M.ncols, M.nrows,
+                  {(j, i): v for (i, j), v in M.data.items()})
+
+
+def ucomplex_from_finite(C: FiniteComplex) -> UComplex:
+    """Split a one-variable polynomial differential into its constant
+    and u-linear parts.  Entries of u-degree two or more carry no
+    operator on the mixed side, so they are refused rather than
+    silently dropped."""
+    if C.var is None:
+        raise ValueError("expected a complex over a polynomial ring")
+    d0, d1 = {}, {}
+    for (i, j), v in C.D.data.items():
+        coeffs = v.coeffs
+        if any(c != 0 for c in coeffs[2:]):
+            raise ValueError(
+                "entry %r -> %r has %s-degree >= 2; not in the image of "
+                "the duality" % (C.tokens[j], C.tokens[i], C.var))
+        d0[(i, j)] = coeffs[0]
+        if len(coeffs) > 1:
+            d1[(i, j)] = coeffs[1]
+    n = len(C.tokens)
+    return UComplex(MixedComplex(C.tokens, Matrix(n, n, d0),
+                                 [Matrix(n, n, d1)]), labels=(C.var,))
+
+
+def rank_and_torsion(M: UComplex):
+    """(free rank, torsion invariant factors) of H as a Q[u]-module,
+    all degrees taken together, for a complex of one factor."""
+    return _module_invariants(M.complex().D)
 
 
 def _dense(M: Matrix):
@@ -61,8 +104,8 @@ def general_smith(M: Matrix) -> OracleSmith:
     updated with every operation."""
     A = _dense(M)
     n, m = M.nrows, M.ncols
-    U, Uinv = _dense(Matrix.identity(n)), _dense(Matrix.identity(n))
-    V, Vinv = _dense(Matrix.identity(m)), _dense(Matrix.identity(m))
+    U, Uinv = _dense(identity(n)), _dense(identity(n))
+    V, Vinv = _dense(identity(m)), _dense(identity(m))
 
     def row_swap(i, k):
         A[i], A[k] = A[k], A[i]

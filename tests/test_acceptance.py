@@ -22,8 +22,8 @@ from opelab.vla import (Gen, VertexLieData, current_algebra,
 from opelab.envelope import VertexAlgebra
 from opelab.brst import abelian_datum, pure_ghost_datum, wakimoto_datum
 from opelab.linalg import BasisToken, FiniteComplex, vec_scale as scale_state
-from opelab.equivariant import (MixedComplex, koszul_t, ucomplex_from_finite,
-                                cartan_model, localize_check, regular_lambda,
+from opelab.equivariant import (MixedComplex, koszul_t, cartan_model,
+                                localize_check, regular_lambda,
                                 sphere_pair, p1_rotation, p1_fixed_points,
                                 p1_inclusion)
 from opelab.operads import (check_relations, conf_ring,
@@ -31,7 +31,10 @@ from opelab.operads import (check_relations, conf_ring,
                             odd_symplectic_bv, odd_symplectic_bd0)
 from opelab import presets
 from opelab.cli import main as cli_main
-from smith_oracle import assert_complex
+from brst_oracle import kappa_ghost, level_defect
+from envelope_oracle import check_vertex_axioms
+from smith_oracle import (assert_complex, rank_and_torsion,
+                          ucomplex_from_finite)
 
 
 # -- singular product tables ----------------------------------------------
@@ -154,7 +157,7 @@ def test_bracket_axioms(name, build):
                          ids=[n for n, _ in SHIPPED])
 def test_envelope_axioms(name, build):
     V = VertexAlgebra(build())
-    assert V.check_vertex_axioms(cutoff=4).ok
+    assert check_vertex_axioms(V, cutoff=4).ok
 
 
 def test_inhomogeneous_bracket_caught_with_witness():
@@ -191,7 +194,7 @@ def test_broken_structure_constants_caught_with_witness():
 
 def test_broken_envelope_caught_with_witness():
     L = current_algebra(["e", "h", "f"], BAD_SL2_STRUCT, SL2_KAPPA, sc(1))
-    rep = VertexAlgebra(L).check_vertex_axioms(cutoff=2)
+    rep = check_vertex_axioms(VertexAlgebra(L), cutoff=2)
     assert not rep.ok
     assert rep.violations[0]["message"]
 
@@ -222,7 +225,7 @@ def test_rank_one_datum_level_condition():
     # the matter level cancels the (here vanishing) ghost level
     root = unique_root(entries)
     assert root == 0
-    assert D.kappa_ghost() == {("b", "b"): ZERO}
+    assert kappa_ghost(D) == {("b", "b"): ZERO}
     rep, _ = D.specialize(root).check_d_squared(4)
     assert rep.ok
 
@@ -240,7 +243,7 @@ def test_free_field_datum_critical_level():
     assert not rep.ok and entries
     root = unique_root(entries)
     # the matter level must cancel the ghost level at exactly this root
-    defect = [v for v in D.level_defect().values() if not v.is_zero()]
+    defect = [v for v in level_defect(D).values() if not v.is_zero()]
     assert defect and all(v.evaluate(root) == 0 for v in defect)
 
     Dc = wakimoto_datum(root, cutoff=3)
@@ -332,7 +335,7 @@ def test_duality_round_trip_preserves_cohomology():
 def test_scaling_line_gives_a_free_module():
     M = cartan_model([1], 6)
     assert class_shape(M.cohomology()) == [(0, None)]
-    assert M.rank_and_torsion() == (1, [])
+    assert rank_and_torsion(M) == (1, [])
 
 
 def test_two_torus_plane_is_free_in_both_variables():

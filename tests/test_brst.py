@@ -20,6 +20,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from opelab import presets
 from opelab.cli import _level, main
+from opelab.schemas import validate
 from opelab.scalars import (Scalar, ZERO, ONE, sc, sc_gcd, format_scalar,
                             parse_scalar)
 from opelab.vla import (VertexLieData, check_jacobi, check_sesquilinearity,
@@ -29,8 +30,10 @@ from opelab.envelope import VertexAlgebra
 from opelab.linalg import vec_add as add_states, vec_scale as scale_state
 from opelab.brst import (build_ghosts, ghost_current_words, word_state,
                          BRSTDatum, abelian_datum, pure_ghost_datum,
-                         bg_gl1_datum, bg_fundamental_sl2_datum,
-                         wakimoto_datum, SL2_FUND)
+                         wakimoto_datum)
+from brst_oracle import (bg_fundamental_sl2_datum, bg_gl1_datum,
+                         kappa_ghost, kappa_matter, level_defect,
+                         validate_currents, SL2_FUND)
 from smith_oracle import graded_cohomology, ghost_steps, rank_cohomology
 
 
@@ -134,7 +137,7 @@ def test_ghost_current_adjoint_and_coadjoint_action():
 def test_ghost_levels_equal_killing_form():
     kf = killing_form(["e", "h", "f"], SL2_STRUCT)
     D = bg_fundamental_sl2_datum(1)
-    kg = D.kappa_ghost()
+    kg = kappa_ghost(D)
     for pair, val in kf.items():
         assert kg[pair] == sc(val), pair
     assert kf[("e", "f")] == 4 and kf[("h", "h")] == 8
@@ -145,10 +148,10 @@ def test_ghost_levels_equal_killing_form():
 def test_abelian_generic_level():
     D = abelian_datum("t", cutoff=4)
     t = Scalar.variable("t")
-    assert D.validate_currents().ok
-    assert D.kappa_matter() == {("b", "b"): t}
-    assert D.kappa_ghost() == {("b", "b"): ZERO}
-    assert D.level_defect() == {("b", "b"): t}
+    assert validate_currents(D).ok
+    assert kappa_matter(D) == {("b", "b"): t}
+    assert kappa_ghost(D) == {("b", "b"): ZERO}
+    assert level_defect(D) == {("b", "b"): t}
     d = D.differential()
     assert d(D.V.gen_state("psi_b")) == D.V.gen_state("b")
     assert d(D.V.gen_state("b")) == scale_state(
@@ -197,9 +200,9 @@ def test_pure_ghost_trivial_differential():
 
 def test_bg_gl1_levels_and_action():
     D = bg_gl1_datum(cutoff=2, charge_window=(-4, 4))
-    assert D.validate_currents().ok
-    assert D.kappa_matter() == {("x", "x"): sc(-1)}
-    assert D.kappa_ghost() == {("x", "x"): ZERO}
+    assert validate_currents(D).ok
+    assert kappa_matter(D) == {("x", "x"): sc(-1)}
+    assert kappa_ghost(D) == {("x", "x"): ZERO}
     d = D.differential()
     for m in (1, 2, 3):
         st = word_state(D.V, [(ONE, [("phi_star", 0)] * m)])
@@ -243,10 +246,10 @@ def test_fundamental_copy_scan_has_unique_zero():
     closing = []
     for k in range(1, 7):
         D = bg_fundamental_sl2_datum(k)
-        km = D.kappa_matter()
+        km = kappa_matter(D)
         for a, b in pairs:
             assert km[(a, b)] == sc(-k * rho_trace(a, b)), (k, a, b)
-            assert D.kappa_ghost()[(a, b)] == sc(kf[(a, b)])
+            assert kappa_ghost(D)[(a, b)] == sc(kf[(a, b)])
         states = [("psi_%s" % a, D.V.gen_state("psi_%s" % a))
                   for a in D.names]
         report, _ = D.check_d_squared(None, states=states)
@@ -257,7 +260,7 @@ def test_fundamental_copy_scan_has_unique_zero():
 
 def test_fundamental_copies_validate_and_refuse_full_enumeration():
     D = bg_fundamental_sl2_datum(2)
-    assert D.validate_currents().ok
+    assert validate_currents(D).ok
     with pytest.raises(ValueError, match="mixed or zero charges"):
         D.V.basis(0, 0)
     with pytest.raises(ValueError, match="mixed or zero charges"):
@@ -331,8 +334,8 @@ def test_wakimoto_coefficients_stage_two():
 def test_wakimoto_currents_close(wak_generic):
     D = wak_generic
     t = Scalar.variable("t")
-    assert D.validate_currents().ok
-    km = D.kappa_matter()
+    assert validate_currents(D).ok
+    km = kappa_matter(D)
     assert km[("e", "f")] == (t - sc(4)).scale(Fraction(1, 2))
     assert km[("f", "e")] == km[("e", "f")]
     assert km[("h", "h")] == t - sc(4)
@@ -341,7 +344,7 @@ def test_wakimoto_currents_close(wak_generic):
 
 def test_wakimoto_critical_level_is_forced(wak_generic):
     D = wak_generic
-    defect = [v for v in D.level_defect().values() if not v.is_zero()]
+    defect = [v for v in level_defect(D).values() if not v.is_zero()]
     assert entry_gcd(defect) == Scalar.variable("t") + sc(4)
     report, entries = D.check_d_squared(2)
     assert not report.ok
@@ -416,7 +419,7 @@ def test_broken_current_names_the_pair():
     words["f"] = [t for t in words["f"] if t[1] != [("b", 0), ("phi_star", 0)]]
     D = BRSTDatum(D0.names, D0.struct, D0.matter, words, 2,
                   D0.charge_window, D0.ghost_charges)
-    report = D.validate_currents()
+    report = validate_currents(D)
     assert not report.ok
     pairs = {v["pair"] for v in report.violations if v["which"] == "matter"}
     assert ("e", "f") in pairs
@@ -427,7 +430,7 @@ def test_datum_roundtrip():
     blob = json.dumps(D.to_dict(), sort_keys=True)
     D2 = BRSTDatum.from_dict(json.loads(blob))
     assert D2.Q == D.Q
-    assert D2.kappa_matter() == D.kappa_matter()
+    assert kappa_matter(D2) == kappa_matter(D)
     W = wakimoto_datum(-4, cutoff=2)
     W2 = BRSTDatum.from_dict(json.loads(json.dumps(W.to_dict())))
     assert W2.Q == W.Q
@@ -1002,14 +1005,34 @@ def test_brst_report_survives_renaming_and_reordering(data, draw):
 @pytest.mark.parametrize("level", ["stock", "k", "-3/7"])
 def test_presets_pass_the_reader(preset, level):
     """The presets are built in code, where no reader checks them: each
-    datum, matter included, passes every check of ``from_dict`` and
-    reads back unchanged.  (The schema is left out: it asks a matter
-    table for a generator, and the pure-ghost datum has none.)"""
+    datum, matter included, passes the schema and every check of
+    ``from_dict``, and reads back unchanged."""
     entry = presets.BRST_PRESETS[preset]
     D = entry["build"](_level(entry["level"] if level == "stock"
                               else level), 0)
     data = D.to_dict()
+    validate(data, "brst.v1")
     assert BRSTDatum.from_dict(data).to_dict() == data
+
+
+@pytest.mark.parametrize("cutoff", range(5))
+def test_pure_ghost_file_reports_as_the_preset(cutoff):
+    """A brst.v1 matter may have no generators, so the pure-ghost datum
+    has a file, and ``brst --input`` on it gives the preset's verdict
+    and cohomology."""
+    data = pure_ghost_datum(cutoff=5).to_dict()
+    assert data["matter"]["generators"] == []
+    validate(data, "brst.v1")
+    assert BRSTDatum.from_dict(data).to_dict() == data
+    argv = ["--cutoff", str(cutoff), "--cohomology"]
+    code, out, err = run_brst_file(data, *argv)
+    out2, err2 = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out2), contextlib.redirect_stderr(err2):
+        code2 = main(["brst", "--preset", "pure-ghost"] + argv)
+    assert (code, err) == (code2, err2.getvalue()) == (0, "")
+    rep, rep2 = json.loads(out), json.loads(out2.getvalue())
+    for key in ("d_squared_zero", "cohomology_dims"):
+        assert rep[key] == rep2[key]
 
 
 @pytest.mark.parametrize("preset", sorted(presets.BRST_PRESETS))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from opelab.brst import abelian_datum, bg_gl1_datum, wakimoto_datum
+from opelab.brst import abelian_datum, wakimoto_datum
 from opelab.cli import MAX_ENVELOPE_STATES, main
 from opelab.equivariant import p1_fixed_points, p1_rotation
 from opelab.operads import sl2_lie
@@ -18,6 +18,7 @@ from opelab.scalars import MAX_EXPONENT
 from opelab.scalars import Scalar
 from opelab.vla import (Gen, VertexLieData, kac_moody_sl2, virasoro,
                         weyl_pair)
+from brst_oracle import bg_gl1_datum
 
 
 def run(capsys, *argv):
@@ -509,6 +510,11 @@ def _current_in_a_second_variable():
 
 TOO_MANY = "more than %d monomials" % MAX_ENVELOPE_STATES
 
+# a file carries its own level, so --level would be ignored with --input
+VIRASORO_AT_C = dict(virasoro(Scalar.variable("c")).to_dict(),
+                     format="vla.v1")
+LEVEL_WITH_INPUT = "error: --level is refused with --input: "
+
 # argv, file to pass as --input (or None), text stderr must show
 HOSTILE = [
     (["ope", "--preset", "virasoro", "--level=3/0"], None,
@@ -731,6 +737,17 @@ HOSTILE = [
     (["brst", "--cutoff", "1"], _current_in_a_second_variable(),
      "error: brst.v1: coefficient 's' is a polynomial in 's', but the "
      "datum is over 't' at /currents/0/terms/0/coeff\n"),
+    (["vla-check", "--level", "3"], VIRASORO_AT_C, LEVEL_WITH_INPUT),
+    (["ope", "--level", "3"], VIRASORO_AT_C, LEVEL_WITH_INPUT),
+    (["envelope-dims", "--level", "3"], VIRASORO_AT_C, LEVEL_WITH_INPUT),
+    (["brst", "--level", "7"], abelian_datum(0, cutoff=4).to_dict(),
+     LEVEL_WITH_INPUT),
+    (["ope", "--preset", "betagamma", "--level", "3"], None,
+     "error: --level is refused: preset 'betagamma' has no level\n"),
+    (["envelope-dims", "--preset", "bc", "--level", "3"], None,
+     "error: --level is refused: preset 'bc' has no level\n"),
+    (["brst", "--preset", "pure-ghost", "--level", "7"], None,
+     "error: --level is refused: preset 'pure-ghost' has no level\n"),
 ]
 
 
@@ -788,7 +805,10 @@ HOSTILE = [
     "conf-n-past-desk-scale", "conf-d-below-2",
     "vla-repeated-bracket-row", "brst-matter-repeated-bracket-row",
     "brst-repeated-structure-row", "brst-repeated-current-row",
-    "brst-structure-not-antisymmetric", "brst-current-in-a-second-variable"])
+    "brst-structure-not-antisymmetric", "brst-current-in-a-second-variable",
+    "vla-check-level-with-input", "ope-level-with-input",
+    "envelope-dims-level-with-input", "brst-level-with-input",
+    "betagamma-level", "bc-level", "pure-ghost-level"])
 def test_hostile_input_exits_2_without_traceback(capsys, tmp_path, argv,
                                                   document, needle):
     if document is not None:

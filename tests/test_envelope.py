@@ -9,6 +9,8 @@ from opelab.vla import (Gen, VertexLieData, current_algebra,
                         direct_sum, SL2_KAPPA)
 from opelab.envelope import VertexAlgebra, _acc
 from opelab.linalg import vec_add as add_states, vec_scale as scale_state
+from envelope_oracle import (check_topological, check_vertex_axioms,
+                             derivation, sample_states)
 
 
 # Independent dimension oracle: expand the super generating function
@@ -182,22 +184,22 @@ def test_current_action_on_matter():
 
 def test_axioms_virasoro():
     V = VertexAlgebra(virasoro(Scalar.variable("c")))
-    assert V.check_vertex_axioms(cutoff=3).ok
+    assert check_vertex_axioms(V, cutoff=3).ok
 
 
 def test_axioms_sl2():
     V = VertexAlgebra(kac_moody_sl2(Scalar.variable("k")))
-    assert V.check_vertex_axioms(cutoff=2).ok
+    assert check_vertex_axioms(V, cutoff=2).ok
 
 
 def test_axioms_betagamma():
     V = VertexAlgebra(weyl_pair(odd=False))
-    assert V.check_vertex_axioms(cutoff=2).ok
+    assert check_vertex_axioms(V, cutoff=2).ok
 
 
 def test_axioms_bc():
     V = VertexAlgebra(weyl_pair(odd=True, names=("psi", "psi_star")))
-    assert V.check_vertex_axioms(cutoff=2).ok
+    assert check_vertex_axioms(V, cutoff=2).ok
 
 
 def test_axioms_catch_inconsistent_table():
@@ -210,15 +212,8 @@ def test_axioms_catch_inconsistent_table():
     }
     L = current_algebra(["e", "h", "f"], bad_struct, SL2_KAPPA, sc(1))
     V = VertexAlgebra(L)
-    rep = V.check_vertex_axioms(cutoff=2)
+    rep = check_vertex_axioms(V, cutoff=2)
     assert not rep.ok
-
-
-def test_is_commutative():
-    assert VertexAlgebra(heisenberg(sc(0))).is_commutative()
-    assert not VertexAlgebra(heisenberg(sc(1))).is_commutative()
-    pair = VertexLieData([Gen("x", 1), Gen("theta", 1, 1)], {})
-    assert VertexAlgebra(pair).is_commutative()
 
 
 # -- topological structure ---------------------------------------------
@@ -231,7 +226,8 @@ def _de_rham_pair():
 
 def test_topological_pair_passes():
     V = _de_rham_pair()
-    rep = V.check_topological(
+    rep = check_topological(
+        V,
         d_rule={"theta": [("x", 0, 1)]},
         g_minus_rule={"x": [("theta", 1, 1)]},
     )
@@ -240,7 +236,8 @@ def test_topological_pair_passes():
 
 def test_topological_framed_pair():
     V = _de_rham_pair()
-    rep = V.check_topological(
+    rep = check_topological(
+        V,
         d_rule={"theta": [("x", 0, 1)]},
         g_minus_rule={"x": [("theta", 1, 1)]},
         g_zero_rule={"x": [("theta", 0, 1)]},
@@ -251,7 +248,8 @@ def test_topological_framed_pair():
 def test_topological_violation_reported():
     V = _de_rham_pair()
     # g_{-1}(x) = theta (no derivative): [d, g_{-1}] gives x, not Tx
-    rep = V.check_topological(
+    rep = check_topological(
+        V,
         d_rule={"theta": [("x", 0, 1)]},
         g_minus_rule={"x": [("theta", 0, 1)]},
     )
@@ -360,7 +358,7 @@ DERIVATION_CASES = [
 
 def _oracle_states(V, wmax, seed=0):
     """The sampled states, then random linear combinations of them."""
-    states = [s for _, s in V._sample_states(wmax)]
+    states = [s for _, s in sample_states(V, wmax)]
     rng = random.Random(seed)
     for _ in range(20):
         combo = {}
@@ -380,9 +378,9 @@ def test_derivations_match_sequence_reevaluation(build, rules, wmax):
     vacuum, on sampled states and on linear combinations of them."""
     V = build()
     d_rule, gm_rule, g0_rule = rules or _neighbour_rules(V.L)
-    ops = [(V.derivation(d_rule, 1), oracle_derivation(V, d_rule, 1)),
-           (V.derivation(gm_rule, 1), oracle_derivation(V, gm_rule, 1)),
-           (V.derivation(g0_rule, 1, extra_rule=gm_rule),
+    ops = [(derivation(V, d_rule, 1), oracle_derivation(V, d_rule, 1)),
+           (derivation(V, gm_rule, 1), oracle_derivation(V, gm_rule, 1)),
+           (derivation(V, g0_rule, 1, extra_rule=gm_rule),
             oracle_derivation(V, g0_rule, 1, extra_rule=gm_rule))]
     states = _oracle_states(V, wmax)
     assert len(states) > 20
@@ -474,7 +472,7 @@ def test_integer_weights_match_the_fraction_recursion(V, weights, charges):
 def test_samples_cover_every_weight_block():
     # the weight-1/2 free fermion has states at 3/2 and 5/2 beyond psi
     V = VertexAlgebra(_free_fermion())
-    weights = {V.state_weight(s) for _, s in V._sample_states(3)}
+    weights = {V.state_weight(s) for _, s in sample_states(V, 3)}
     assert {Fraction(3, 2), Fraction(5, 2)} <= weights
     assert weights == {w for w, dim in V.graded_dimensions(3).items()
                        if dim}

@@ -10,7 +10,8 @@ from opelab.linalg import (Matrix, BasisToken, FiniteComplex, solve_and_rank,
                            span_rank, rref, vec_add, vec_scale, vec_sub,
                            smith_factors, _components, _grading,
                            _smith_general, _smith_graded)
-from smith_oracle import general_smith, gauss_jordan_rref, min_search_pivots
+from smith_oracle import (general_smith, gauss_jordan_rref, identity,
+                          min_search_pivots, transpose)
 
 
 # Independent rank oracle: fraction-free Bareiss elimination on dense rows.
@@ -79,7 +80,7 @@ def test_q_solve():
 
 def test_matrix_product_and_identity():
     A = dense_to_matrix([[1, 2], [3, 4]])
-    I = Matrix.identity(2)
+    I = identity(2)
     assert A.mul(I) == A and I.mul(A) == A
     B = dense_to_matrix([[0, 1], [1, 0]])
     assert A.mul(B) == dense_to_matrix([[2, 1], [4, 3]])
@@ -98,7 +99,7 @@ def _check_smith(M, reduce=smith):
         assert list(vec) == sorted(vec)
         assert not any(x.is_zero() for x in vec.values())
     U, Vinv = _rows(n, S.U), _rows(m, S.Vinv)
-    V = _rows(m, S.V).transpose()
+    V = transpose(_rows(m, S.V))
     # U M V = D
     D = U.mul(M).mul(V)
     assert D.data == {(t, t): f for t, f in enumerate(S.factors)}, \
@@ -106,7 +107,7 @@ def _check_smith(M, reduce=smith):
     # U is unimodular: its own Smith form, by the oracle, is the identity
     SU = general_smith(U)
     assert SU.rank == n and all(f == ONE for f in SU.factors)
-    assert V.mul(Vinv) == Matrix.identity(m)
+    assert V.mul(Vinv) == identity(m)
     # monic divisibility chain
     for a, b in zip(S.factors, S.factors[1:]):
         assert b.divmod(a)[1].is_zero()

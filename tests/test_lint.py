@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter installed."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -102,6 +103,86 @@ def test_every_definition_is_named_somewhere():
     sources = {p: t for p, t in lookup.items()
                if ROOT / p.parent == SRC}
     assert unnamed_definitions(sources, lookup) == []
+
+
+def unreached_definitions(sources, named=frozenset()):
+    """(path, line, qualified name) for each function or class of
+    ``sources`` ({path: text}) that no code of ``sources`` references,
+    as a ``Name`` or an ``Attribute`` of its name, outside its own
+    definition.  ``named`` holds (module, qualified name) pairs that
+    count as referenced.  Special methods are called by the language,
+    not by name, and are not listed."""
+    refs, defs = [], []
+    for path, text in sources.items():
+        stack = [(ast.parse(text, str(path)), "")]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Name):
+                    refs.append((child.id, path, child.lineno))
+                elif isinstance(child, ast.Attribute):
+                    refs.append((child.attr, path, child.lineno))
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    qualname = prefix + child.name
+                    defs.append((path, child, qualname))
+                    stack.append((child, qualname + "."))
+                else:
+                    stack.append((child, prefix))
+    out = []
+    for path, node, qualname in defs:
+        if (node.name.startswith("__") and node.name.endswith("__")
+                or (Path(path).stem, qualname) in named):
+            continue
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        if not any(name == node.name and (
+                where != path or not first <= line <= node.end_lineno)
+                for name, where, line in refs):
+            out.append((str(path), node.lineno, qualname))
+    return sorted(out)
+
+
+def test_unreached_definitions_are_found():
+    a, b = Path("a.py"), Path("b.py")
+    sources = {
+        a: ("def used():\n    pass\n"
+            "def recursive():\n    return recursive()\n"
+            "class K:\n"
+            "    def method(self):\n        return used()\n"
+            "    def called(self):\n        pass\n"
+            "    def __init__(self):\n        pass\n"
+            "K().called()\n"),
+        b: ("def traced():\n    pass\n"
+            "def helper():\n    pass\n"
+            "def caller(k):\n    return k.helper()\n")}
+    assert unreached_definitions(sources, {("b", "traced")}) == [
+        ("a.py", 3, "recursive"), ("a.py", 6, "K.method"),
+        ("b.py", 5, "caller")]
+
+
+# definitions that wait for the ROADMAP item that gives them a caller
+AWAITING_A_CALLER = {
+    26: [("brst", "BRSTDatum.euler_characteristics")],
+    33: [("brst", "BRSTDatum.specialize"),
+         ("operads", "AlgebraInstance.specialize")],
+}
+
+
+def test_every_definition_is_reached_without_the_tests():
+    """Test-only surface belongs in tests/: every function and class of
+    the package is referenced from the package itself, by a span of the
+    benchmark's tracer, or by an entry of ``AWAITING_A_CALLER``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    named = {(module, qualname) for targets in layers.SPANS.values()
+             for module, qualname, _ in targets}
+    named.update(name for names in AWAITING_A_CALLER.values()
+                 for name in names)
+    sources = {p.relative_to(ROOT): p.read_text()
+               for p in sorted(SRC.glob("*.py"))}
+    assert unreached_definitions(sources, named) == []
 
 
 def raises_in_constructors(source, filename="<source>"):

@@ -16,7 +16,7 @@ from opelab.schemas import validate
 from opelab.vla import (Gen, VertexLieData, check_sesquilinearity,
                         check_skew_symmetry, check_jacobi, current_algebra,
                         heisenberg, kac_moody_sl2, virasoro, weyl_pair,
-                        direct_sum, poisson_limit)
+                        direct_sum)
 
 
 def test_virasoro_table():
@@ -134,37 +134,6 @@ def test_serialization_roundtrip():
         assert L2.brackets.keys() == L.brackets.keys()
         for k in L.brackets:
             assert L2.brackets[k] == L.brackets[k]
-
-
-def test_poisson_limit_heisenberg():
-    h = Scalar.variable("h")
-    L = heisenberg(h)
-    P = poisson_limit(L)
-    assert P.ring is None
-    assert P.stored(0, 0, 1)[()] == ONE
-
-
-def test_poisson_limit_rejects_noncommutative_fibre():
-    h = Scalar.variable("h")
-    with pytest.raises(ValueError, match="central fibre not commutative"):
-        poisson_limit(virasoro(h))
-    with pytest.raises(ValueError, match="l_\\(0\\)l"):
-        poisson_limit(virasoro(h))
-
-
-def test_poisson_limit_scaled_current_algebra():
-    # scale all sl2 structure by h: the limit keeps only the pairing
-    h = Scalar.variable("h")
-    struct = {k: [(g, sc(c) * h) for g, c in v]
-              for k, v in
-              {(0, 1): [(0, -2)], (1, 0): [(0, 2)],
-               (1, 2): [(2, -2)], (2, 1): [(2, 2)],
-               (0, 2): [(1, 1)], (2, 0): [(1, -1)]}.items()}
-    from opelab.vla import SL2_KAPPA
-    L = current_algebra(["e", "h_", "f"], struct, SL2_KAPPA, h)
-    P = poisson_limit(L)
-    assert P.stored(0, 1, 0) == {(0, 0): sc(-2)}
-    assert P.stored(0, 2, 1)[()] == ONE
 
 
 WEIGHTS = (0, Fraction(1, 2), 1, Fraction(3, 2), 2)
